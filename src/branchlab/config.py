@@ -59,7 +59,6 @@ _DEFAULT_VERIFY = {
     "regime": "auto",
     "alpha": 0.01,
     "t_mc": None,  # default: last mc time
-    "qprocess": False,
 }
 
 
@@ -116,6 +115,10 @@ class ExperimentConfig:
             raise ConfigError(f"grid block: {err}") from err
         solver = {**_DEFAULT_SOLVER, **raw.get("solver", {})}
         mc = {**_DEFAULT_MC, **raw.get("mc", {})}
+        seed = mc["seed"]
+        # the replica streams are keyed by the seed as an unsigned 64-bit word
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ConfigError(f"config key mc.seed must be an integer in [0, 2^64); got {seed!r}")
         verify = {**_DEFAULT_VERIFY, **raw.get("verify", {})}
         return cls(
             raw=raw,

@@ -12,10 +12,13 @@ with an IMEX Crank-Nicolson march (implicit linear part, trapezoidal
 predictor-corrector source).  The integral form is then re-evaluated by
 quadrature over the stored time slices as an independent residual check.
 
-Regime-specific limit constants (critical V_n, subcritical V_n^- and
-K^-, supercritical V_n^+ and the beta_n rates) are computed from the
-spectral data and the stored fields, with analytic tail completion of the
-infinite-time quadratures.
+The extinction limit h solves the stationary equation L h - b h^2 = 0 by
+Newton's method, cross-checked against the long-time survival march.
+Regime-specific limit constants (critical V_n, subcritical V_n^- and K^-,
+supercritical V_n^+ and the beta_n rates) come from the spectral data:
+V_n^+ by one sparse resolvent solve per order, V_n^- and K^- by quadrature
+over the stored fields.  Analytic tail completion of an infinite-time
+quadrature remains only in the subcritical constants.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.special import comb
 
 from .branching import yule_moment_bound
-from .semigroup import Propagator, q_generator, _rightmost_two
+from .semigroup import Propagator
 
 __all__ = [
     "MomentField",
@@ -394,7 +399,6 @@ def survival_semigroup_check(field, t, t0, generator, model, dt_pde=None):
 @dataclass
 class HResult:
     h: np.ndarray
-    h_q_route: np.ndarray
     h_u0_route: np.ndarray
     iterations: int
     residuals: list
@@ -403,52 +407,44 @@ class HResult:
     degenerate: bool = False
 
 
-def _q_decay_rate(qgen):
-    top, _second, _cplx = _rightmost_two(
-        qgen.matrix, rho=qgen.rho if qgen.variant == "diffusion" else None
+# Newton converges quadratically to a positive h and, where the only
+# nonnegative solution is 0 with a singular Jacobian (critical regime),
+# halves its step each time: 60 steps reach any tolerance above 1e-17
+_NEWTON_MAX_STEPS = 60
+
+
+def _newton_h(generator, b_vals, tol):
+    """Newton's method on L h - b h^2 = 0 from h = 1.
+
+    h = 1 is a supersolution and -(L - 2 b h) is an M-matrix, so the
+    iterates decrease monotonically to the largest nonnegative solution.
+    Stops on a step below tol / 5; returns (h, step sizes)."""
+    L = generator.matrix.tocsc()
+    h = np.ones(L.shape[0])
+    steps = []
+    for _ in range(_NEWTON_MAX_STEPS):
+        jac = (L - sp.diags(2.0 * b_vals * h)).tocsc()
+        step = spla.spsolve(jac, L @ h - b_vals * h * h)
+        if not np.all(np.isfinite(step)):
+            raise RuntimeError("Newton solve for h: non-finite step (singular Jacobian L - 2 b h)")
+        h = np.clip(h - step, 0.0, 1.0)
+        steps.append(float(np.max(np.abs(step))))
+        if steps[-1] < 0.2 * tol:
+            return h, steps
+    raise RuntimeError(
+        f"Newton solve for h: no convergence in {_NEWTON_MAX_STEPS} steps (last step {steps[-1]:.3g})"
     )
-    rate = -float(top)
-    if rate <= 0:
-        raise RuntimeError("killed semigroup does not decay; cannot integrate to infinity")
-    return rate
 
 
-def _integrate_q(qgen, g, horizon, dt_pde, decay_rate):
-    """int_0^inf Q_s g ds: trapezoid march to the horizon plus exponential
-    tail completion with the fitted decay rate of Q_s g."""
-    prop = Propagator(qgen, dt_pde)
-    n_steps = int(round(horizon / dt_pde))
-    w = np.array(g, dtype=float)
-    acc = 0.5 * dt_pde * w
-    norms = []
-    for step in range(n_steps):
-        w = prop.step_cn(w)
-        if step == n_steps - 1:
-            acc = acc + 0.5 * dt_pde * w
-        else:
-            acc = acc + dt_pde * w
-        if step >= n_steps - 6:
-            norms.append(float(np.max(np.abs(w))) + 1e-300)
-    # fitted tail rate from the last few slices (falls back to the spectral rate)
-    if len(norms) >= 2 and norms[-2] > 0 and norms[-1] > 0 and norms[-1] < norms[-2]:
-        rate_fit = -math.log(norms[-1] / norms[-2]) / dt_pde
-    else:
-        rate_fit = decay_rate
-    rate_fit = max(rate_fit, 0.25 * decay_rate)
-    tail = w / rate_fit
-    total = acc + tail
-    tail_frac = float(np.max(np.abs(tail)) / max(np.max(np.abs(total)), 1e-300))
-    return total, tail_frac
-
-
-def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.005, max_rounds=200, damping=1.0):
-    """Extinction-probability limit h, by the fixed-point (killed-semigroup)
-    route and the long-time survival route simultaneously.
+def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.005):
+    """Extinction-probability limit h, by Newton's method on the stationary
+    equation L h - b h^2 = 0 and by the long-time survival march.
 
     Away from the supercritical regime the limit is identically zero; the
-    iteration is still run as a consistency diagnostic and the zero field
-    returned.  In the supercritical regime both routes are computed and
-    must agree to 3 * tol, else a hard failure is raised.
+    Newton solve still runs as a consistency diagnostic (a positive
+    stationary solution there is an error) and the zero field is returned.
+    In the supercritical regime both routes are computed and must agree to
+    3 * tol, else a hard failure is raised.
     """
     from .semigroup import build_generator, principal_eigentriple
 
@@ -459,46 +455,19 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
     regime = spectral.regime()
     xs = generator.grid.nodes
     b_vals = np.asarray(model.b(xs), dtype=float)
-    qgen = q_generator(generator, model)
-    decay = _q_decay_rate(qgen)
-    horizon = min(max(-math.log(tol * 0.1) / decay, 2.0), 200.0)
-
-    # fixed-point iteration on h = int Q_s (2 b h - b h^2) ds, started at
-    # the t = 0 survival profile and decreasing toward the fixed point
-    h = np.ones(len(xs))
-    residuals = []
-    it = 0
-    tail_frac = 0.0
-    rounds = max_rounds if regime == "supercritical" else min(max_rounds, 10)
-    for it in range(1, rounds + 1):
-        g = 2.0 * b_vals * h - b_vals * h * h
-        k_h, tail_frac = _integrate_q(qgen, g, horizon, dt_pde, decay)
-        h_new = (1.0 - damping) * h + damping * np.clip(k_h, 0.0, 1.0)
-        res = float(np.max(np.abs(h_new - h)))
-        residuals.append(res)
-        h = h_new
-        if res < 0.2 * tol:
-            break
-    h_q = h
+    h, residuals = _newton_h(generator, b_vals, tol)
 
     if regime != "supercritical":
-        decreasing = all(residuals[i + 1] <= residuals[i] * 1.5 for i in range(len(residuals) - 1))
-        if not decreasing and float(np.max(h_q)) > 0.2:
-            raise RuntimeError("fixed-point iteration does not contract toward zero in a non-supercritical regime")
+        if float(np.max(h)) > 0.2:
+            raise RuntimeError(f"positive stationary solution (sup h = {np.max(h):.3g}) in the {regime} regime")
         zero = np.zeros(len(xs))
         return HResult(
             h=zero,
-            h_q_route=h_q,
             h_u0_route=zero,
-            iterations=it,
+            iterations=len(residuals),
             residuals=residuals,
-            agreement=float(np.max(h_q)),
+            agreement=float(np.max(h)),
             regime=regime,
-        )
-
-    if tail_frac > 0.01:
-        raise RuntimeError(
-            f"killed-semigroup quadrature tail ({tail_frac:.1%}) unresolved; widen the horizon"
         )
 
     # survival route: march u0 in fixed segments until the geometrically
@@ -533,7 +502,7 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
         t_total += dt_seg
     h_u0 = u0_final
 
-    agreement = float(np.max(np.abs(h_q - h_u0)))
+    agreement = float(np.max(np.abs(h - h_u0)))
     if agreement > 3.0 * tol:
         raise RuntimeError(
             f"h routes disagree by {agreement:.3g} > 3 tol; boundary bias suspected"
@@ -541,16 +510,15 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
     # strictly positive wherever the eigenfunction carries mass; the far
     # killing tails may underflow to zero without meaning anything
     carrying = spectral.theta0 > 1e-8 * float(np.max(spectral.theta0))
-    if np.min(h_q) < 0 or not np.all(h_q[carrying] > 0):
+    if not np.all(h[carrying] > 0):
         raise RuntimeError("supercritical h must be positive on the carrying region")
     # sup h = 1 happens only for deathless models, which break the standing
     # growth hypothesis on d; flag rather than fail
-    degenerate = bool(float(np.max(h_q)) >= 1.0 - 10.0 * tol)
+    degenerate = bool(float(np.max(h)) >= 1.0 - 10.0 * tol)
     return HResult(
-        h=h_q,
-        h_q_route=h_q,
+        h=h,
         h_u0_route=h_u0,
-        iterations=it,
+        iterations=len(residuals),
         residuals=residuals,
         agreement=agreement,
         regime=regime,
@@ -622,7 +590,11 @@ def _tail_completed_time_integral(times, integrand, min_decay=1e-12):
     return total, frac
 
 
-def subcritical_limits(spectral, model, fields, u0_field, n_max, tail_limit=0.01):
+# largest share of a subcritical quadrature that the fitted tail may carry
+_MAX_TAIL_FRACTION = 0.01
+
+
+def subcritical_limits(spectral, model, fields, u0_field, n_max):
     """Subcritical limit constants from the stored normalized fields.
 
     Returns {"V": {n: V_n^-(f)}, "K_minus": K^-, "beta": {n: beta_n},
@@ -648,16 +620,16 @@ def subcritical_limits(spectral, model, fields, u0_field, n_max, tail_limit=0.01
         series *= np.exp(-lam0 * times)
         integral, frac = _tail_completed_time_integral(times, series)
         tails[n] = frac
-        if frac > tail_limit:
+        if frac > _MAX_TAIL_FRACTION:
             raise RuntimeError(
-                f"order-{n} quadrature tail {frac:.1%} above {tail_limit:.0%}; extend t_end"
+                f"order-{n} quadrature tail {frac:.1%} above {_MAX_TAIL_FRACTION:.0%}; extend t_end"
             )
         V[n] = spectral.mu0_integral(f_vals**n) + integral
 
     v0 = u0_field.normalized(0, "subcritical", lam0)
     series0 = np.exp(-lam0 * u0_field.times) * ((v0 * v0) @ b_mu)
     integral0, frac0 = _tail_completed_time_integral(u0_field.times, series0)
-    if frac0 > tail_limit:
+    if frac0 > _MAX_TAIL_FRACTION:
         raise RuntimeError(f"survival quadrature tail {frac0:.1%} unresolved; extend t_end")
     k_minus = spectral.A - integral0
     if not 0.0 < k_minus <= spectral.A + 1e-9:
@@ -676,13 +648,14 @@ def subcritical_limits(spectral, model, fields, u0_field, n_max, tail_limit=0.01
     }
 
 
-def supercritical_limits(spectral, model, generator, n_max, f_vals, dt_pde=0.01, tail_limit=0.01, horizon=None):
+def supercritical_limits(spectral, model, generator, n_max, f_vals):
     """Supercritical limit constants V_n^+(f, x) by upward recursion.
 
     V_1^+(f, x) = Theta0(x) mu0(f); for n >= 2 the defining time integral
-    int_0^inf e^{n lambda0 s} P_s(b * conv_n)(x) ds is accumulated by the
-    propagator with fitted-rate tail completion.  Also returns the beta_n
-    convergence-rate recursion.
+    int_0^inf e^{n lambda0 s} P_s(b * conv_n)(x) ds is the resolvent
+    -(L + n lambda0)^{-1}(b * conv_n), one sparse solve per order (the
+    spectral abscissa of L + n lambda0 is (n - 1) lambda0 < 0).  Also
+    returns the beta_n convergence-rate recursion.
     """
     eps = criticality_epsilon(spectral)
     if not spectral.lambda0 < -eps:
@@ -691,47 +664,21 @@ def supercritical_limits(spectral, model, generator, n_max, f_vals, dt_pde=0.01,
     xs = spectral.grid.nodes
     b_vals = np.asarray(model.b(xs), dtype=float)
     f_vals = np.asarray(f_vals, dtype=float)
+    L = generator.matrix.tocsc()
+    eye = sp.identity(L.shape[0], format="csc")
 
     V = {1: spectral.theta0 * spectral.mu0_integral(f_vals)}
-    tails = {}
-    prop = Propagator(generator, dt_pde)
     for n in range(2, n_max + 1):
         conv = np.zeros(len(xs))
         for k in range(1, n):
             conv = conv + comb(n, k) * V[k] * V[n - k]
-        g = b_vals * conv
-        # integrand e^{n lam0 s} P_s g decays at rate (n-1)|lam0| eventually
-        rate0 = (n - 1) * abs(lam0)
-        T = horizon or min(max(-math.log(1e-3 * tail_limit) / rate0, 2.0), 400.0)
-        n_steps = int(round(T / dt_pde))
-        w = g.copy()
-        acc = 0.5 * dt_pde * w  # e^{0} weight
-        norms = []
-        for step in range(1, n_steps + 1):
-            w = prop.step_cn(w)
-            damp = math.exp(n * lam0 * step * dt_pde)
-            term = damp * w
-            acc = acc + (0.5 * dt_pde if step == n_steps else dt_pde) * term
-            if step >= n_steps - 6:
-                norms.append(float(np.max(np.abs(term))) + 1e-300)
-        if len(norms) >= 2 and norms[-1] < norms[-2]:
-            rate_fit = -math.log(norms[-1] / norms[-2]) / dt_pde
-        else:
-            rate_fit = rate0
-        rate_fit = max(rate_fit, 0.25 * rate0)
-        tail = math.exp(n * lam0 * T) * w / rate_fit
-        total = acc + tail
-        frac = float(np.max(np.abs(tail)) / max(np.max(np.abs(total)), 1e-300))
-        tails[n] = frac
-        if frac > tail_limit:
-            raise RuntimeError(f"order-{n} supercritical tail {frac:.1%} unresolved; extend the horizon")
-        V[n] = total
+        V[n] = -spla.spsolve(L + n * lam0 * eye, b_vals * conv)
 
     beta = {1: spectral.gap}
     for n in range(2, n_max + 1):
         prev = beta[n - 1]
         beta[n] = prev * abs(lam0) * (n - 1) / (prev + abs(lam0) * (n - 1))
-    return {"V": V, "beta": beta, "tail_fractions": tails}
+    return {"V": V, "beta": beta}
 
 
 def hamburger_bound(a1, eta, n):
@@ -765,38 +712,42 @@ def carleman_partial_sums(moments_even, scale=1.0):
 
 
 def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, max_iter=100, dt_report=1.0):
-    """Bisection on the principal eigenvalue over a scalar model knob.
+    """Brent's method on the principal eigenvalue over a scalar model knob.
 
     ``model_factory(theta)`` must return a RateModel.  The bracket must
-    change the sign of lambda0.  Returns (theta*, lambda0*, history).
+    change the sign of lambda0; a knob with |lambda0| <= tol is a root.
+    Returns (theta*, lambda0*, history) with one (theta, lambda0) history
+    entry per eigentriple computed.
     """
+    # imported here: at module level scipy.optimize would add ~0.2 s to
+    # the start-up of every command, calibrating or not
+    from scipy.optimize import brentq
+
     from .semigroup import build_generator, principal_eigentriple
+
+    history = []
 
     def lam0(theta):
         mdl = model_factory(theta)
         gen = build_generator(mdl, dyn, grid, dt_report=dt_report)
-        return principal_eigentriple(gen, mdl).lambda0
+        value = principal_eigentriple(gen, mdl).lambda0
+        history.append((theta, value))
+        # brentq returns at once on an exact zero
+        return 0.0 if abs(value) <= tol else value
 
     lo, hi = float(bracket[0]), float(bracket[1])
-    f_lo, f_hi = lam0(lo), lam0(hi)
-    history = [(lo, f_lo), (hi, f_hi)]
-    if abs(f_lo) <= tol:
-        return lo, f_lo, history
-    if abs(f_hi) <= tol:
-        return hi, f_hi, history
-    if f_lo * f_hi > 0:
-        raise ValueError(
-            f"lambda0 does not change sign on [{lo}, {hi}]: {f_lo:.3g}, {f_hi:.3g}"
+    try:
+        theta = brentq(lam0, lo, hi, maxiter=max_iter)
+    except ValueError:
+        if len(history) == 2 and history[0][1] * history[1][1] > 0:
+            raise ValueError(
+                f"lambda0 does not change sign on [{lo}, {hi}]: "
+                f"{history[0][1]:.3g}, {history[1][1]:.3g}"
+            ) from None
+        raise
+    lam = dict(history)[theta]
+    if abs(lam) > tol:
+        raise RuntimeError(
+            f"calibration converged in theta at {theta!r} with |lambda0| = {abs(lam):.3g} > tol = {tol:.3g}"
         )
-    theta, f_mid = lo, f_lo
-    for _ in range(max_iter):
-        theta = 0.5 * (lo + hi)
-        f_mid = lam0(theta)
-        history.append((theta, f_mid))
-        if abs(f_mid) <= tol:
-            break
-        if f_mid * f_lo > 0:
-            lo, f_lo = theta, f_mid
-        else:
-            hi, f_hi = theta, f_mid
-    return theta, f_mid, history
+    return theta, lam, history

@@ -91,6 +91,15 @@ def oscillator_setup(zero_drift, oscillator_grid):
 
 
 @pytest.fixture(scope="session")
+def supercritical_oscillator_setup(zero_drift, oscillator_grid):
+    """theta = 1 oscillator: lambda0 = 1/sqrt(2) - 1 and a non-constant h."""
+    model = make_oscillator_model(1.0)
+    gen = build_generator(model, zero_drift, oscillator_grid)
+    spec = principal_eigentriple(gen, model)
+    return model, zero_drift, oscillator_grid, gen, spec
+
+
+@pytest.fixture(scope="session")
 def jump_kernel():
     return JumpKernel("uniform-window", 0.5, width=1.0, density_floor=[0.5, 0.25], m4=0.6)
 

@@ -256,7 +256,7 @@ def test_acceptance_7_subcritical(subcritical_setup):
 def test_acceptance_8_supercritical(supercritical_setup):
     model, dyn, grid, gen, spec = supercritical_setup
     hres = solve_h(model, dyn, grid, tol=1e-6, generator=gen, spectral=spec)
-    h_err_q = float(np.max(np.abs(hres.h_q_route - 0.5)))
+    h_err_newton = float(np.max(np.abs(hres.h - 0.5)))
     h_err_u0 = float(np.max(np.abs(hres.h_u0_route - 0.5)))
 
     # particle run at T = 5 for the extinction-atom check
@@ -288,12 +288,12 @@ def test_acceptance_8_supercritical(supercritical_setup):
         mart_ok = mart_ok and z <= 3.0
         mart_detail.append(f"t={t_check:g}: z={z:.2f}")
 
-    sup_t = supercritical_limits(spec, model, gen, 3, spec.theta0, dt_pde=0.005)
+    sup_t = supercritical_limits(spec, model, gen, 3, spec.theta0)
     bump = np.exp(-0.5 * xs**2)
     ramp = 1.0 / (1.0 + xs**2)
     fact_err = 0.0
     for f_vals in (bump, ramp):
-        sup_f = supercritical_limits(spec, model, gen, 3, f_vals, dt_pde=0.005)
+        sup_f = supercritical_limits(spec, model, gen, 3, f_vals)
         mu_f = spec.mu0_integral(f_vals)
         for n in (2, 3):
             pred = sup_t["V"][n] * mu_f**n
@@ -302,8 +302,8 @@ def test_acceptance_8_supercritical(supercritical_setup):
             )
     _report(
         8,
-        h_err_q <= 1e-6 and h_err_u0 <= 1e-6 and atom_z <= 4.0 and mart_ok and fact_err <= 1e-4,
-        f"h errs Q {h_err_q:.2e} / u0 {h_err_u0:.2e} (<=1e-6), atom z {atom_z:.2f} (<=4), "
+        h_err_newton <= 1e-6 and h_err_u0 <= 1e-6 and atom_z <= 4.0 and mart_ok and fact_err <= 1e-4,
+        f"h errs Newton {h_err_newton:.2e} / u0 {h_err_u0:.2e} (<=1e-6), atom z {atom_z:.2f} (<=4), "
         f"martingale {', '.join(mart_detail)} (<=3), factorization {fact_err:.2e} (<=1e-4)",
     )
 

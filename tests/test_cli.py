@@ -160,3 +160,47 @@ def test_verify_emits_plot_data(tmp_path):
     cdf_lines = (out / "yaglom_cdf.csv").read_text().splitlines()
     assert cdf_lines[1].split(",")[0] == "normalized_mass"
     assert len(cdf_lines) > 100
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
+    cfg = small_critical_config(tmp_path, reps=100)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", str(seed)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mc.seed" in err and "Traceback" not in err
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["mc"]["seed"] = seed
+    p = tmp_path / "seeded.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="mc.seed"):
+        load_config(str(p))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_population_cap_is_a_hard_failure(tmp_path, capsys, monkeypatch):
+    from branchlab import branching
+
+    with open(os.path.join(CONFIG_DIR, "supercritical_constant.json")) as fh:
+        doc = json.load(fh)
+    doc["mc"]["reps"] = 200
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    monkeypatch.setattr(branching, "MAX_PARTICLES", 100)
+    code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "particles" in err and "Traceback" not in err
+
+
+def test_verify_bracket_without_sign_change_fails_cleanly(tmp_path, capsys):
+    with open(os.path.join(CONFIG_DIR, "critical_oscillator.json")) as fh:
+        doc = json.load(fh)
+    doc["calibrate"]["bracket"] = [0.8, 0.9]  # supercritical at both ends
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    code = main(["verify", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "does not change sign" in err and "Traceback" not in err

@@ -148,8 +148,11 @@ def test_h_zero_in_critical_regime(critical_setup):
     res = solve_h(model, dyn, grid, tol=1e-6, generator=gen, spectral=spec)
     assert np.all(res.h == 0.0)
     assert res.regime == "critical"
-    # the contraction diagnostic ran and is decreasing toward zero
+    # the Newton diagnostic ran: its steps shrink toward the zero solution,
+    # which it reaches within tol
     assert res.residuals[-1] < res.residuals[0]
+    assert res.iterations == len(res.residuals)
+    assert res.agreement < 1e-6
 
 
 def test_h_zero_in_subcritical_regime(subcritical_setup):
@@ -164,6 +167,32 @@ def test_h_supercritical_constant(supercritical_setup):
     assert np.max(np.abs(res.h - 0.5)) < 1e-6
     assert np.max(np.abs(res.h_u0_route - 0.5)) < 1e-6
     assert res.agreement < 3e-6
+
+
+def test_h_newton_matches_u0_route_on_oscillator(supercritical_oscillator_setup):
+    model, dyn, grid, gen, spec = supercritical_oscillator_setup
+    tol = 1e-6
+    res = solve_h(model, dyn, grid, tol=tol, generator=gen, spectral=spec, dt_pde=0.01)
+    assert res.regime == "supercritical"
+    assert np.max(np.abs(res.h - res.h_u0_route)) <= 3.0 * tol
+    assert res.agreement <= 3.0 * tol
+    assert res.residuals[-1] < 0.2 * tol
+    carrying = spec.theta0 > 1e-8 * np.max(spec.theta0)
+    assert np.all(res.h[carrying] > 0.0)
+    # non-constant: the killing d = x^2 pulls h down away from the origin
+    assert np.ptp(res.h[carrying]) > 0.1
+    # and h is a stationary solution of L h - b h^2 = 0
+    resid = gen.matrix @ res.h - model.b(grid.nodes) * res.h**2
+    assert np.max(np.abs(resid)) < 1e-8
+
+
+def test_h_newton_nonconvergence_raises(supercritical_oscillator_setup, monkeypatch):
+    import branchlab.moments as mom
+
+    model, dyn, grid, gen, spec = supercritical_oscillator_setup
+    monkeypatch.setattr(mom, "_NEWTON_MAX_STEPS", 2)
+    with pytest.raises(RuntimeError, match="Newton"):
+        solve_h(model, dyn, grid, tol=1e-6, generator=gen, spectral=spec)
 
 
 def test_h_deathless_degenerate(box_grid, zero_drift):
@@ -319,7 +348,7 @@ def test_beta_rates_arithmetic():
 
 def test_supercritical_beta_recursion(supercritical_setup):
     model, dyn, grid, gen, spec = supercritical_setup
-    sup = supercritical_limits(spec, model, gen, 2, spec.theta0, dt_pde=0.01)
+    sup = supercritical_limits(spec, model, gen, 2, spec.theta0)
     # lambda0 = -1, lambda1 - lambda0 = gap
     assert sup["beta"][1] == pytest.approx(spec.gap)
     expected_b2 = sup["beta"][1] * 1.0 / (sup["beta"][1] + 1.0)
@@ -328,19 +357,35 @@ def test_supercritical_beta_recursion(supercritical_setup):
 
 def test_supercritical_w_moments_and_factorization(supercritical_setup):
     model, dyn, grid, gen, spec = supercritical_setup
-    sup_t = supercritical_limits(spec, model, gen, 3, spec.theta0, dt_pde=0.005)
+    sup_t = supercritical_limits(spec, model, gen, 3, spec.theta0)
     for n in (1, 2, 3):
         exact = math.factorial(n) * 2.0 ** (n - 1)  # mixture: atom 1/2, Exp(mean 2)
         assert np.max(np.abs(sup_t["V"][n] - exact)) < 0.01 * exact
     xs = grid.nodes
     bump = np.exp(-0.5 * xs**2)
-    sup_b = supercritical_limits(spec, model, gen, 3, bump, dt_pde=0.005)
+    sup_b = supercritical_limits(spec, model, gen, 3, bump)
     mu_b = spec.mu0_integral(bump)
     assert np.allclose(sup_b["V"][1], sup_t["V"][1] * mu_b, rtol=1e-10)
     for n in (2, 3):
         pred = sup_t["V"][n] * mu_b**n
         rel = np.max(np.abs(sup_b["V"][n] - pred)) / np.max(np.abs(pred))
         assert rel < 1e-4
+
+
+def test_supercritical_resolvent_matches_moment_march(supercritical_oscillator_setup):
+    # independent route to V_n^+: e^{n lambda0 T} u_n(T) from the moment
+    # march approaches the resolvent solve at rate beta_n or faster
+    model, dyn, grid, gen, spec = supercritical_oscillator_setup
+    f = np.ones(grid.n_points)
+    sup = supercritical_limits(spec, model, gen, 3, f)
+    T = 32.0
+    mf = solve_moments(f, 3, T, gen, model, dt_pde=0.01, n_store=32)
+    for n in (2, 3):
+        v_n = mf.normalized(n, "supercritical", spec.lambda0)
+        scale = np.max(np.abs(sup["V"][n]))
+        err0 = np.max(np.abs(v_n[0] - sup["V"][n])) / scale
+        err = np.max(np.abs(v_n[-1] - sup["V"][n])) / scale
+        assert err <= err0 * math.exp(-sup["beta"][n] * T)
 
 
 def test_supercritical_regime_gate(critical_setup):
@@ -380,6 +425,28 @@ def test_calibrate_oscillator():
     assert abs(lam) <= 1e-8
 
 
+def test_calibrate_lambda0_within_tol_at_returned_knob():
+    from branchlab.semigroup import principal_eigentriple
+
+    dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
+    grid = Grid(-8.0, 8.0, 401)
+    tol = 1e-9
+    theta, lam, history = calibrate_criticality(make_oscillator_model, [0.5, 0.9], dyn, grid, tol=tol)
+    model = make_oscillator_model(theta)
+    lam_again = principal_eigentriple(build_generator(model, dyn, grid), model).lambda0
+    assert abs(lam_again) <= tol
+    assert lam == lam_again
+    assert (theta, lam) in history
+    assert len({t for t, _ in history}) == len(history)  # no eigentriple computed twice
+
+
+def test_calibrate_bracket_without_sign_change_raises():
+    dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
+    grid = Grid(-8.0, 8.0, 401)
+    with pytest.raises(ValueError, match="does not change sign"):
+        calibrate_criticality(make_oscillator_model, [0.8, 0.9], dyn, grid, tol=1e-8)
+
+
 def test_calibrate_returns_endpoint_when_already_critical():
     dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
     grid = Grid(-8.0, 8.0, 401)
@@ -388,7 +455,7 @@ def test_calibrate_returns_endpoint_when_already_critical():
         make_oscillator_model, [theta_c, 0.9], dyn, grid, tol=1e-4
     )
     assert theta == theta_c
-    assert len(history) <= 2  # no bisection needed
+    assert len(history) <= 2  # no root search needed
 
 
 def test_lambda0_monotone_in_additive_knob():
