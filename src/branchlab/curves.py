@@ -15,6 +15,23 @@ from scipy.interpolate import PchipInterpolator
 __all__ = ["Curve", "make_curve", "curve_from_config"]
 
 
+def _horner(coeffs):
+    """c0 + c1 x + c2 x^2 + ... by the Horner recurrence of numpy's
+    ``polyval``, step for step, so the values are bit-identical to
+    ``np.polynomial.Polynomial``; updates run in place on one array."""
+    head, *rest = [float(c) for c in coeffs[::-1]]
+
+    def fn(x):
+        out = x * 0.0
+        out += head
+        for c in rest:
+            out *= x
+            out += c
+        return out
+
+    return fn
+
+
 class Curve:
     """A named parametric curve on the real line.
 
@@ -43,10 +60,10 @@ class Curve:
             self._deriv = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         elif f == "polynomial":
             coeffs = np.asarray(p["coeffs"], dtype=float)
-            poly = np.polynomial.Polynomial(coeffs)
-            dpoly = poly.deriv()
-            self._fn = lambda x: poly(np.asarray(x, dtype=float))
-            self._deriv = lambda x: dpoly(np.asarray(x, dtype=float))
+            if coeffs.ndim != 1 or len(coeffs) == 0:
+                raise ValueError("polynomial curve needs a non-empty 1-d coeffs list")
+            self._fn = _horner(coeffs)
+            self._deriv = _horner(np.polynomial.polynomial.polyder(coeffs))
         elif f == "gaussian-bump":
             amp = float(p["amplitude"])
             c = float(p.get("center", 0.0))

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .model import DIFFUSION, DRIFTED_JUMP
+from .model import DRIFTED_JUMP
 
-__all__ = ["PathSegment", "step_diffusion", "step_with_jumps", "sample_path", "THINNING_CAP"]
+__all__ = ["PathSegment", "step_diffusion", "step_with_jumps", "move", "sample_path", "THINNING_CAP"]
 
 THINNING_CAP = 0.1
 
@@ -65,16 +65,51 @@ def step_diffusion(x, dt, noise, a):
     return x - a(x) * dt + np.sqrt(dt) * noise
 
 
-def check_thinning_cap(dyn, dt, scan_radius=50.0):
-    if not dyn.has_jumps:
-        return
-    xs = np.linspace(-scan_radius, scan_radius, 1001)
-    sup_rate = float(np.max(dyn.jump.total_mass(xs)))
-    if sup_rate * dt > THINNING_CAP + 1e-12:
+def check_cap(rate_sup, dt, what):
+    """Require ``rate_sup * dt <= THINNING_CAP``: the per-step probability of
+    the events ``rate_sup`` bounds stays small enough that two in one step
+    are an O(dt^2) error.  ``what`` names the rate in the error."""
+    if rate_sup * dt > THINNING_CAP + 1e-12:
         raise ConfigurationError(
-            f"jump thinning needs sup Rbar * dt <= {THINNING_CAP}; "
-            f"got {sup_rate * dt:.3g}, reduce dt to {THINNING_CAP / sup_rate:.3g}"
+            f"dt * ({what}) = {rate_sup * dt:.3g} exceeds {THINNING_CAP}; "
+            f"reduce dt below {THINNING_CAP / rate_sup:.3g}"
         )
+
+
+def check_thinning_cap(dyn, dt, scan_radius=50.0):
+    if dyn.has_jumps:
+        xs = np.linspace(-scan_radius, scan_radius, 1001)
+        check_cap(float(np.max(dyn.jump.total_mass(xs))), dt, "sup Rbar")
+
+
+def move(x, keys, step, dt, dyn):
+    """One dynamics step for every particle of the 1-d arrays ``x`` and
+    ``keys``; returns (new traits, jump flags), the flags None without jumps.
+
+    The single particle-step routine of the package: paths, the ensemble
+    and the coupled Yule process all move through it.  With jumps, a
+    particle jumps with probability Rbar(x) dt to x + z, z ~ R(x, .)/Rbar(x),
+    and otherwise takes the continuous step (diffusion or x + dt).  Jump
+    sizes are drawn for the jumping particles only; a draw depends on
+    (key, step, channel) alone, so drawing for a subset changes no value.
+    """
+    if dyn.variant == DRIFTED_JUMP:
+        out = x + dt
+    else:
+        noise = rng.normal(keys, step, rng.CH_MOVE2 if dyn.has_jumps else rng.CH_MOVE)
+        noise *= np.sqrt(dt)
+        out = x - dyn.a(x) * dt
+        out += noise
+    if not dyn.has_jumps:
+        return out, None
+    kernel = dyn.jump
+    rate = np.asarray(kernel.total_mass(x), dtype=float)
+    jumped = rng.uniform(keys, step, rng.CH_MOVE) < rate * dt
+    jumpers = np.flatnonzero(jumped)
+    if len(jumpers):
+        u_size = rng.uniform(keys[jumpers], step, rng.CH_JUMP_SIZE)
+        out[jumpers] = x[jumpers] + kernel.sample_displacement(u_size)
+    return out, jumped
 
 
 def step_with_jumps(x, dt, key, step_index, dyn):
@@ -86,36 +121,12 @@ def step_with_jumps(x, dt, key, step_index, dyn):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    key = np.asarray(key, dtype=np.uint64)
-    kernel = dyn.jump
-    rate = np.asarray(kernel.total_mass(x), dtype=float)
-    if np.max(rate, initial=0.0) * dt > THINNING_CAP + 1e-12:
-        raise ConfigurationError("dt too large for the jump thinning cap")
-    u_accept = rng.uniform(key, step_index, rng.CH_MOVE)
-    jumped = u_accept < rate * dt
-    u_size = rng.uniform(key, step_index, rng.CH_JUMP_SIZE)
-    z_jump = x + kernel.sample_displacement(u_size)
-    if dyn.variant == DRIFTED_JUMP:
-        z_cont = x + dt
-    else:
-        noise = rng.normal(key, step_index, rng.CH_MOVE2)
-        z_cont = x - dyn.a(x) * dt + np.sqrt(dt) * noise
-    out = np.where(jumped, z_jump, z_cont)
-    if out.ndim == 0:
-        return float(out), bool(jumped)
-    return out, jumped
-
-
-def _one_step(x, key, step_index, dt, dyn):
-    if dyn.has_jumps:
-        return step_with_jumps(x, dt, key, step_index, dyn)
-    noise = rng.normal(np.asarray(key, dtype=np.uint64), step_index, rng.CH_MOVE)
-    out = np.asarray(x, dtype=float) - dyn.a(x) * dt + np.sqrt(dt) * noise
-    flags = np.zeros(np.shape(out), dtype=bool)
-    if out.ndim == 0:
-        return float(out), False
-    return out, flags
+    x, key = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(key, dtype=np.uint64))
+    check_cap(float(np.max(dyn.jump.total_mass(x), initial=0.0)), dt, "Rbar(x)")
+    out, jumped = move(x.ravel(), key.ravel(), step_index, dt, dyn)
+    if x.ndim == 0:
+        return float(out[0]), bool(jumped[0])
+    return out.reshape(x.shape), jumped.reshape(x.shape)
 
 
 def sample_path(x0, t_end, dt, dyn, seed):
@@ -127,26 +138,20 @@ def sample_path(x0, t_end, dt, dyn, seed):
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     check_thinning_cap(dyn, dt)
-    key = rng.root_key(seed)
+    keys = np.atleast_1d(rng.root_key(seed))
+    n_full = int(np.floor(t_end / dt + 1e-12))
+    steps = [(s, dt) for s in range(n_full)]
+    rem = t_end - n_full * dt
+    if rem > 1e-12 * max(1.0, t_end):
+        steps.append((n_full, rem))  # the shortened last step
     times = [0.0]
     states = [float(x0)]
     flags = [False]
-    if t_end == 0:
-        return PathSegment(times, states, flags)
-    n_full = int(np.floor(t_end / dt + 1e-12))
-    x = float(x0)
-    step = 0
-    for step in range(n_full):
-        x, j = _one_step(x, key, step, dt, dyn)
+    x = np.array([float(x0)])
+    for step, h in steps:
+        x, jumped = move(x, keys, step, h, dyn)
         times.append((step + 1) * dt)
-        states.append(x)
-        flags.append(bool(np.any(j)))
-    rem = t_end - n_full * dt
-    if rem > 1e-12 * max(1.0, t_end):
-        x, j = _one_step(x, key, n_full, rem, dyn)
-        times.append(t_end)
-        states.append(x)
-        flags.append(bool(np.any(j)))
-    else:
-        times[-1] = t_end
+        states.append(float(x[0]))
+        flags.append(jumped is not None and bool(jumped[0]))
+    times[-1] = t_end
     return PathSegment(times, states, flags)

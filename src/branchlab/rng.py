@@ -45,11 +45,24 @@ CH_MOVE2 = 4  # continuous-move noise in the jump variants
 
 def mix64(z):
     """SplitMix64 finalizer (vectorized, uint64 in / uint64 out)."""
-    z = np.asarray(z, dtype=np.uint64)
+    return _unwrap(_mix_inplace(np.array(z, dtype=np.uint64)))
+
+
+def _unwrap(a):
+    """A 0-d result as a numpy scalar, as plain numpy arithmetic returns it."""
+    return a[()] if a.ndim == 0 else a
+
+
+def _mix_inplace(z):
+    """The SplitMix64 finalizer applied in place to the uint64 array ``z``."""
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        z = z ^ (z >> np.uint64(31))
+        for shift, mult in ((30, _M1), (27, _M2)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= mult
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
     return z
 
 
@@ -60,25 +73,32 @@ def _raw(keys, step, channel):
         # mixer with low-entropy Weyl increments (a known weak-gamma trap)
         ctr = np.uint64(step) * _STEP_STRIDE + np.uint64(channel) * _GAMMA
         salt = mix64(ctr + _GAMMA)
-        state = (keys ^ salt) + _GAMMA
-    return mix64(state)
+        # a new array (0-d for a scalar key): the caller's keys stay untouched
+        state = np.bitwise_xor(keys, salt, out=np.empty_like(keys))
+        state += _GAMMA
+    return _mix_inplace(state)
 
 
 def uniform(keys, step, channel):
     """Uniform draws on (0, 1), one per key."""
     bits = _raw(keys, step, channel)
+    bits >>= np.uint64(11)
     # 53-bit mantissa, offset by half an ulp so 0 is excluded
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    out = bits.astype(np.float64)
+    out += 0.5
+    out *= 2.0 ** -53
+    return _unwrap(out)
 
 
 def normal(keys, step, channel):
     """Standard normal draws via the inverse CDF, one per key."""
-    return ndtri(uniform(keys, step, channel))
+    u = np.asarray(uniform(keys, step, channel))
+    return _unwrap(ndtri(u, out=u))
 
 
 def spawn_keys(parent_keys, step):
     """Derive fresh, independent child keys at a branch event."""
-    return _raw(parent_keys, step, CH_SPAWN)
+    return _unwrap(_raw(parent_keys, step, CH_SPAWN))
 
 
 def root_key(seed, index=0):

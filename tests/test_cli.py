@@ -187,7 +187,7 @@ def test_population_cap_is_a_hard_failure(tmp_path, capsys, monkeypatch):
     doc["mc"]["reps"] = 200
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
-    monkeypatch.setattr(branching, "MAX_PARTICLES", 100)
+    monkeypatch.setattr(branching, "MEMORY_BUDGET", 100 * branching.BYTES_PER_PARTICLE)
     code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err

@@ -89,3 +89,14 @@ def test_gaussian_bump_bounds(amp, width, x):
     g = Curve("gaussian-bump", {"amplitude": amp, "width": width})
     v = g(x)
     assert 0.0 <= v <= amp + 1e-12
+
+
+def test_polynomial_matches_numpy_bit_for_bit():
+    x = np.concatenate([np.random.default_rng(0).normal(scale=4.0, size=2000), [0.0, -0.0, 1e300, np.inf, -np.inf, np.nan]])
+    for coeffs in ([2.0], [0.0, 1.0], [0.1, 0.0, 0.5], [1.5, -2.25, 0.3, 1e-3, -7.0]):
+        c = make_curve("polynomial", coeffs=coeffs)
+        ref = np.polynomial.Polynomial(coeffs)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(c(x), ref(x), equal_nan=True)
+            assert np.array_equal(c.derivative(x), ref.deriv()(x), equal_nan=True)
+        assert c(0.75) == ref(0.75) and isinstance(c(0.75), float)
