@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .moments import RegimeError, criticality_epsilon
 
@@ -109,12 +108,20 @@ def ks_test(samples, cdf):
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 20:
         raise ValueError("KS test needs at least 20 samples")
+    # imported here: at module level scipy.stats would add ~0.6 s to the
+    # start-up of every command, testing or not
+    from scipy import stats
+
     res = stats.kstest(samples, cdf)
     return float(res.statistic), float(res.pvalue)
 
 
 def ks_band(alpha, n):
     """Two-sided KS rejection threshold at level alpha for n samples."""
+    # kstwobign.ppf, not special.kolmogi: the two differ by 1 ulp at the
+    # shipped alphas, and the band is written to verification.json
+    from scipy import stats
+
     return float(stats.kstwobign.ppf(1.0 - alpha) / math.sqrt(n))
 
 

@@ -16,13 +16,14 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
 from . import __version__, analysis, branching, moments as mom
 from .config import ConfigError, ExperimentConfig, load_config
 from .model import validate_hypotheses
-from .semigroup import build_generator, evolve_P, hp4_edge_decay, principal_eigentriple
+from .semigroup import build_generator, fit_H, hp4_edge_decay, principal_eigentriple
 
 EXIT_OK = 0
 EXIT_HARD_FAIL = 1
@@ -55,8 +56,7 @@ def _write_csv(path, cfg, header, rows):
         fh.write(_meta_line(cfg) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _write_json(path, cfg, payload):
@@ -87,7 +87,7 @@ def _write_run_meta(out, command, elapsed):
 
 def _spectral(cfg):
     gen = build_generator(cfg.model, cfg.dynamics, cfg.grid, dt_report=cfg.solver["dt_report"])
-    spec = principal_eigentriple(gen, cfg.model, dt_pde=cfg.solver["dt_pde"])
+    spec = principal_eigentriple(gen, cfg.model)
     return gen, spec
 
 
@@ -179,6 +179,7 @@ def cmd_spectrum(cfg, args):
     out = _out_dir(cfg, args)
     cfg, cal = _maybe_calibrate(cfg)
     gen, spec = _spectral(cfg)
+    spec.H = fit_H(gen, spec, cfg.solver["dt_pde"])
     payload = spec.to_dict()
     if cal:
         payload["calibration"] = cal
@@ -223,12 +224,14 @@ def cmd_moments(cfg, args):
         dt_pde=cfg.solver["dt_pde"],
         n_store=cfg.solver["n_store"],
     )
+    # rows of Python floats: csv writes each with repr, as it did numpy's
+    nodes = field.nodes.tolist()
     rows = []
     stride = max(1, len(field.times) // 50)
     for k in range(0, len(field.times), stride):
+        t = field.times[k].item()
         for n in field.orders:
-            for j, x in enumerate(field.nodes):
-                rows.append((field.times[k], x, n, field.fields[n][k][j]))
+            rows.extend(zip(repeat(t), nodes, repeat(n), field.fields[n][k].tolist()))
     _write_csv(os.path.join(out, "moments.csv"), cfg, ["time", "node", "order", "value"], rows)
 
     regime = spec.regime()
@@ -265,11 +268,11 @@ def cmd_survive(cfg, args):
     u0f = mom.solve_survival(
         t_end, gen, cfg.model, dt_pde=cfg.solver["dt_pde"], n_store=cfg.solver["n_store"]
     )
+    nodes = u0f.nodes.tolist()
     rows = []
     stride = max(1, len(u0f.times) // 100)
     for k in range(0, len(u0f.times), stride):
-        for j, x in enumerate(u0f.nodes):
-            rows.append((u0f.times[k], x, u0f.fields[0][k][j]))
+        rows.extend(zip(repeat(u0f.times[k].item()), nodes, u0f.fields[0][k].tolist()))
     _write_csv(os.path.join(out, "u0.csv"), cfg, ["time", "node", "u0"], rows)
 
     hres = mom.solve_h(
@@ -285,7 +288,7 @@ def cmd_survive(cfg, args):
         os.path.join(out, "h.csv"),
         cfg,
         ["x", "h", "h_u0_route"],
-        zip(u0f.nodes, hres.h, hres.h_u0_route),
+        zip(nodes, hres.h.tolist(), hres.h_u0_route.tolist()),
     )
     payload = {
         "regime": spec.regime(),

@@ -10,7 +10,6 @@ exists.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = ["Curve", "make_curve", "curve_from_config"]
 
@@ -105,6 +104,10 @@ class Curve:
                 raise ValueError("table curve needs matching 1-d xs/ys with >= 2 points")
             if np.any(np.diff(xs) <= 0):
                 raise ValueError("table xs must be strictly increasing")
+            # imported here: no shipped config uses a table curve, and
+            # scipy.interpolate costs every process ~0.8 s at start-up
+            from scipy.interpolate import PchipInterpolator
+
             interp = PchipInterpolator(xs, ys, extrapolate=False)
             dinterp = interp.derivative()
             lo, hi = ys[0], ys[-1]

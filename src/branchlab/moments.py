@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import comb
 
 from .branching import yule_moment_bound
-from .semigroup import Propagator
+from .semigroup import Propagator, _propagator
 
 __all__ = [
     "MomentField",
@@ -327,7 +327,7 @@ def _duhamel_accumulate(generator, slices, dt_store, dt_pde, terminal=None):
     if j_even < J:
         weights[J] += dt_store / 2.0
         weights[j_even] += dt_store / 2.0
-    prop = Propagator(generator, dt_pde)
+    prop = _propagator(generator, dt_pde)
     # y accumulates sum_j P_{s_j} (w_j q(T - s_j)); s_J = T carries terminal
     y = weights[J] * slices[0]
     if terminal is not None:
@@ -363,8 +363,7 @@ def duhamel_residual(field, order, t_star, generator, model, dt_pde=None):
             qs.append(b_vals * s)
     # the terminal data f^order is as nonsmooth as the march's initial data,
     # so it gets the same damped startup; the q slices are already smooth
-    prop = Propagator(generator, dt_pde)
-    terminal = prop.evolve(f_vals**order, t_star, smooth_start=True)
+    terminal = _propagator(generator, dt_pde).evolve(f_vals**order, t_star, smooth_start=True)
     rhs = terminal + _duhamel_accumulate(generator, qs, field.dt_store, dt_pde)
     lhs = field.fields[order][k_star]
     scale = max(float(np.max(np.abs(lhs))), 1e-12)

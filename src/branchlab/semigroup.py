@@ -40,6 +40,7 @@ __all__ = [
     "evolve_P",
     "evolve_Q",
     "principal_eigentriple",
+    "fit_H",
     "constants_AB",
     "girsanov_crosscheck",
     "hp4_edge_decay",
@@ -295,6 +296,8 @@ class SpectralData:
     Conventions: Theta0 > 0 with sup Theta0 = 1; mu0 are positive weights
     with sum(Theta0 * mu0) = 1.  lambda0 is the decay exponent (P_t Theta0
     = e^{-lambda0 t} Theta0); lambda1 the real part of the next eigenvalue.
+    H, the HP2 projection constant, stays ``None`` until ``fit_H`` runs;
+    only the ``spectrum`` command fits it and writes it.
     """
 
     grid: Grid
@@ -304,7 +307,7 @@ class SpectralData:
     mu0: np.ndarray
     A: float
     B: float
-    H: float
+    H: float | None = None
     lambda1_complex: bool = False
     eigen_residual: float = 0.0
 
@@ -358,7 +361,7 @@ class SpectralData:
             mu0=np.asarray(d["mu0"], dtype=float),
             A=float(d["A"]),
             B=float(d["B"]),
-            H=float(d["H"]),
+            H=None if d["H"] is None else float(d["H"]),
             lambda1_complex=bool(d.get("lambda1_complex", False)),
             eigen_residual=float(d.get("eigen_residual", 0.0)),
         )
@@ -436,13 +439,15 @@ def _inverse_iteration(matrix, shift, v0, tol=1e-10, max_iter=200, transpose=Fal
     return lam, v
 
 
-def principal_eigentriple(generator, model, grid=None, dt_pde=0.01, h_times=(0.5, 1.0, 2.0, 4.0), tol=1e-10):
+def principal_eigentriple(generator, model, tol=1e-10):
     """Principal eigentriple (lambda0, Theta0, mu0), the gap lambda1 and
-    the constants A, B, H.
+    the constants A, B.
 
     The rightmost eigenvalue is located from the full spectrum, then the
     eigenpair is polished by shifted inverse power iteration to ``tol`` on
     the Rayleigh quotient; mu0 comes from the matching left eigenvector.
+    No propagation runs here: H is left ``None`` for ``fit_H``, which only
+    the ``spectrum`` command calls.
     """
     grid = generator.grid
     L = generator.matrix
@@ -484,7 +489,7 @@ def principal_eigentriple(generator, model, grid=None, dt_pde=0.01, h_times=(0.5
 
     residual = float(np.max(np.abs(L @ theta - (-lambda0) * theta)))
 
-    spectral = SpectralData(
+    return SpectralData(
         grid=grid,
         lambda0=float(lambda0),
         lambda1=float(lambda1),
@@ -492,17 +497,15 @@ def principal_eigentriple(generator, model, grid=None, dt_pde=0.01, h_times=(0.5
         mu0=mu0,
         A=A,
         B=B,
-        H=0.0,
         lambda1_complex=complex_pair,
         eigen_residual=residual,
     )
-    spectral.H = _fit_H(generator, spectral, dt_pde=dt_pde, times=h_times)
-    return spectral
 
 
-def _fit_H(generator, spectral, dt_pde, times):
+def fit_H(generator, spectral, dt_pde):
     """Fitted projection constant from HP2, a lower estimate over a finite
-    test-function family: sup e^{(l1-l0)t} |e^{l0 t} P_t g - Pi g| / |g|."""
+    test-function family: sup e^{(l1-l0)t} |e^{l0 t} P_t g - Pi g| / |g|
+    at t = 0.5, 1, 2, 4, by Crank-Nicolson steps of ``dt_pde``."""
     xs = generator.grid.nodes
     width = 0.25 * (xs[-1] - xs[0])
     tests = [
@@ -520,7 +523,7 @@ def _fit_H(generator, spectral, dt_pde, times):
         pi_g = spectral.theta0 * spectral.mu0_integral(g)
         u = g
         t_prev = 0.0
-        for t in sorted(times):
+        for t in (0.5, 1.0, 2.0, 4.0):
             u = prop.evolve(u, t - t_prev, smooth_start=(t_prev == 0.0))
             t_prev = t
             dev = np.max(np.abs(np.exp(spectral.lambda0 * t) * u - pi_g))

@@ -1,9 +1,15 @@
+import csv
 import json
 import os
+import subprocess
+import sys
+import textwrap
+import types
 
 import numpy as np
 import pytest
 
+from branchlab import cli
 from branchlab.cli import main
 from branchlab.config import ConfigError, ExperimentConfig, load_config
 
@@ -204,3 +210,111 @@ def test_verify_bracket_without_sign_change_fails_cleanly(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "does not change sign" in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    """A fresh interpreter that imports the CLI loads neither scipy.stats,
+    scipy.interpolate nor scipy.optimize; a table curve still works."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import branchlab.cli
+        heavy = [m for m in ("scipy.stats", "scipy.interpolate", "scipy.optimize") if m in sys.modules]
+        assert not heavy, heavy
+        from branchlab.curves import make_curve
+        c = make_curve("table", xs=[0.0, 1.0, 2.0], ys=[0.0, 1.0, 4.0])
+        assert c(1.0) == 1.0 and 1.0 < c(1.5) < 4.0 and c(3.0) == 4.0
+        assert c.derivative(1.5) > 0
+        assert "scipy.interpolate" in sys.modules
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_spectrum_writes_the_fitted_H(tmp_path):
+    from branchlab.semigroup import build_generator, fit_H, principal_eigentriple
+
+    path = small_critical_config(tmp_path)
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    doc = json.loads((tmp_path / "o" / "spectral.json").read_text())
+    cfg = load_config(path)
+    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid, dt_report=cfg.solver["dt_report"])
+    spec = principal_eigentriple(gen, cfg.model)
+    assert spec.H is None
+    assert doc["H"] == fit_H(gen, spec, cfg.solver["dt_pde"])
+
+
+def _reference_csv(path, cfg, header, rows):
+    """The CSV writer as it was when rows held numpy scalars."""
+    with open(path, "w", newline="") as fh:
+        fh.write(cli._meta_line(cfg) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def test_csv_rows_match_the_numpy_scalar_reference(tmp_path, monkeypatch):
+    """moments.csv, u0.csv and h.csv are the bytes that indexing numpy
+    scalars element by element wrote, including -0.0, 1e-20 and tiny
+    subnormal values."""
+    with open(os.path.join(CONFIG_DIR, "supercritical_constant.json")) as fh:
+        doc = json.load(fh)
+    doc["grid"]["n_points"] = 41
+    doc["solver"]["t_end"] = 2.0
+    doc["solver"]["n_store"] = 40
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    cfg = load_config(str(p))
+    odd = [-0.0, 1e-20, 5e-324, -1.5e300, 0.1 + 0.2]
+    seen = {}
+
+    def spiked(fn, key, fields):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            for arr in fields(result):
+                arr.flat[: len(odd)] = odd
+            seen[key] = result
+            return result
+
+        return wrapper
+
+    # the CLI sees spiked solvers; the solvers' own calls to each other do not
+    mom = types.SimpleNamespace(**vars(cli.mom))
+    mom.solve_moments = spiked(cli.mom.solve_moments, "moments", lambda r: r.fields.values())
+    mom.solve_survival = spiked(cli.mom.solve_survival, "u0", lambda r: [r.fields[0]])
+    mom.solve_h = spiked(cli.mom.solve_h, "h", lambda r: [r.h, r.h_u0_route])
+    monkeypatch.setattr(cli, "mom", mom)
+    out = tmp_path / "o"
+    assert main(["moments", "--config", str(p), "--out", str(out)]) == 0
+    assert main(["survive", "--config", str(p), "--out", str(out)]) == 0
+
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    field = seen["moments"]
+    rows = []
+    stride = max(1, len(field.times) // 50)
+    for k in range(0, len(field.times), stride):
+        for n in field.orders:
+            for j, x in enumerate(field.nodes):
+                rows.append((field.times[k], x, n, field.fields[n][k][j]))
+    _reference_csv(ref / "moments.csv", cfg, ["time", "node", "order", "value"], rows)
+    u0f = seen["u0"]
+    rows = []
+    stride = max(1, len(u0f.times) // 100)
+    for k in range(0, len(u0f.times), stride):
+        for j, x in enumerate(u0f.nodes):
+            rows.append((u0f.times[k], x, u0f.fields[0][k][j]))
+    _reference_csv(ref / "u0.csv", cfg, ["time", "node", "u0"], rows)
+    hres = seen["h"]
+    _reference_csv(ref / "h.csv", cfg, ["x", "h", "h_u0_route"], zip(u0f.nodes, hres.h, hres.h_u0_route))
+
+    for name in ("moments.csv", "u0.csv", "h.csv"):
+        got = (out / name).read_bytes()
+        assert got == (ref / name).read_bytes(), name
+    text = (out / "moments.csv").read_text()
+    assert ",-0.0\n" in text and ",1e-20\n" in text and ",5e-324\n" in text
+    assert ",1,-0.0\n" in text and ",3,-0.0\n" in text  # orders written as integers

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,10 +11,12 @@ from branchlab.model import NotApplicableError
 from branchlab.semigroup import (
     GridTooNarrowError,
     Propagator,
+    SpectralData,
     build_generator,
     constants_AB,
     evolve_P,
     evolve_Q,
+    fit_H,
     girsanov_crosscheck,
     hp4_edge_decay,
     principal_eigentriple,
@@ -318,3 +321,34 @@ def test_rannacher_damps_indicator_data(oscillator_setup):
     indicator = (np.abs(xs) < 1.0).astype(float)
     u = evolve_P(indicator, 0.5, gen, smooth_start=True)
     assert np.min(u) > -1e-10
+
+
+def test_eigentriple_fits_no_H(oscillator_setup, monkeypatch):
+    """The eigentriple runs no propagation: H stays None until fit_H."""
+    model, _dyn, _grid, gen, _spec = oscillator_setup
+    built = []
+    init = Propagator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "__init__", counting_init)
+    spec = principal_eigentriple(gen, model)
+    assert built == []
+    assert spec.H is None
+    spec.H = fit_H(gen, spec, 0.01)
+    assert isinstance(spec.H, float) and spec.H > 0
+
+
+def test_spectral_data_round_trips_H(oscillator_setup):
+    model, _dyn, _grid, gen, _spec = oscillator_setup
+    spec = principal_eigentriple(gen, model)
+    for H in (None, fit_H(gen, spec, 0.01)):
+        spec.H = H
+        doc = json.loads(json.dumps(spec.to_dict()))
+        assert "H" in doc
+        back = SpectralData.from_dict(doc)
+        assert back.H == H and type(back.H) is type(H)
+        assert back.lambda0 == spec.lambda0
+        assert np.array_equal(back.theta0, spec.theta0)
