@@ -16,7 +16,11 @@ block size, drawing for a subset, and the order in which particles are
 visited are all invisible in the results.  What is visible is the order of
 the state arrays, because the per-replica reductions (``bincount``) sum in
 array order; each step keeps the survivors in their order and appends the
-children in the order of their parents.
+children in the order of their parents.  The state lives in capacity-backed
+arrays and is compacted in place, block by block, while the block is in
+cache: a block's survivors move down to a running write offset that never
+passes the block's start, its children are staged past the live rows, and
+at the end of the step the children move down behind the last survivor.
 """
 
 from __future__ import annotations
@@ -47,19 +51,26 @@ __all__ = [
 
 # Particles are stepped in blocks of this many.  One block's temporaries
 # (draws, rates, masks, moved traits: about a dozen 8-byte arrays, ~3 MB at
-# 2^15) then stay in cache across the passes of a step, where the whole
-# population would stream every pass through main memory; much smaller
-# blocks pay numpy's per-call overhead instead.  A single-threaded
-# supercritical_jumps ensemble to t = 10 on a 2-core x86-64 host took 8.9 s
-# at 2^14, 8.2 s at 2^15, 8.5 s at 2^16 and 9.8 s unblocked.
+# 2^15) then stay in cache across the passes of a step, including the
+# in-place compaction of the block's survivors, where the whole population
+# would stream every pass through main memory; much smaller blocks pay
+# numpy's per-call overhead instead.  A single-threaded supercritical_jumps
+# ensemble to t = 10 on a 2-core x86-64 host took 8.9 s at 2^14, 8.2 s at
+# 2^15, 8.5 s at 2^16 and 9.8 s unblocked.
 BLOCK = 1 << 15
 
-# Bytes held per live particle at the peak of a step: the five 8-byte state
-# arrays (x, keys, rep, pid, pmax), the two event masks, the survivor index
-# and the one compacted array being filled.  Births add at most a tenth of
-# a particle per step (the event cap), and the block temporaries a fixed few
-# MB, both left out.
-BYTES_PER_PARTICLE = 5 * 8 + 2 + 8 + 8
+# Capacity growth factor of the state arrays.  Growing by half again keeps
+# the rows a growing population copies in all its growths to about three
+# times its final size, and leaves at most a third of the capacity unused
+# (and its pages untouched until rows reach them).
+GROWTH = 1.5
+
+# Bytes per capacity row at the peak, a growth: the five 8-byte state
+# arrays (x, keys, rep, pid, pmax) at the new capacity, plus the one old
+# array being copied, at most 8 bytes per new row.  There is no second
+# compacted copy of the state, and the block masks and temporaries are a
+# fixed few MB, left out.
+BYTES_PER_PARTICLE = 5 * 8 + 8
 MEMORY_BUDGET = 2 * 1024**3  # bytes of particle state a run may hold
 
 
@@ -225,85 +236,159 @@ def _check_budget(n_particles, what):
         )
 
 
-def _compact(a, keep, parents, children=None):
-    """``a[keep]`` (all of ``a`` for ``keep = None``) followed by the children
-    (``a[parents]`` unless given), gathered into one new array."""
-    n_keep = len(a) if keep is None else len(keep)
-    out = np.empty(n_keep + len(parents), dtype=a.dtype)
-    if keep is None:
-        out[:n_keep] = a
-    else:
-        np.take(a, keep, out=out[:n_keep], mode="clip")  # clip: valid indices, no buffering
-    if children is None:
-        np.take(a, parents, out=out[n_keep:], mode="clip")
-    else:
-        out[n_keep:] = children
-    return out
+class _Rows:
+    """Parallel per-particle arrays in capacity-backed buffers: rows
+    ``[:n]`` are live, the rest is room to grow into."""
+
+    def __init__(self, what, **columns):
+        self.what = what  # names the population in a budget error
+        self.cols = columns
+        self.n = len(next(iter(columns.values())))
+
+    def __getitem__(self, name):
+        return self.cols[name][: self.n]
+
+    def put(self, at, rows):
+        """Write the equal-length arrays ``rows`` (name -> values) at row
+        ``at``, growing the buffers first if needed; rows ``[:at]`` are kept."""
+        k = len(next(iter(rows.values())))
+        cap = len(next(iter(self.cols.values())))
+        if at + k > cap:
+            # growth slack is clipped to the budget, so only a real need fails
+            new_cap = max(at + k, min(int(cap * GROWTH), MEMORY_BUDGET // BYTES_PER_PARTICLE))
+            _check_budget(new_cap, self.what)
+            for name, old in self.cols.items():
+                new = np.empty(new_cap, dtype=old.dtype)
+                new[:at] = old[:at]
+                self.cols[name] = new
+                del old  # free it before the next column grows
+        for name, values in rows.items():
+            self.cols[name][at : at + k] = values
+
+    def append(self, rows):
+        self.put(self.n, rows)
+        self.n += len(next(iter(rows.values())))
+
+    def move_down(self, src, dst, k, keep=None):
+        """Move rows ``[src, src + k)`` (only those where ``keep`` is True,
+        if given) to start at row ``dst <= src``."""
+        if dst == src and keep is None:
+            return
+        for buf in self.cols.values():
+            block = buf[src : src + k]
+            if keep is not None:
+                block = block[keep]  # a gathered copy
+            buf[dst : dst + len(block)] = block  # overlap-safe assignment
 
 
 class _Ensemble:
-    """Flat-array state of all replicas during a stepped simulation."""
+    """Flat-array state of all replicas during a stepped simulation.
 
-    def __init__(self, x0, seed, reps, rep_offset=0, reflect_at=None):
+    ``pid`` (particle ids) is kept only with ``track_ids``, for genealogy
+    and trait snapshots; ``next_id`` advances either way."""
+
+    def __init__(self, x0, seed, reps, rep_offset=0, reflect_at=None, *, track_ids):
         self.reflect_at = reflect_at
-        self.x = np.full(reps, float(x0))
-        self.keys = rng.root_key(seed, rep_offset + np.arange(reps, dtype=np.uint64))
-        self.rep = np.arange(reps, dtype=np.int64)
-        self.pid = np.arange(reps, dtype=np.int64)
-        self.pmax = np.abs(self.x)
+        x = np.full(reps, float(x0))
+        cols = dict(
+            x=x,
+            keys=rng.root_key(seed, rep_offset + np.arange(reps, dtype=np.uint64)),
+            rep=np.arange(reps, dtype=np.int64),
+            pmax=np.abs(x),
+        )
+        if track_ids:
+            cols["pid"] = np.arange(reps, dtype=np.int64)
+        self.state = _Rows("population", **cols)
         self.next_id = reps
         self.reps = reps
-        self.repmax = np.abs(self.x).copy()  # running max per replica, deaths folded in
+        self.repmax = np.abs(x)  # running max per replica, deaths folded in
+
+    @property
+    def x(self):
+        return self.state["x"]
+
+    @property
+    def rep(self):
+        return self.state["rep"]
+
+    @property
+    def pid(self):
+        return self.state["pid"]
 
     def step(self, step, dt, model, dyn, cutoff, on_birth=None):
         """Advance one step.  Every particle draws one event uniform: it
         branches (u < b dt), dies (the next strip of width d^(m) dt) or moves.
         Survivors keep their order and children follow in parent order, so
-        the replica reductions (``bincount``) sum in a fixed order."""
-        n = len(self.x)
-        if n == 0:
-            return
-        x, keys, pmax = self.x, self.keys, self.pmax
-        branch = np.empty(n, dtype=bool)
-        die = np.empty(n, dtype=bool)
-        for lo in range(0, n, BLOCK):
-            blk = slice(lo, lo + BLOCK)
-            xb, kb = x[blk], keys[blk]
-            pb = np.asarray(model.b(xb), dtype=float) * dt
-            pd = np.asarray(cutoff.truncated_death(model, xb), dtype=float) * dt
-            pd += pb
-            u = rng.uniform(kb, step, rng.CH_EVENT)
-            br = np.less(u, pb, out=branch[blk])
-            dd = np.less(u, pd, out=die[blk])
-            dd &= ~br
-            moved, _ = move(xb, kb, step, dt, dyn)
-            if self.reflect_at is not None:
-                moved = _reflect(moved, self.reflect_at)
-            # only the movers take the new trait; x is owned by the ensemble
-            np.copyto(xb, moved, where=~(br | dd))
-            np.maximum(pmax[blk], np.abs(xb), out=pmax[blk])
+        the replica reductions (``bincount``) sum in a fixed order.
 
-        n_die = int(np.count_nonzero(die))
-        parents = np.flatnonzero(branch)
-        if n_die:
-            np.maximum.at(self.repmax, self.rep[die], pmax[die])
-        elif len(parents) == 0:
-            return
-        n_new = n - n_die + len(parents)
-        _check_budget(n_new, "population")
-        keep = np.flatnonzero(~die) if n_die else None
-        child_keys = child_pid = None  # no births: _compact appends nothing
+        Returns the replicas (with repeats) of the particles whose running
+        max |trait| passed ``cutoff.m`` in this step.  The running max only
+        grows and children inherit it, so these are the only replicas that
+        can gain a first exceedance."""
+        n = self.state.n
+        w = 0  # survivors so far, compacted into rows [:w]
+        n_born = 0  # children so far, staged in rows [n, n + n_born)
+        crossed = []
+        for lo in range(0, n, BLOCK):
+            k = min(BLOCK, n - lo)
+            kept, born, hit = self._step_block(lo, k, w, step, dt, model, dyn, cutoff, on_birth)
+            w += kept
+            if born is not None:
+                self.state.put(n + n_born, born)
+                n_born += len(born["x"])
+            if hit is not None:
+                crossed.append(hit)
+        self.state.move_down(n, w, n_born)
+        self.state.n = w + n_born
+        return np.concatenate(crossed) if crossed else np.zeros(0, dtype=np.int64)
+
+    def _step_block(self, lo, k, w, step, dt, model, dyn, cutoff, on_birth):
+        """Step rows ``[lo, lo + k)`` and move their survivors down to row
+        ``w``.  Returns (survivors, children rows or None, replicas whose
+        running max passed the cutoff or None)."""
+        cols = self.state.cols
+        blk = slice(lo, lo + k)
+        xb, kb, pmb, repb = cols["x"][blk], cols["keys"][blk], cols["pmax"][blk], cols["rep"][blk]
+        pb = np.asarray(model.b(xb), dtype=float) * dt
+        pd = np.asarray(cutoff.truncated_death(model, xb), dtype=float) * dt
+        pd += pb
+        u = rng.uniform(kb, step, rng.CH_EVENT)
+        br = np.less(u, pb)
+        stay = np.less(u, pd)
+        dd = np.greater(stay, br)  # stay & ~br
+        stay |= br
+        moved, _ = move(xb, kb, step, dt, dyn)
+        if self.reflect_at is not None:
+            moved = _reflect(moved, self.reflect_at)
+        # only the movers take the new trait; x is owned by the ensemble
+        np.copyto(xb, moved, where=~stay)
+        ab = np.abs(xb)
+        hit = None
+        cross = np.greater(ab, cutoff.m)
+        if cross.any():
+            cross &= pmb <= cutoff.m
+            hit = repb[cross]
+        np.maximum(pmb, ab, out=pmb)
+
+        # children rows are copies, taken before survivors overwrite the block
+        born = None
+        parents = np.flatnonzero(br)
         if len(parents):
-            child_keys = rng.spawn_keys(keys[parents], step)
+            born = dict(x=xb[parents], keys=rng.spawn_keys(kb[parents], step),
+                        rep=repb[parents], pmax=pmb[parents])
             child_pid = self.next_id + np.arange(len(parents), dtype=np.int64)
             self.next_id += len(parents)
+            if "pid" in cols:
+                born["pid"] = child_pid
             if on_birth is not None:
-                on_birth(child_pid, self.pid[parents], self.rep[parents])
-        self.x = _compact(x, keep, parents)
-        self.keys = _compact(keys, keep, parents, child_keys)
-        self.rep = _compact(self.rep, keep, parents)
-        self.pid = _compact(self.pid, keep, parents, child_pid)
-        self.pmax = _compact(pmax, keep, parents)
+                on_birth(child_pid, cols["pid"][blk][parents], born["rep"])
+        n_die = int(np.count_nonzero(dd))
+        if n_die:
+            np.maximum.at(self.repmax, repb[dd], pmb[dd])
+            self.state.move_down(lo, w, k, keep=~dd)
+        else:
+            self.state.move_down(lo, w, k)
+        return k - n_die, born, hit
 
     def replica_counts(self):
         return np.bincount(self.rep, minlength=self.reps)
@@ -313,8 +398,8 @@ class _Ensemble:
 
     def replica_max_abs(self):
         cur = self.repmax.copy()
-        if len(self.x):
-            np.maximum.at(cur, self.rep, self.pmax)
+        if self.state.n:
+            np.maximum.at(cur, self.rep, self.state["pmax"])
         return cur
 
 
@@ -357,7 +442,10 @@ def simulate_ensemble(
     record_set = set(record_steps)
     trait_steps = set(_snap_steps(record_traits_at, dt, t_end))
 
-    ens = _Ensemble(x0, seed, reps, rep_offset=rep_offset, reflect_at=reflect_at)
+    ens = _Ensemble(
+        x0, seed, reps, rep_offset=rep_offset, reflect_at=reflect_at,
+        track_ids=history_until is not None or bool(trait_steps),
+    )
 
     history = None
     hist_limit = 0
@@ -406,14 +494,9 @@ def simulate_ensemble(
                 sel = child_rep < hist_limit
                 history.register(child_pid[sel], parent_pid[sel], _s + 1)
 
-        ens.step(step, dt, model, dyn, cutoff, on_birth=on_birth)
-
-        if len(ens.x):
-            out = ens.pmax > cutoff.m
-            if np.any(out):
-                hit = np.unique(ens.rep[out])
-                unset = hit[~np.isfinite(tm_first[hit])]
-                tm_first[unset] = (step + 1) * dt
+        hit = ens.step(step, dt, model, dyn, cutoff, on_birth=on_birth)
+        if len(hit):
+            tm_first[hit[~np.isfinite(tm_first[hit])]] = (step + 1) * dt
 
         if history is not None and step + 1 <= hist_steps:
             record_history(step + 1)
@@ -489,22 +572,31 @@ def simulate_coupled_yule(x0, t_end, dt, model, dyn, cutoff, seed, reps, record_
     record_steps = _snap_steps(record_times, dt, t_end)
     record_set = set(record_steps)
 
-    x = np.full(reps, float(x0))
-    alive_z = np.ones(reps, dtype=bool)
-    keys = rng.root_key(seed, np.arange(reps, dtype=np.uint64))
-    rep = np.arange(reps, dtype=np.int64)
+    state = _Rows(
+        "coupled Yule population",
+        x=np.full(reps, float(x0)),
+        keys=rng.root_key(seed, np.arange(reps, dtype=np.uint64)),
+        alive=np.ones(reps, dtype=bool),
+        rep=np.arange(reps, dtype=np.int64),
+    )
 
     n_rec = len(record_steps)
     counts_z = np.zeros((n_rec, reps), dtype=np.int64)
     counts_y = np.zeros((n_rec, reps), dtype=np.int64)
+
+    def record(idx):
+        rep = state["rep"]
+        counts_z[idx] = np.bincount(rep[state["alive"]], minlength=reps)
+        counts_y[idx] = np.bincount(rep, minlength=reps)
+
     rec_idx = 0
     if 0 in record_set:
-        counts_z[0] = np.bincount(rep[alive_z], minlength=reps)
-        counts_y[0] = np.bincount(rep, minlength=reps)
+        record(0)
         rec_idx = 1
 
     p_star = model.b_star * dt
     for step in range(n_steps):
+        x, keys, alive_z = state["x"], state["keys"], state["alive"]
         pb = np.asarray(model.b(x), dtype=float) * dt
         pd = np.asarray(cutoff.truncated_death(model, x), dtype=float) * dt
         u = rng.uniform(keys, step, rng.CH_EVENT)
@@ -513,19 +605,16 @@ def simulate_coupled_yule(x0, t_end, dt, model, dyn, cutoff, seed, reps, record_
         parents = np.flatnonzero(u < p_star)
         # only live system particles that neither branch nor die move
         moved, _ = move(x, keys, step, dt, dyn)
-        np.copyto(moved, x, where=~alive_z | branch_z | die_z)
+        np.copyto(x, moved, where=alive_z & ~(branch_z | die_z))
         alive_z &= ~die_z
 
         if len(parents):
-            _check_budget(len(x) + len(parents), "coupled Yule population")
-            keys = _compact(keys, None, parents, rng.spawn_keys(keys[parents], step))
-            alive_z = _compact(alive_z, None, parents, branch_z[parents])
-            rep = _compact(rep, None, parents)
-            moved = _compact(moved, None, parents)
-        x = moved
+            state.append(dict(
+                x=x[parents], keys=rng.spawn_keys(keys[parents], step),
+                alive=branch_z[parents], rep=state["rep"][parents],
+            ))
         if (step + 1) in record_set:
-            counts_z[rec_idx] = np.bincount(rep[alive_z], minlength=reps)
-            counts_y[rec_idx] = np.bincount(rep, minlength=reps)
+            record(rec_idx)
             rec_idx += 1
 
     times = np.array([s * dt for s in record_steps])

@@ -30,10 +30,15 @@ __all__ = [
     "CH_MOVE2",
 ]
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_STEP_STRIDE = np.uint64(0x2545F4914F6CDD1D)  # odd, decorrelates step from channel
+# SplitMix64 constants as Python ints (for the per-call salt) and as uint64
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_M1_INT = 0xBF58476D1CE4E5B9
+_M2_INT = 0x94D049BB133111EB
+_STEP_STRIDE_INT = 0x2545F4914F6CDD1D  # odd, decorrelates step from channel
+_MASK64 = (1 << 64) - 1
+_GAMMA, _M1, _M2, _STEP_STRIDE = (
+    np.uint64(c) for c in (_GAMMA_INT, _M1_INT, _M2_INT, _STEP_STRIDE_INT)
+)
 
 # draw channels within one simulation step
 CH_EVENT = 0  # branch/death/thinning uniform
@@ -54,28 +59,35 @@ def _unwrap(a):
 
 
 def _mix_inplace(z):
-    """The SplitMix64 finalizer applied in place to the uint64 array ``z``."""
+    """The SplitMix64 finalizer applied in place to the uint64 array ``z``
+    (array arithmetic wraps modulo 2^64 without a warning)."""
     t = np.empty_like(z)
-    with np.errstate(over="ignore"):
-        for shift, mult in ((30, _M1), (27, _M2)):
-            np.right_shift(z, np.uint64(shift), out=t)
-            z ^= t
-            z *= mult
-        np.right_shift(z, np.uint64(31), out=t)
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=t)
         z ^= t
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
     return z
+
+
+def _salt(step, channel):
+    """``mix64(step * STRIDE + channel * GAMMA + GAMMA)`` in Python ints
+    masked to 64 bits: about 1 us, where the same arithmetic on numpy
+    scalars under ``np.errstate`` costs ~17 us per draw call."""
+    z = (int(step) * _STEP_STRIDE_INT + int(channel) * _GAMMA_INT + _GAMMA_INT) & _MASK64
+    z = ((z ^ (z >> 30)) * _M1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2_INT) & _MASK64
+    return np.uint64(z ^ (z >> 31))
 
 
 def _raw(keys, step, channel):
     keys = np.asarray(keys, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        # pre-mix the counter so consecutive steps never feed the output
-        # mixer with low-entropy Weyl increments (a known weak-gamma trap)
-        ctr = np.uint64(step) * _STEP_STRIDE + np.uint64(channel) * _GAMMA
-        salt = mix64(ctr + _GAMMA)
-        # a new array (0-d for a scalar key): the caller's keys stay untouched
-        state = np.bitwise_xor(keys, salt, out=np.empty_like(keys))
-        state += _GAMMA
+    # pre-mix the counter so consecutive steps never feed the output
+    # mixer with low-entropy Weyl increments (a known weak-gamma trap);
+    # a new array (0-d for a scalar key): the caller's keys stay untouched
+    state = np.bitwise_xor(keys, _salt(step, channel), out=np.empty_like(keys))
+    state += _GAMMA
     return _mix_inplace(state)
 
 
@@ -83,10 +95,10 @@ def uniform(keys, step, channel):
     """Uniform draws on (0, 1), one per key."""
     bits = _raw(keys, step, channel)
     bits >>= np.uint64(11)
-    # 53-bit mantissa, offset by half an ulp so 0 is excluded
-    out = bits.astype(np.float64)
-    out += 0.5
-    out *= 2.0 ** -53
+    # 53-bit mantissa, offset by half an ulp so 0 is excluded: (bits + 0.5)
+    # * 2^-53, rounded once either way, since scaling by 2^-53 is exact
+    out = np.multiply(bits, 2.0**-53, out=np.empty(bits.shape))
+    out += 2.0**-54
     return _unwrap(out)
 
 

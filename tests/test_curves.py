@@ -100,3 +100,24 @@ def test_polynomial_matches_numpy_bit_for_bit():
             assert np.array_equal(c(x), ref(x), equal_nan=True)
             assert np.array_equal(c.derivative(x), ref.deriv()(x), equal_nan=True)
         assert c(0.75) == ref(0.75) and isinstance(c(0.75), float)
+
+
+@pytest.mark.parametrize("params", [
+    {"amplitude": 1.2, "width": 1.5},
+    {"amplitude": -0.7, "center": -0.4, "width": 0.3, "baseline": 0.25},
+    {"amplitude": 2.0, "center": 1e-300, "width": 40.0, "baseline": -1.0},
+])
+def test_gaussian_bump_matches_literal_formula(params):
+    amp, c, w = params["amplitude"], params.get("center", 0.0), params["width"]
+    base = params.get("baseline", 0.0)
+    x = np.concatenate([
+        np.linspace(-60.0, 60.0, 20001),
+        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan],
+    ])
+    with np.errstate(over="ignore"):
+        want = amp * np.exp(-((x - c) ** 2) / (2.0 * w * w)) + base
+        got = Curve("gaussian-bump", params)(x)
+    nan = np.isnan(want)  # a NaN's sign bit is not a value
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    assert Curve("gaussian-bump", params)(-0.0) == float(want[20002])

@@ -1,9 +1,10 @@
 """The blocked particle-step kernel against an unblocked reference step.
 
-``_reference_step`` is the earlier, unblocked ``_Ensemble.step``: mask the
-movers, move them (drawing a jump size for every mover), scatter back, and
-rebuild the state with ``concatenate``.  Draws are pure functions of
-(key, step, channel), so the blocked kernel must reproduce its outputs
+``_ReferenceEnsemble`` is the earlier, unblocked ensemble: mask the movers,
+move them (drawing a jump size for every mover), scatter back, rebuild the
+state with ``concatenate``, and scan the whole population for cutoff
+exceedances after the step.  Draws are pure functions of (key, step,
+channel), so the blocked, in-place kernel must reproduce its outputs
 exactly, for every block size.
 """
 
@@ -55,51 +56,80 @@ def _reference_move(x, keys, step, dt, dyn):
     return x - dyn.a(x) * dt + math.sqrt(dt) * rng.normal(keys, step, rng.CH_MOVE)
 
 
-def _reference_step(self, step, dt, model, dyn, cutoff, on_birth=None):
-    if len(self.x) == 0:
-        return
-    x = self.x
-    pb = np.asarray(model.b(x), dtype=float) * dt
-    pd = np.asarray(cutoff.truncated_death(model, x), dtype=float) * dt
-    u = rng.uniform(self.keys, step, rng.CH_EVENT)
-    branch = u < pb
-    die = (~branch) & (u < pb + pd)
-    move = ~(branch | die)
+class _ReferenceEnsemble:
+    def __init__(self, x0, seed, reps, rep_offset=0, reflect_at=None, *, track_ids):
+        # the earlier ensemble kept particle ids whether or not they were read
+        self.reflect_at = reflect_at
+        self.x = np.full(reps, float(x0))
+        self.keys = rng.root_key(seed, rep_offset + np.arange(reps, dtype=np.uint64))
+        self.rep = np.arange(reps, dtype=np.int64)
+        self.pid = np.arange(reps, dtype=np.int64)
+        self.pmax = np.abs(self.x)
+        self.next_id = reps
+        self.reps = reps
+        self.repmax = np.abs(self.x).copy()
 
-    if np.any(move):
-        x = x.copy()
-        out = _reference_move(x[move], self.keys[move], step, dt, dyn)
-        if self.reflect_at is not None:
-            out = branching._reflect(out, self.reflect_at)
-        x[move] = out
-    self.x = x
-    np.maximum(self.pmax, np.abs(self.x), out=self.pmax)
+    def replica_counts(self):
+        return np.bincount(self.rep, minlength=self.reps)
 
-    if np.any(die):
-        np.maximum.at(self.repmax, self.rep[die], self.pmax[die])
+    def replica_sums(self, weights):
+        return np.bincount(self.rep, weights=weights, minlength=self.reps)
 
-    if np.any(branch):
-        child_keys = rng.spawn_keys(self.keys[branch], step)
-        child_x = self.x[branch]
-        child_rep = self.rep[branch]
-        child_pmax = self.pmax[branch]
-        child_pid = self.next_id + np.arange(len(child_keys), dtype=np.int64)
-        self.next_id += len(child_keys)
-        if on_birth is not None:
-            on_birth(child_pid, self.pid[branch], child_rep)
-        keep = ~die
-        self.x = np.concatenate([self.x[keep], child_x])
-        self.keys = np.concatenate([self.keys[keep], child_keys])
-        self.rep = np.concatenate([self.rep[keep], child_rep])
-        self.pid = np.concatenate([self.pid[keep], child_pid])
-        self.pmax = np.concatenate([self.pmax[keep], child_pmax])
-    elif np.any(die):
-        keep = ~die
-        self.x = self.x[keep]
-        self.keys = self.keys[keep]
-        self.rep = self.rep[keep]
-        self.pid = self.pid[keep]
-        self.pmax = self.pmax[keep]
+    def replica_max_abs(self):
+        cur = self.repmax.copy()
+        if len(self.x):
+            np.maximum.at(cur, self.rep, self.pmax)
+        return cur
+
+    def step(self, step, dt, model, dyn, cutoff, on_birth=None):
+        self._step(step, dt, model, dyn, cutoff, on_birth)
+        return self.rep[self.pmax > cutoff.m]  # every replica over the cutoff
+
+    def _step(self, step, dt, model, dyn, cutoff, on_birth):
+        if len(self.x) == 0:
+            return
+        x = self.x
+        pb = np.asarray(model.b(x), dtype=float) * dt
+        pd = np.asarray(cutoff.truncated_death(model, x), dtype=float) * dt
+        u = rng.uniform(self.keys, step, rng.CH_EVENT)
+        branch = u < pb
+        die = (~branch) & (u < pb + pd)
+        move = ~(branch | die)
+
+        if np.any(move):
+            x = x.copy()
+            out = _reference_move(x[move], self.keys[move], step, dt, dyn)
+            if self.reflect_at is not None:
+                out = branching._reflect(out, self.reflect_at)
+            x[move] = out
+        self.x = x
+        np.maximum(self.pmax, np.abs(self.x), out=self.pmax)
+
+        if np.any(die):
+            np.maximum.at(self.repmax, self.rep[die], self.pmax[die])
+
+        if np.any(branch):
+            child_keys = rng.spawn_keys(self.keys[branch], step)
+            child_x = self.x[branch]
+            child_rep = self.rep[branch]
+            child_pmax = self.pmax[branch]
+            child_pid = self.next_id + np.arange(len(child_keys), dtype=np.int64)
+            self.next_id += len(child_keys)
+            if on_birth is not None:
+                on_birth(child_pid, self.pid[branch], child_rep)
+            keep = ~die
+            self.x = np.concatenate([self.x[keep], child_x])
+            self.keys = np.concatenate([self.keys[keep], child_keys])
+            self.rep = np.concatenate([self.rep[keep], child_rep])
+            self.pid = np.concatenate([self.pid[keep], child_pid])
+            self.pmax = np.concatenate([self.pmax[keep], child_pmax])
+        elif np.any(die):
+            keep = ~die
+            self.x = self.x[keep]
+            self.keys = self.keys[keep]
+            self.rep = self.rep[keep]
+            self.pid = self.pid[keep]
+            self.pmax = self.pmax[keep]
 
 
 CASES = {
@@ -110,18 +140,23 @@ CASES = {
 }
 
 
+# deaths at 9 per unit time: whole blocks die at small block sizes
+DYING = dict(model=make_constant_model(0.5, 9.0), dyn=JUMPS, x0=0.2, m=1.0)
+
+
 def _run(case, reps=40, t_end=2.0, seed=3, **kwargs):
-    c = CASES[case]
+    c = case if isinstance(case, dict) else CASES[case]
+    kwargs.setdefault("record_traits_at", [t_end])
     return simulate_ensemble(
         c["x0"], t_end, 0.01, c["model"], c["dyn"], CutoffSpec(m=c["m"]), seed, reps,
         record_times=[0.0, 0.5, 1.0, t_end], functionals=FUNCTIONALS,
-        reflect_at=c.get("reflect_at"), record_traits_at=[t_end], **kwargs,
+        reflect_at=c.get("reflect_at"), **kwargs,
     )
 
 
 def _reference(monkeypatch, case, **kwargs):
     with monkeypatch.context() as mp:
-        mp.setattr(branching._Ensemble, "step", _reference_step)
+        mp.setattr(branching, "_Ensemble", _ReferenceEnsemble)
         return _run(case, **kwargs)
 
 
@@ -194,7 +229,7 @@ def test_extinction_mid_run(monkeypatch):
     assert res.counts[1].sum() > 0 and res.counts[-1].sum() == 0
     assert np.array_equal(res.max_abs[-1], res.max_abs[-2])  # carried past extinction
     with monkeypatch.context() as mp:
-        mp.setattr(branching._Ensemble, "step", _reference_step)
+        mp.setattr(branching, "_Ensemble", _ReferenceEnsemble)
         ref = simulate_ensemble(0.0, 8.0, 0.01, model, JUMPS, CutoffSpec(m=2.0), 5, 30, **kw)
     _assert_same(res, ref)
 
@@ -225,6 +260,125 @@ def test_eventless_replica_is_sample_path(dyn):
     path = sample_path(0.4, 2.5, 0.01, dyn, seed=21)
     got = [res.traits_at[t][1][0] for t in res.times]
     assert got == [path.states[s] for s in steps]
+
+
+def _spy_blocks(monkeypatch):
+    """Record (block start, block length, write offset, survivors) per block."""
+    seen = []
+    step_block = branching._Ensemble._step_block
+
+    def spy(self, lo, k, w, *args):
+        out = step_block(self, lo, k, w, *args)
+        seen.append((lo, k, w, out[0]))
+        return out
+
+    monkeypatch.setattr(branching._Ensemble, "_step_block", spy)
+    return seen
+
+
+def test_block_where_every_particle_dies(monkeypatch):
+    monkeypatch.setattr(branching, "BLOCK", 2)
+    seen = _spy_blocks(monkeypatch)
+    got = _run(DYING, reps=60)
+    assert any(k == 2 and kept == 0 for _, k, _, kept in seen)
+    _assert_same(got, _reference(monkeypatch, DYING, reps=60))
+
+
+def test_deathless_block_after_deaths_overlaps_its_copy(monkeypatch):
+    monkeypatch.setattr(branching, "BLOCK", 8)
+    seen = _spy_blocks(monkeypatch)
+    got = _run("diffusion-jumps", reps=60)
+    # no deaths in the block, moved down by less than its length
+    assert any(kept == k and 0 < lo - w < k for lo, k, w, kept in seen)
+    _assert_same(got, _reference(monkeypatch, "diffusion-jumps", reps=60))
+
+
+def test_capacity_grows_mid_step(monkeypatch):
+    monkeypatch.setattr(branching, "BLOCK", 8)
+    growths = []
+    put = branching._Rows.put
+
+    def spy(self, at, rows):
+        cap = len(self.cols["x"])
+        if at + len(rows["x"]) > cap:
+            growths.append(at > self.n)  # children of earlier blocks staged
+        put(self, at, rows)
+
+    monkeypatch.setattr(branching._Rows, "put", spy)
+    got = _run("diffusion-jumps")
+    assert len(growths) >= 3 and any(growths)
+    _assert_same(got, _reference(monkeypatch, "diffusion-jumps"))
+
+
+def test_trait_snapshot_survives_later_steps(monkeypatch):
+    monkeypatch.setattr(branching, "BLOCK", 8)
+    short = _run("diffusion-jumps", t_end=0.5, record_traits_at=[0.5])
+    long = _run("diffusion-jumps", t_end=2.0, record_traits_at=[0.5])
+    assert long.counts[-1].sum() > 2 * short.counts[-1].sum()  # buffers regrew after 0.5
+    for a, b in zip(short.traits_at[0.5], long.traits_at[0.5]):
+        assert np.array_equal(a, b)
+    _assert_same(long, _reference(monkeypatch, "diffusion-jumps", t_end=2.0, record_traits_at=[0.5]))
+
+
+def test_ids_kept_only_when_read(monkeypatch):
+    ensembles = []
+    init = branching._Ensemble.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        ensembles.append(self)
+
+    monkeypatch.setattr(branching._Ensemble, "__init__", spy)
+    got = _run("diffusion", record_traits_at=())
+    assert "pid" not in ensembles[-1].state.cols
+    assert ensembles[-1].next_id > got.reps  # ids are still handed out
+    _run("diffusion", history_until=1.0)
+    assert "pid" in ensembles[-1].state.cols
+    _assert_same(got, _reference(monkeypatch, "diffusion", record_traits_at=()))
+
+
+def _reference_yule(x0, t_end, dt, model, dyn, cutoff, seed, reps, record_times):
+    """The coupled Yule loop before its state moved into capacity-backed rows."""
+    n_steps = int(round(t_end / dt))
+    record_steps = branching._snap_steps(record_times, dt, t_end)
+    x = np.full(reps, float(x0))
+    alive_z = np.ones(reps, dtype=bool)
+    keys = rng.root_key(seed, np.arange(reps, dtype=np.uint64))
+    rep = np.arange(reps, dtype=np.int64)
+    counts_z, counts_y = [], []
+    if 0 in record_steps:
+        counts_z.append(np.bincount(rep[alive_z], minlength=reps))
+        counts_y.append(np.bincount(rep, minlength=reps))
+    p_star = model.b_star * dt
+    for step in range(n_steps):
+        pb = np.asarray(model.b(x), dtype=float) * dt
+        pd = np.asarray(cutoff.truncated_death(model, x), dtype=float) * dt
+        u = rng.uniform(keys, step, rng.CH_EVENT)
+        branch_z = alive_z & (u < pb)
+        die_z = alive_z & (~branch_z) & (u < pb + pd)
+        parents = np.flatnonzero(u < p_star)
+        moved = _reference_move(x, keys, step, dt, dyn)
+        np.copyto(moved, x, where=~alive_z | branch_z | die_z)
+        alive_z &= ~die_z
+        if len(parents):
+            keys = np.concatenate([keys, rng.spawn_keys(keys[parents], step)])
+            alive_z = np.concatenate([alive_z, branch_z[parents]])
+            rep = np.concatenate([rep, rep[parents]])
+            moved = np.concatenate([moved, moved[parents]])
+        x = moved
+        if step + 1 in record_steps:
+            counts_z.append(np.bincount(rep[alive_z], minlength=reps))
+            counts_y.append(np.bincount(rep, minlength=reps))
+    return np.array(counts_z), np.array(counts_y)
+
+
+@pytest.mark.parametrize("dyn", [DIFFUSION, JUMPS], ids=lambda d: d.variant)
+def test_yule_coupling_matches_reference_loop(dyn):
+    args = (0.3, 3.0, 0.01, SUPER, dyn, CutoffSpec(m=1.5), 17, 25, [0.0, 1.0, 2.0, 3.0])
+    _, cz, cy = simulate_coupled_yule(*args)
+    assert cy[-1].sum() > 10 * 25  # the buffers grew several times
+    ref_z, ref_y = _reference_yule(*args)
+    assert np.array_equal(cz, ref_z) and np.array_equal(cy, ref_y)
 
 
 def test_yule_coupling_respects_memory_budget(monkeypatch, zero_drift):

@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 from scipy import stats
 
 from branchlab import rng
@@ -81,3 +84,36 @@ def test_uniform_bounds_property():
         assert np.array_equal(u, again)
 
     check()
+
+
+@pytest.mark.parametrize("step", [0, 1, 2**32, 2**63 - 1])
+def test_python_int_salt_matches_numpy_mix64(step):
+    for channel in range(5):
+        with np.errstate(over="ignore"):
+            ctr = np.uint64(step) * rng._STEP_STRIDE + np.uint64(channel) * rng._GAMMA
+            want = rng.mix64(ctr + rng._GAMMA)
+        assert rng._salt(step, channel) == want
+
+
+def test_draws_raise_no_warnings():
+    keys = rng.root_key(5, np.arange(64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (keys, keys[3]):  # arrays and scalar keys
+            for step in (0, 2**63 - 1):
+                rng.uniform(k, step, rng.CH_EVENT)
+                rng.normal(k, step, rng.CH_MOVE)
+                rng.spawn_keys(k, step)
+
+
+def test_uniform_is_the_half_ulp_offset_mantissa():
+    keys = np.concatenate([rng.root_key(9, np.arange(50_000)), np.array([0, 2**64 - 1], dtype=np.uint64)])
+    for step in (0, 7, 2**40):
+        bits = rng._raw(keys, step, rng.CH_MOVE) >> np.uint64(11)
+        want = (bits.astype(np.float64) + 0.5) * 2.0**-53
+        got = rng.uniform(keys, step, rng.CH_MOVE)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    edges = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    want = (edges.astype(np.float64) + 0.5) * 2.0**-53
+    got = np.multiply(edges, 2.0**-53) + 2.0**-54  # the route uniform takes
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
