@@ -9,8 +9,13 @@ differential form
     d/dt H   = L H   - b H^2,                                    H(0) = 1 - e^{w f}
 
 with an IMEX Crank-Nicolson march (implicit linear part, trapezoidal
-predictor-corrector source).  The integral form is then re-evaluated by
-quadrature over the stored time slices as an independent residual check.
+predictor-corrector source).  The fields of one march (all moment orders
+together; the real and imaginary parts of a complex H) are the columns of
+one block, so each predictor and each corrector is a single band solve
+with the propagator's factor of I - (dt/2) L, and no matrix-vector
+product (see ``semigroup.Propagator``).  The integral form is then
+re-evaluated by quadrature over the stored time slices as an independent
+residual check.
 
 The extinction limit h solves the stationary equation L h - b h^2 = 0 by
 Newton's method, cross-checked against the long-time survival march.
@@ -32,6 +37,8 @@ import scipy.sparse.linalg as spla
 from scipy.special import comb
 
 from .branching import yule_moment_bound
+# Propagator stays importable from here: perfbench checks that its tracer
+# patched the class this module sees
 from .semigroup import Propagator, _propagator
 
 __all__ = [
@@ -108,60 +115,66 @@ class MomentField:
 
 
 class _IMEXMarcher:
-    """Crank-Nicolson march with trapezoidal predictor-corrector sources."""
+    """Crank-Nicolson march with trapezoidal predictor-corrector sources.
 
-    def __init__(self, generator, dt, rannacher=2):
-        self.prop = Propagator(generator, dt, rannacher=rannacher)
+    The fields are the columns of one Fortran-ordered (n, k) block, so every
+    predictor and every corrector is one band solve for all of them.  The
+    propagator comes from ``semigroup._propagator``'s cache: marches at the
+    same (generator, dt) share one factorization."""
+
+    def __init__(self, generator, dt):
+        self.prop = _propagator(generator, dt)
         self.dt = float(dt)
 
-    def run(self, inits, source_fn, t_end, store_steps, guard=None, smooth_start=False):
-        """March the coupled system and return {order: stored slices}.
+    def run(self, init, source_fn, t_end, store_steps, guard=None, smooth_start=False):
+        """March the block and return its stored slices, shape (k, n_stored, n).
 
-        ``inits`` maps order -> initial grid function; ``source_fn(state)``
-        returns {order: source grid function}.  ``store_steps`` is a sorted
-        iterable of step indices to record (0 = initial data).
+        ``init`` is the (n, k) block of initial fields; ``source_fn(state,
+        out)`` writes the source of every column of ``state`` into the
+        (n, k) buffer ``out``.  ``store_steps`` is a sorted iterable of step
+        indices to record (0 = initial data); ``guard(state, t)`` may raise.
         """
         n_steps = int(round(t_end / self.dt))
         if abs(n_steps * self.dt - t_end) > 1e-9 * max(1.0, t_end):
             raise ValueError("t_end must be a multiple of the solver step")
-        state = {n: np.array(v, dtype=complex if np.iscomplexobj(v) else float) for n, v in inits.items()}
-        store_set = set(store_steps)
-        stored = {n: [] for n in state}
-        if 0 in store_set:
-            for n in state:
-                stored[n].append(state[n].copy())
+        state = np.array(init, dtype=complex if np.iscomplexobj(init) else float, order="F")
+        src0 = np.empty_like(state)
+        src1 = np.empty_like(state)
+        slot = {step: i for i, step in enumerate(store_steps)}
+        stored = np.empty((state.shape[1], len(slot), state.shape[0]), dtype=state.dtype)
+        if 0 in slot:
+            stored[:, slot[0]] = state.T
         smooth_left = self.prop.rannacher if smooth_start else 0
         for step in range(n_steps):
-            src0 = source_fn(state)
+            source_fn(state, src0)
             if smooth_left > 0:
                 # implicit-Euler half steps with midpoint source refresh
-                new = {}
-                for n in state:
-                    half = self.prop.step_be_half(state[n], src0.get(n))
-                    new[n] = half
-                src_half = source_fn(new)
-                for n in state:
-                    new[n] = self.prop.step_be_half(new[n], src_half.get(n))
-                state = new
+                half = self.prop.step_be_half(state, src0)
+                source_fn(half, src1)
+                state = self.prop.step_be_half(half, src1)
                 smooth_left -= 1
             else:
-                pred = {n: self.prop.step_cn(state[n], src0.get(n)) for n in state}
-                src1 = source_fn(pred)
-                state = {
-                    n: self.prop.step_cn(
-                        state[n],
-                        None
-                        if src0.get(n) is None and src1.get(n) is None
-                        else 0.5 * (src0.get(n, 0.0) + src1.get(n, 0.0)),
-                    )
-                    for n in state
-                }
+                pred = self.prop.step_cn(state, src0)
+                source_fn(pred, src1)
+                src1 += src0
+                src1 *= 0.5
+                state = self.prop.step_cn(state, src1)
             if guard is not None:
                 guard(state, (step + 1) * self.dt)
-            if (step + 1) in store_set:
-                for n in state:
-                    stored[n].append(state[n].copy())
-        return {n: np.array(v) for n, v in stored.items()}
+            if (step + 1) in slot:
+                stored[:, slot[step + 1]] = state.T
+        return stored
+
+
+def _survival_source(b_vals):
+    """Block source -b u^2 of the survival and Laplace-functional equations."""
+    neg_b = -b_vals[:, None]
+
+    def source(state, out):
+        np.multiply(neg_b, state, out=out)
+        out *= state
+
+    return source
 
 
 def _store_steps(t_end, dt, n_store, ensure_times=()):
@@ -192,25 +205,26 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
     f_vals = np.asarray(f_vals, dtype=float)
     b_vals = np.asarray(model.b(xs), dtype=float)
     f_sup = float(np.max(np.abs(f_vals))) if np.max(np.abs(f_vals)) > 0 else 1.0
-    inits = {n: f_vals**n for n in range(1, n_max + 1)}
+    init = np.column_stack([f_vals**n for n in range(1, n_max + 1)])
     binom = {n: [float(comb(n, k)) for k in range(n + 1)] for n in range(2, n_max + 1)}
 
-    def source(state):
-        out = {}
+    def source(state, out):
+        # column n - 1 holds order n; order 1 has no source
+        out[:, 0] = 0.0
         for n in range(2, n_max + 1):
-            s = np.zeros_like(state[n])
+            s = out[:, n - 1]
+            s[:] = 0.0
             for k in range(1, n):
-                s = s + binom[n][k] * state[k] * state[n - k]
-            out[n] = b_vals * s
-        return out
+                s += binom[n][k] * state[:, k - 1] * state[:, n - k - 1]
+            s *= b_vals
 
     def guard(state, t):
+        peaks = np.max(np.abs(state), axis=0)
         for n in range(1, n_max + 1):
             ceiling = guard_factor * (f_sup**n) * yule_moment_bound(n, t, model.b_star)
-            peak = float(np.max(np.abs(state[n])))
-            if peak > ceiling:
+            if peaks[n - 1] > ceiling:
                 raise BlowupError(
-                    f"order-{n} moment reached {peak:.3g} at t = {t:.3g}, above "
+                    f"order-{n} moment reached {peaks[n - 1]:.3g} at t = {t:.3g}, above "
                     f"{guard_factor}x the pure-birth ceiling; check the model scale"
                 )
 
@@ -218,12 +232,12 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
     marcher = _IMEXMarcher(generator, dt_pde)
     # initial data f^n generally ignores the absorbing boundary, so damp
     # the startup like the survival solver does
-    stored = marcher.run(inits, source, t_end, steps, guard=guard, smooth_start=True)
+    stored = marcher.run(init, source, t_end, steps, guard=guard, smooth_start=True)
     times = np.array(steps) * dt_pde
     return MomentField(
         times=times,
         nodes=xs,
-        fields=stored,
+        fields={n: stored[n - 1] for n in range(1, n_max + 1)},
         f_vals=f_vals,
         meta={"dt_pde": dt_pde, "b_star": model.b_star, "f_sup": f_sup},
     )
@@ -236,18 +250,14 @@ def solve_survival(t_end, generator, model, dt_pde=0.01, n_store=200, positivity
     the tolerance triggers one step-size halving, then an error.
     """
     xs = generator.grid.nodes
-    b_vals = np.asarray(model.b(xs), dtype=float)
-
-    def source(state):
-        return {0: -b_vals * state[0] * state[0]}
-
+    source = _survival_source(np.asarray(model.b(xs), dtype=float))
     attempt_dt = dt_pde
     last_err = None
     for _ in range(2):
         worst = [0.0]
 
         def guard(state, t, worst=worst):
-            m = float(np.min(state[0].real))
+            m = float(np.min(state.real))
             worst[0] = min(worst[0], m)
             if m < -positivity_tol * 10:
                 raise BlowupError(f"survival went negative ({m:.3e}) at t = {t:.3g}")
@@ -255,9 +265,7 @@ def solve_survival(t_end, generator, model, dt_pde=0.01, n_store=200, positivity
         steps = _store_steps(t_end, attempt_dt, n_store, ensure_times)
         marcher = _IMEXMarcher(generator, attempt_dt)
         try:
-            stored = marcher.run(
-                {0: np.ones(len(xs))}, source, t_end, steps, guard=guard, smooth_start=True
-            )
+            stored = marcher.run(np.ones((len(xs), 1)), source, t_end, steps, guard=guard, smooth_start=True)
         except BlowupError as err:
             last_err = err
             attempt_dt /= 2.0
@@ -288,15 +296,11 @@ def laplace_functional(f_vals, w, t_end, generator, model, dt_pde=0.01, n_store=
     if abs(w) >= radius:
         raise ValueError(f"|w| = {abs(w):.3g} outside the analyticity radius {radius:.3g}")
     xs = generator.grid.nodes
-    b_vals = np.asarray(model.b(xs), dtype=float)
     h0 = 1.0 - np.exp(w * f_vals)
-
-    def source(state):
-        return {0: -b_vals * state[0] * state[0]}
-
+    source = _survival_source(np.asarray(model.b(xs), dtype=float))
     steps = _store_steps(t_end, dt_pde, n_store, ensure_times)
     marcher = _IMEXMarcher(generator, dt_pde)
-    stored = marcher.run({0: h0}, source, t_end, steps, smooth_start=True)
+    stored = marcher.run(h0[:, None], source, t_end, steps, smooth_start=True)
     times = np.array(steps) * dt_pde
     return MomentField(times=times, nodes=xs, fields={0: stored[0]}, meta={"w": w, "dt_pde": dt_pde})
 
@@ -479,10 +483,7 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
     u_prev = seg.fields[0][-2]
     dt_used = seg.meta["dt_pde"]  # the survival solver may have halved its step
     marcher = _IMEXMarcher(generator, dt_used)
-
-    def src(state):
-        return {0: -b_vals * state[0] * state[0]}
-
+    src = _survival_source(b_vals)
     t_total = t_probe
     inc_prev = float(np.max(np.abs(seg.fields[0][-2] - seg.fields[0][-3])))
     for _ in range(60):
@@ -496,7 +497,7 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
             break
         u_prev = u0_final
         inc_prev = inc
-        out = marcher.run({0: u0_final}, src, dt_seg, [int(round(dt_seg / dt_used))])
+        out = marcher.run(u0_final[:, None], src, dt_seg, [int(round(dt_seg / dt_used))])
         u0_final = np.clip(out[0][-1].real, 0.0, 1.0)
         t_total += dt_seg
     h_u0 = u0_final

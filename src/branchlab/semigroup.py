@@ -14,7 +14,12 @@ the matrix exactly symmetric in the speed measure rho = e^{-2l} dx, which
 in turn makes the left eigenvector equal Theta0 * rho at solver precision.
 
 Propagation uses Crank-Nicolson with Rannacher startup (implicit-Euler
-half steps) to damp nonsmooth initial data.
+half steps) to damp nonsmooth initial data.  Each propagator factors
+A = I - (dt/2) L once as a LAPACK band matrix (tridiagonal for pure
+diffusion, with the bandwidth of L otherwise) and takes every CN
+step as u_new = A^{-1}(2u + dt s) - u, which equals the CN update because
+I + (dt/2) L = 2I - A: one band solve per step, no matrix-vector product,
+for one field or for a block of fields marched as columns.
 """
 
 from __future__ import annotations
@@ -192,6 +197,16 @@ def build_generator(model, dyn, grid, dt_report=1.0):
 class Propagator:
     """Crank-Nicolson stepper for du/dt = L u (+ source), factored once.
 
+    A = I - (dt/2) L is factored once through LAPACK in band form: the
+    tridiagonal ``dgttrf`` when L is tridiagonal (pure diffusion),
+    else ``dgbtrf`` with the band read from the nonzeros of L (jumps and
+    the upwind drift; a kernel of unbounded support fills the whole band).
+    Since I + (dt/2) L = 2I - A, a CN step is u_new = A^{-1}(2u + dt s) - u:
+    one band solve and no matrix-vector product.  A is also the
+    implicit-Euler half-step matrix.  ``u`` may be one field of shape (n,)
+    or a Fortran-ordered block (n, k) of fields marched together; a
+    complex field is solved as its real and imaginary columns.
+
     ``rannacher`` implicit-Euler half steps are used at the start of each
     ``evolve`` call to damp nonsmooth initial data.
     """
@@ -200,30 +215,48 @@ class Propagator:
         self.generator = generator
         self.dt = float(dt)
         self.rannacher = int(rannacher)
-        L = generator.matrix.tocsc()
-        eye = sp.identity(L.shape[0], format="csc")
-        # the CN left matrix doubles as the implicit-Euler half-step matrix
-        self._lu_cn = spla.splu(eye - (self.dt / 2.0) * L)
-        self._rhs_cn = (eye + (self.dt / 2.0) * L).tocsr()
-        self._lu_be = self._lu_cn
-        self._L = L.tocsr()
+        n = generator.n
+        A = (sp.identity(n, format="csr") - (self.dt / 2.0) * generator.matrix).tocoo()
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        offsets = A.col - A.row
+        self._kl = max(0, -int(offsets.min()))
+        self._ku = max(0, int(offsets.max()))
+        if self._kl <= 1 and self._ku <= 1:
+            *self._tri, info = sla.lapack.dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
+        else:
+            # LAPACK band storage: A[i, j] at row kl + ku + i - j; the
+            # first kl rows are room for the fill-in of the pivoting
+            band = np.zeros((2 * self._kl + self._ku + 1, n))
+            band[self._kl + self._ku - offsets, A.col] = A.data
+            self._tri = None
+            self._band, self._ipiv, info = sla.lapack.dgbtrf(band, self._kl, self._ku, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"Crank-Nicolson matrix I - (dt/2) L is singular (LAPACK info {info})")
 
-    def _solve(self, lu, rhs):
+    def _solve(self, rhs):
+        """A^{-1} rhs, overwriting ``rhs`` when it is a contiguous float
+        array of shape (n,) or a Fortran-ordered (n, k) block."""
         if np.iscomplexobj(rhs):
-            return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
-        return lu.solve(rhs)
+            cols = rhs.reshape(len(rhs), -1)
+            k = cols.shape[1]
+            x = self._solve(np.hstack([cols.real, cols.imag]))
+            return (x[:, :k] + 1j * x[:, k:]).reshape(rhs.shape)
+        if self._tri is not None:
+            return sla.lapack.dgttrs(*self._tri, rhs, overwrite_b=1)[0]
+        return sla.lapack.dgbtrs(self._band, self._kl, self._ku, rhs, self._ipiv, overwrite_b=1)[0]
 
     def step_cn(self, u, source_mid=None):
-        rhs = self._rhs_cn @ u
+        rhs = u + u
         if source_mid is not None:
-            rhs = rhs + self.dt * source_mid
-        return self._solve(self._lu_cn, rhs)
+            rhs += self.dt * source_mid
+        x = self._solve(rhs)
+        x -= u
+        return x
 
     def step_be_half(self, u, source=None):
-        rhs = u
-        if source is not None:
-            rhs = rhs + (self.dt / 2.0) * source
-        return self._solve(self._lu_be, rhs)
+        rhs = np.copy(u) if source is None else u + (self.dt / 2.0) * source
+        return self._solve(rhs)
 
     def evolve(self, g, t, smooth_start=False):
         """Propagate g over time t (>= 0) with fixed steps; the last step is
@@ -371,9 +404,10 @@ class EigenSolverError(RuntimeError):
     pass
 
 
-def _rightmost_two(matrix, rho=None):
-    """Rightmost two eigenvalues of the generator, via a symmetric solve
-    when the matrix is rho-symmetric and a dense solve otherwise."""
+def _rightmost_eigs(matrix, k, rho=None):
+    """The k rightmost eigenvalues of the generator by decreasing real part,
+    one of each complex-conjugate pair: by a symmetric solve when the
+    matrix is rho-symmetric (real values), else by a dense solve."""
     n = matrix.shape[0]
     if rho is not None:
         # S = D L D^{-1} with D = diag(sqrt(rho)) is symmetric tridiagonal
@@ -387,23 +421,21 @@ def _rightmost_two(matrix, rho=None):
             if sp.issparse(matrix) and matrix.format == "csr" and _is_tridiagonal(matrix):
                 main = np.diag(S)
                 off = np.diag(S, k=1)
-                vals = sla.eigh_tridiagonal(main, off, select="i", select_range=(n - 2, n - 1))[0]
+                vals = sla.eigh_tridiagonal(main, off, select="i", select_range=(n - k, n - 1))[0]
             else:
-                vals = np.sort(np.linalg.eigvalsh(S))[-2:]
-            return vals[1], vals[0], False
+                vals = np.sort(np.linalg.eigvalsh(S))[-k:]
+            return vals[::-1]
     vals = sla.eigvals(matrix.toarray())
-    order = np.argsort(vals.real)
-    top = vals[order[-1]]
-    # skip the conjugate partner when the top pair is complex
-    second = None
-    for idx in order[-2::-1]:
-        if abs(vals[idx] - np.conj(top)) < 1e-10 * max(1.0, abs(top)) and abs(top.imag) > 0:
+    out = []
+    for idx in np.argsort(vals.real)[::-1]:
+        # skip the conjugate partner of a complex value just taken
+        prev = out[-1] if out else None
+        if prev is not None and abs(prev.imag) > 0 and abs(vals[idx] - np.conj(prev)) < 1e-10 * max(1.0, abs(prev)):
             continue
-        second = vals[idx]
-        break
-    if second is None:
-        raise EigenSolverError("could not isolate a second eigenvalue")
-    return top.real, second.real, bool(abs(second.imag) > 1e-10)
+        out.append(vals[idx])
+        if len(out) == k:
+            return np.array(out)
+    raise EigenSolverError(f"could not isolate {k} eigenvalues")
 
 
 def _is_tridiagonal(matrix):
@@ -451,7 +483,9 @@ def principal_eigentriple(generator, model, tol=1e-10):
     """
     grid = generator.grid
     L = generator.matrix
-    top, second, complex_pair = _rightmost_two(L, rho=generator.rho if generator.variant == DIFFUSION else None)
+    rightmost = _rightmost_eigs(L, 2, rho=generator.rho if generator.variant == DIFFUSION else None)
+    top, second = rightmost.real
+    complex_pair = bool(abs(rightmost[1].imag) > 1e-10)
     lambda0 = -float(top)
     lambda1 = -float(second)
     if not lambda1 > lambda0 + 1e-12:
@@ -570,25 +604,14 @@ def girsanov_crosscheck(dyn, model, grid, n_eigs=3):
     dyn0 = model_mod.DynamicsSpec(variant=DIFFUSION, a=model_mod.curve_from_config(0.0))
     gen_tilde = build_generator(_TildeModel, dyn0, grid, dt_report=np.inf)
 
-    eigs = _leading_eigs(gen, n_eigs, rho=gen.rho)
-    eigs_tilde = _leading_eigs(gen_tilde, n_eigs, rho=gen_tilde.rho)
+    eigs = _rightmost_eigs(gen.matrix, n_eigs, rho=gen.rho).real.tolist()
+    eigs_tilde = _rightmost_eigs(gen_tilde.matrix, n_eigs, rho=gen_tilde.rho).real.tolist()
     dev = float(np.max(np.abs(np.asarray(eigs) - np.asarray(eigs_tilde))))
     return {
         "eigenvalues": eigs,
         "eigenvalues_conjugated": eigs_tilde,
         "max_deviation": dev,
     }
-
-
-def _leading_eigs(generator, k, rho=None):
-    if rho is not None:
-        d = np.sqrt(rho)
-        S = (sp.diags(d) @ generator.matrix @ sp.diags(1.0 / d)).toarray()
-        if np.max(np.abs(S - S.T)) < 1e-8 * max(1.0, np.max(np.abs(S))):
-            vals = np.linalg.eigvalsh(0.5 * (S + S.T))
-            return sorted(vals[-k:], reverse=True)
-    vals = sla.eigvals(generator.matrix.toarray()).real
-    return sorted(np.sort(vals)[-k:], reverse=True)
 
 
 def hp4_edge_decay(generator, t, dt_pde=0.01, edge_fraction=0.05, threshold=1e-3):

@@ -310,6 +310,33 @@ def test_w_diagnostics_mixture_null(supercritical_setup):
     assert rep.passed, rep.details
 
 
+def test_w_diagnostics_names_the_martingale_failure(supercritical_setup):
+    """A mean 3.1 SE off Theta0(x0) fails the 3-SE martingale check alone,
+    and the value, each |z| over its own limit, reads above 1."""
+    spec = supercritical_setup[4]
+    rng = np.random.default_rng(7)
+    n = 20_000
+    t_end = 6.0
+    doomed = math.exp(spec.lambda0 * t_end)
+    atom = rng.uniform(size=n) < 0.5
+    w = np.where(atom, rng.uniform(0.2 * doomed, 2.0 * doomed, size=n), rng.exponential(2.0, size=n))
+    # shift the positive part until the mean sits 3.1 SE above Theta0(0)
+    target = spec.theta0_at(0.0)
+    shift = 0.0
+    for _ in range(20):
+        shifted = np.where(atom, w, w + shift)
+        se = np.std(shifted, ddof=1) / math.sqrt(n)
+        shift += (target + 3.1 * se - shifted.mean()) / np.mean(~atom)
+    rep = w_infty_diagnostics(shifted, spec, 0.5, 0.0, t_end, v_plus={1: 1.0, 2: 4.0})
+    assert rep.details["martingale_z"] == pytest.approx(3.1, abs=1e-6)
+    assert rep.details["atom_z"] <= 4.0
+    assert max(abs(z) for z in rep.details["moment_z"]) <= 4.0
+    assert not rep.passed
+    assert rep.details["failed_checks"] == ["martingale"]
+    assert rep.threshold == 1.0
+    assert rep.value == pytest.approx(3.1 / 3.0, abs=1e-6)
+
+
 def test_w_diagnostics_needs_large_t(supercritical_setup):
     spec = supercritical_setup[4]
     with pytest.raises(ValueError):

@@ -518,3 +518,82 @@ def test_subcritical_tail_unresolved_errors(subcritical_setup):
     mf = solve_moments(np.ones(grid.n_points), 2, 3.0, gen, model, dt_pde=0.01)
     with pytest.raises(RuntimeError, match="tail"):
         subcritical_limits(spec, model, mf, u0f, 2)
+
+
+# ----------------------------------------------------------------------
+# the block IMEX march
+
+
+def _column_source(b_vals):
+    def source(state, out):
+        out[:] = -b_vals[:, None] * state * state
+
+    return source
+
+
+@pytest.mark.parametrize("setup", ["oscillator_setup", "jumps_setup", "drifted_setup"])
+def test_block_march_equals_column_marches(setup, request):
+    from branchlab.moments import _IMEXMarcher
+
+    model, _dyn, grid, gen, _spec = request.getfixturevalue(setup)
+    b_vals = np.asarray(model.b(grid.nodes), dtype=float)
+    rng = np.random.default_rng(8)
+    block = rng.uniform(0.0, 1.0, (grid.n_points, 3))
+    marcher = _IMEXMarcher(gen, 0.01)
+    steps = [0, 3, 10]
+    together = marcher.run(block, _column_source(b_vals), 0.1, steps, smooth_start=True)
+    assert together.shape == (3, len(steps), grid.n_points)
+    for j in range(3):
+        alone = marcher.run(block[:, [j]], _column_source(b_vals), 0.1, steps, smooth_start=True)
+        assert np.array_equal(together[j], alone[0])
+
+
+def test_imex_march_matches_dense_scheme(jumps_setup):
+    """Two implicit-Euler half-step pairs with a midpoint source refresh,
+    then CN predictor-corrector steps with the averaged source."""
+    from branchlab.moments import _IMEXMarcher
+
+    model, _dyn, grid, gen, _spec = jumps_setup
+    dt = 0.02
+    b_vals = np.asarray(model.b(grid.nodes), dtype=float)
+    L = gen.matrix.toarray()
+    eye = np.eye(grid.n_points)
+    left, right = eye - 0.5 * dt * L, eye + 0.5 * dt * L
+
+    def src(u):
+        return -b_vals * u * u
+
+    u = np.exp(-0.5 * grid.nodes**2)
+    want = [u]
+    for step in range(6):
+        if step < 2:
+            half = np.linalg.solve(left, u + 0.5 * dt * src(u))
+            u = np.linalg.solve(left, half + 0.5 * dt * src(half))
+        else:
+            pred = np.linalg.solve(left, right @ u + dt * src(u))
+            u = np.linalg.solve(left, right @ u + dt * 0.5 * (src(u) + src(pred)))
+        want.append(u)
+    got = _IMEXMarcher(gen, dt).run(want[0][:, None], _column_source(b_vals), 6 * dt, range(7), smooth_start=True)
+    for k in range(7):
+        assert np.max(np.abs(got[0, k] - want[k])) < 1e-13 * np.max(np.abs(want[k]))
+
+
+def test_marches_share_one_factorization(supercritical_oscillator_setup, monkeypatch):
+    """Moment, survival and Laplace-functional marches at one (generator,
+    dt) reuse the cached propagator instead of factoring again."""
+    from branchlab import semigroup
+
+    model, _dyn, grid, gen, _spec = supercritical_oscillator_setup
+    built = []
+    init = semigroup.Propagator.__init__
+
+    def counting_init(self, generator, dt, rannacher=2):
+        built.append(dt)
+        init(self, generator, dt, rannacher)
+
+    monkeypatch.setattr(semigroup.Propagator, "__init__", counting_init)
+    monkeypatch.setattr(semigroup, "_PROP_CACHE", {})
+    solve_moments(np.ones(grid.n_points), 2, 0.2, gen, model, dt_pde=0.004)
+    solve_survival(0.2, gen, model, dt_pde=0.004)
+    laplace_functional(np.ones(grid.n_points), 0.1, 0.2, gen, model, dt_pde=0.004)
+    assert built == [0.004]

@@ -352,3 +352,98 @@ def test_spectral_data_round_trips_H(oscillator_setup):
         assert back.H == H and type(back.H) is type(H)
         assert back.lambda0 == spec.lambda0
         assert np.array_equal(back.theta0, spec.theta0)
+
+
+# ----------------------------------------------------------------------
+# the banded Crank-Nicolson kernel against dense solves
+
+
+def _gaussian_jumps_generator():
+    """Diffusion with a Gaussian jump kernel: the jump block fills the band."""
+    grid = Grid(-4.0, 4.0, 121, boundary="reflecting")
+    dyn = DynamicsSpec(variant="diffusion-jumps", a=constant(0.0), jump=JumpKernel("gaussian", 0.7, sigma=2.0))
+    gen = build_generator(make_constant_model(1.0, 1.2), dyn, grid)
+    assert gen.matrix[0, grid.n_points - 1] != 0.0
+    return gen
+
+
+@pytest.fixture(
+    scope="module",
+    params=["diffusion", "diffusion-jumps", "drifted-jump", "reflecting", "gaussian-jumps"],
+)
+def kernel_generator(request):
+    if request.param == "gaussian-jumps":
+        return _gaussian_jumps_generator()
+    setup = {
+        "diffusion": "supercritical_oscillator_setup",
+        "diffusion-jumps": "jumps_setup",
+        "drifted-jump": "drifted_setup",
+        "reflecting": "critical_setup",
+    }[request.param]
+    return request.getfixturevalue(setup)[3]
+
+
+def _dense_cn(gen, dt):
+    L = gen.matrix.toarray()
+    eye = np.eye(L.shape[0])
+    return eye - 0.5 * dt * L, eye + 0.5 * dt * L
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_step_cn_matches_dense_solve(kernel_generator, with_source):
+    dt = 0.01
+    prop = Propagator(kernel_generator, dt)
+    left, right = _dense_cn(kernel_generator, dt)
+    rng = np.random.default_rng(3)
+    n = kernel_generator.n
+    u = rng.uniform(0.2, 1.0, n)
+    s = rng.normal(size=n) if with_source else None
+    want = np.linalg.solve(left, right @ u + (dt * s if with_source else 0.0))
+    got = prop.step_cn(u.copy(), s)
+    assert _rel_err(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_step_be_half_matches_dense_solve(kernel_generator, with_source):
+    dt = 0.01
+    prop = Propagator(kernel_generator, dt)
+    left, _right = _dense_cn(kernel_generator, dt)
+    rng = np.random.default_rng(4)
+    n = kernel_generator.n
+    u = rng.uniform(0.2, 1.0, n)
+    s = rng.normal(size=n) if with_source else None
+    want = np.linalg.solve(left, u + (0.5 * dt * s if with_source else 0.0))
+    u_before = u.copy()
+    got = prop.step_be_half(u, s)
+    assert _rel_err(got, want) < 1e-13
+    assert np.array_equal(u, u_before)  # the input is not solved in place
+
+
+def test_complex_steps_match_dense_solve(jumps_setup):
+    gen = jumps_setup[3]
+    dt = 0.02
+    prop = Propagator(gen, dt)
+    left, right = _dense_cn(gen, dt)
+    rng = np.random.default_rng(5)
+    n = gen.n
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    s = rng.normal(size=n) - 0.5j * rng.normal(size=n)
+    assert _rel_err(prop.step_cn(u, s), np.linalg.solve(left, right @ u + dt * s)) < 1e-13
+    assert _rel_err(prop.step_be_half(u, s), np.linalg.solve(left, u + 0.5 * dt * s)) < 1e-13
+
+
+def test_block_steps_equal_column_steps(kernel_generator):
+    """Marching fields as the columns of one block gives the bits of
+    marching each one alone."""
+    prop = Propagator(kernel_generator, 0.01)
+    rng = np.random.default_rng(6)
+    block = np.asfortranarray(rng.uniform(0.0, 1.0, (kernel_generator.n, 3)))
+    src = np.asfortranarray(rng.normal(size=block.shape))
+    for step in (prop.step_cn, prop.step_be_half):
+        got = step(block, src)
+        for j in range(block.shape[1]):
+            assert np.array_equal(got[:, j], step(block[:, j].copy(), src[:, j].copy()))
