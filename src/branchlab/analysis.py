@@ -1,6 +1,8 @@
 """Regime-specific verification: the critical dynamical system (r, Psi),
 limit-law statistical tests, supercritical martingale diagnostics, the
-conditioned-process law comparison, and the generic test statistics.
+conditioned-process law comparison, the generic test statistics, and
+``verify_suite``, which runs the battery of a config's regime (grid checks,
+then one particle ensemble) and returns its reports and plot tables.
 
 Statistical conventions: comparisons of Monte Carlo output against exact
 finite-t values use 3 standard errors; comparisons against t -> infinity
@@ -12,13 +14,26 @@ exactly known conditional law of the constant-rate model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import RegimeError, criticality_epsilon
+from .branching import run_ensemble
+from .moments import (
+    RegimeError,
+    criticality_epsilon,
+    hamburger_bound,
+    solve_h,
+    solve_moments,
+    solve_survival,
+    subcritical_limits,
+    supercritical_limits,
+)
 
+# the statistics and checks; the battery that runs them (verify_suite) and
+# its functional bank are drivers, not tests, and are left out
 __all__ = [
     "TestReport",
     "CriticalDecomposition",
@@ -305,24 +320,34 @@ def critical_ode_residual(decomp, spectral, model, rel_tol=1e-3):
 # critical limit laws
 
 
+def _geometric_ks_distance(t, b, k_max, limit_cdf_of_u):
+    """Exact KS distance between the conditional law of the constant-rate
+    critical model at time t (geometric, with u = k / mean) and a limit CDF
+    of u, over both sides of each atom."""
+    mean = 1.0 + b * t
+    q = b * t / (1.0 + b * t)
+    k_max = k_max or int(40 * mean)
+    ks = np.arange(1, k_max + 1)
+    cdf_limit = limit_cdf_of_u(ks / mean)
+    cdf_right = 1.0 - q**ks
+    cdf_left = 1.0 - q ** (ks - 1)
+    return float(max(np.max(np.abs(cdf_right - cdf_limit)), np.max(np.abs(cdf_left - cdf_limit))))
+
+
+@functools.cache
+def _slack_constant(ks_distance):
+    """c = 1.5 t_cal d(t_cal): the finite-t KS slack constant of one limit
+    law, calibrated once on the constant-rate model (B = 1, 50% margin)."""
+    t_cal = 30.0
+    return 1.5 * t_cal * ks_distance(t_cal)
+
+
 def critical_ks_slack_constant(t, b=1.0, k_max=None):
     """Exact KS distance between the conditional law of the constant-rate
     critical model at time t (geometric, normalized by (t+1) with A=B=1)
     and the exponential limit.  Used to calibrate the finite-t slack
     c = t * distance once; delta(t) = c / t."""
-    mean = 1.0 + b * t
-    q = b * t / (1.0 + b * t)
-    k_max = k_max or int(40 * mean)
-    ks = np.arange(1, k_max + 1)
-    x = ks / mean
-    cdf_exp = 1.0 - np.exp(-x)
-    cdf_geo = 1.0 - q**ks
-    cdf_geo_left = 1.0 - q ** (ks - 1)
-    d = max(np.max(np.abs(cdf_geo - cdf_exp)), np.max(np.abs(cdf_geo_left - cdf_exp)))
-    return float(d)
-
-
-_KS_SLACK_C = None
+    return _geometric_ks_distance(t, b, k_max, lambda u: 1.0 - np.exp(-u))
 
 
 def ks_slack(t, B=1.0):
@@ -330,11 +355,7 @@ def ks_slack(t, B=1.0):
     the constant-rate model (where B = 1; 50% safety margin).  The B
     scaling matches the conditional population scale E[N_t | alive] ~ B t,
     which sets the lattice spacing of the normalized law."""
-    global _KS_SLACK_C
-    if _KS_SLACK_C is None:
-        t_cal = 30.0
-        _KS_SLACK_C = 1.5 * t_cal * critical_ks_slack_constant(t_cal)
-    return _KS_SLACK_C / (B * t)
+    return _slack_constant(critical_ks_slack_constant) / (B * t)
 
 
 def yaglom_test_critical(n_samples, spectral, t, alpha=0.01, min_survivors=500):
@@ -442,29 +463,14 @@ def upsilon_ks_slack_constant(t, b=1.0, k_max=None):
     """Exact KS distance of the centered ratio on the constant-rate model
     (spatially constant f, so the ratio is a deterministic transform of the
     geometric population size) from its limit law at time t."""
-    mean = 1.0 + b * t
-    q = b * t / (1.0 + b * t)
-    k_max = k_max or int(40 * mean)
-    ks = np.arange(1, k_max + 1)
-    u = ks / mean
-    y = np.sqrt(u) - 0.5 / np.sqrt(u)  # monotone increasing in k
-    cdf_limit = upsilon_law(y)
-    cdf_right = 1.0 - q**ks
-    cdf_left = 1.0 - q ** (ks - 1)
-    return float(max(np.max(np.abs(cdf_right - cdf_limit)), np.max(np.abs(cdf_left - cdf_limit))))
-
-
-_UPSILON_SLACK_C = None
+    # y = sqrt(u) - 1/(2 sqrt(u)) is monotone increasing in k
+    return _geometric_ks_distance(t, b, k_max, lambda u: upsilon_law(np.sqrt(u) - 0.5 / np.sqrt(u)))
 
 
 def upsilon_slack(t, B=1.0):
     """Finite-t slack for the centered-ratio KS test, delta(t) = c / (B t)
     with c calibrated once on the constant-rate model (50% margin)."""
-    global _UPSILON_SLACK_C
-    if _UPSILON_SLACK_C is None:
-        t_cal = 30.0
-        _UPSILON_SLACK_C = 1.5 * t_cal * upsilon_ks_slack_constant(t_cal)
-    return _UPSILON_SLACK_C / (B * t)
+    return _slack_constant(upsilon_ks_slack_constant) / (B * t)
 
 
 def upsilon_samples(zf_samples, n_samples, t, spectral, nu_f):
@@ -725,3 +731,146 @@ def qprocess_law_test(fvals, weights, survival_by_T, z_max=4.0, min_survivors=10
             "gap_shrinking": bool(shrinking),
         },
     )
+
+
+# ----------------------------------------------------------------------
+# the verify battery
+
+
+def functional_bank(cfg, spec):
+    """Grid values of the test functions f whose <Z_t, f> the ensembles
+    record: 1, Theta0 and a unit Gaussian bump at the starting trait."""
+    xs = cfg.grid.nodes
+    return {
+        "one": np.ones(len(xs)),
+        "theta0": spec.theta0.copy(),
+        "bump": np.exp(-0.5 * (xs - float(cfg.mc["x0"])) ** 2),
+    }
+
+
+def verify_suite(cfg, gen, spec, threads=1):
+    """The verification battery of the regime of ``spec``.
+
+    The grid checks run first, then one particle ensemble (``threads``
+    chunks) to ``verify.t_mc`` (default: the last ``mc.times``) feeds the
+    limit-law tests.  Returns ``(reports, tables)``: the TestReports in
+    battery order, and plot data as {file name: (header, rows)}.
+    """
+    regime = spec.regime()
+    solver, model, xs = cfg.solver, cfg.model, cfg.grid.nodes
+    x0 = float(cfg.mc["x0"])
+    t_mc = float(cfg.verify.get("t_mc") or max(cfg.mc["times"]))
+    bank = functional_bank(cfg, spec)
+    reports, tables = [], {}
+
+    if regime == "supercritical":
+        h_tol = float(solver["h_tol"])
+        hres = solve_h(
+            model, cfg.dynamics, cfg.grid, tol=h_tol, generator=gen, spectral=spec, dt_pde=solver["dt_pde"]
+        )
+        reports.append(
+            TestReport(
+                name="supercritical-h-routes",
+                statistic="sup |h_Newton - h_u0|",
+                value=hres.agreement,
+                threshold=3.0 * h_tol,
+                sample_size=cfg.grid.n_points,
+                passed=bool(hres.agreement <= 3.0 * h_tol),
+            )
+        )
+        sup_t = supercritical_limits(spec, model, gen, 3, spec.theta0)
+        sup_b = supercritical_limits(spec, model, gen, 3, bank["bump"])
+        mu_b = spec.mu0_integral(bank["bump"])
+        worst = 0.0
+        for n in (2, 3):
+            pred = sup_t["V"][n] * mu_b**n
+            err = float(np.max(np.abs(sup_b["V"][n] - pred)) / max(np.max(np.abs(pred)), 1e-300))
+            worst = max(worst, err)
+        reports.append(
+            TestReport(
+                name="supercritical-factorization",
+                statistic="max relative deviation",
+                value=worst,
+                threshold=1e-4,
+                sample_size=2,
+                passed=bool(worst <= 1e-4),
+                details={
+                    "note": "algebraic identity: V_n^+ is homogeneous of degree n in mu0(f); "
+                    "tests/test_moments.py::test_supercritical_resolvent_matches_moment_march "
+                    "checks V_n^+ against the moment march"
+                },
+            )
+        )
+    else:
+        t_end = float(solver["t_end"])
+        u0f = solve_survival(t_end, gen, model, dt_pde=solver["dt_pde"], n_store=solver["n_store"])
+        if regime == "critical":
+            reports.append(critical_survival_check(u0f, spec))
+            decomp = CriticalDecomposition.from_field(u0f, spec)
+            reports.append(critical_ode_residual(decomp, spec, model))
+            tables["r_series.csv"] = (
+                ["time", "r", "scaled_r"],
+                list(zip(decomp.times, decomp.r, (1.0 + decomp.times) * decomp.r)),
+            )
+        else:
+            mom_field = solve_moments(
+                np.ones(cfg.grid.n_points), 4, t_end, gen, model,
+                dt_pde=solver["dt_pde"], n_store=solver["n_store"],
+            )
+            limits = subcritical_limits(spec, model, mom_field, u0f, 4)
+            floor = limits["V"][1] ** 2 / limits["V"][2]
+            reports.append(
+                TestReport(
+                    name="subcritical-K-floor",
+                    statistic="K^- - (V1^-)^2/V2^-",
+                    value=limits["K_minus"] - floor,
+                    threshold=0.0,
+                    sample_size=1,
+                    passed=bool(limits["K_minus"] >= floor > 0),
+                    details={"K_minus": limits["K_minus"], "floor": floor},
+                )
+            )
+            # moment-determinacy ceiling on the computed limits
+            c1 = float(np.max(mom_field.normalized(1, "subcritical", spec.lambda0)))
+            eta = c1 * model.b_star / spec.lambda0
+            theta_sup = float(np.max(spec.theta0))
+            worst_excess = -math.inf
+            for n in sorted(limits["V"]):
+                _r_star, bound = hamburger_bound(c1, eta, n)
+                worst_excess = max(worst_excess, abs(limits["V"][n]) - bound / theta_sup)
+            reports.append(
+                TestReport(
+                    name="subcritical-hamburger-bound",
+                    statistic="max (|V_n^-| - bound)",
+                    value=worst_excess,
+                    threshold=0.0,
+                    sample_size=len(limits["V"]),
+                    passed=bool(worst_excess <= 1e-9),
+                )
+            )
+
+    res = run_ensemble(cfg, [t_mc], bank, threads)
+    n_t = res.counts[-1]
+    if regime == "critical":
+        alpha = float(cfg.verify["alpha"])
+        reports.append(yaglom_test_critical(n_t, spec, t_mc, alpha=alpha))
+        survivors = np.sort(n_t[n_t > 0]) / ((t_mc + 1.0) * spec.A * spec.B)
+        emp = np.arange(1, len(survivors) + 1) / len(survivors)
+        tables["yaglom_cdf.csv"] = (
+            ["normalized_mass", "empirical_cdf", "exponential_cdf"],
+            list(zip(survivors, emp, 1.0 - np.exp(-survivors))),
+        )
+        z_theta = res.functionals["theta0"][-1]
+        nu_theta = spec.nu(spec.theta0)
+        reports.append(lln_ratio_test(z_theta, n_t, spec, nu_theta))
+        reports.append(lln_ratio_test(res.functionals["bump"][-1], n_t, spec, spec.nu(bank["bump"])))
+        reports.append(upsilon_test(z_theta, n_t, t_mc, spec, nu_theta, alpha=alpha))
+    elif regime == "subcritical":
+        n_orders_mc = int(cfg.verify.get("n_orders_mc", 3))
+        reports.append(subcritical_yaglom_test(n_t.astype(float), limits, n_orders=n_orders_mc))
+    else:
+        w = math.exp(spec.lambda0 * t_mc) * res.functionals["theta0"][-1]
+        h_x0 = float(np.interp(x0, xs, hres.h))
+        v_plus = {n: float(np.interp(x0, xs, sup_t["V"][n])) for n in (1, 2)}
+        reports.append(w_infty_diagnostics(w, spec, h_x0, x0, t_mc, v_plus=v_plus))
+    return reports, tables

@@ -26,8 +26,10 @@ at the end of the step the children move down behind the last survivor.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +43,7 @@ __all__ = [
     "EnsembleResult",
     "simulate",
     "simulate_ensemble",
+    "run_ensemble",
     "simulate_coupled_yule",
     "yule_moment_bound",
     "mc_moments",
@@ -524,6 +527,55 @@ def simulate_ensemble(
         traits_at=traits_at,
         forest=history,
         history_rep_limit=hist_limit,
+    )
+
+
+def run_ensemble(cfg, record_times, fields, threads=1):
+    """The Monte Carlo ensemble of an experiment config: ``mc.reps``
+    replicas from ``mc.x0`` with the config's dt, seed and cutoff,
+    reflecting at the grid ends when the solver grid reflects, recording
+    <Z_t, f> at ``record_times`` for each named field f of grid values
+    (interpolated between nodes).
+
+    The replicas run as ``threads`` chunks on at most ``os.cpu_count()``
+    worker threads.  Each chunk is a ``simulate_ensemble`` call shifted by
+    ``rep_offset``, so the concatenated result is the one-chunk ensemble bit
+    for bit, whatever the number of chunks or workers.
+    """
+    reps = int(cfg.mc["reps"])
+    xs = cfg.grid.nodes
+    common = dict(
+        reflect_at=(cfg.grid.x_min, cfg.grid.x_max) if cfg.grid.boundary == "reflecting" else None,
+        x0=float(cfg.mc["x0"]),
+        t_end=float(max(record_times)),
+        dt=float(cfg.mc["dt"]),
+        model=cfg.model,
+        dyn=cfg.dynamics,
+        cutoff=CutoffSpec(m=float(cfg.mc["cutoff_m"])),
+        seed=int(cfg.mc["seed"]),
+        record_times=record_times,
+        functionals={name: (lambda a, v=v: np.interp(a, xs, v)) for name, v in fields.items()},
+    )
+    if threads <= 1 or reps < 2 * threads:
+        return simulate_ensemble(reps=reps, **common)
+    chunk = math.ceil(reps / threads)
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
+        parts = list(
+            pool.map(
+                lambda lo: simulate_ensemble(reps=min(chunk, reps - lo), rep_offset=lo, **common),
+                range(0, reps, chunk),
+            )
+        )
+    return replace(
+        parts[0],
+        counts=np.concatenate([p.counts for p in parts], axis=1),
+        functionals={
+            name: np.concatenate([p.functionals[name] for p in parts], axis=1)
+            for name in parts[0].functionals
+        },
+        max_abs=np.concatenate([p.max_abs for p in parts], axis=1),
+        tm_first=np.concatenate([p.tm_first for p in parts]),
+        reps=reps,
     )
 
 

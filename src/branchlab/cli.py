@@ -1,9 +1,13 @@
-"""Configuration-driven orchestration.
+"""Command line: argument parsing and file writing over the library.
 
 Pipeline commands: validate -> spectrum -> moments / survive -> simulate ->
-verify -> report.  Every data output carries the config hash, seed and tool
-version in its header; wall-clock timing goes to a sidecar run_meta.json so
-data files stay byte-identical across reruns with the same config and seed.
+verify -> report.  ``main`` loads the config and resolves the output
+directory once; each model command calibrates the config (if it has a
+calibrate block) and builds the eigentriple, calls the library and writes
+what it reports.  ``verify`` runs ``analysis.verify_suite``.  Every data
+output carries the config hash, seed and tool version in its header;
+wall-clock timing goes to a sidecar run_meta.json so data files stay
+byte-identical across reruns with the same config and seed.
 """
 
 from __future__ import annotations
@@ -11,17 +15,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 
 import numpy as np
 
 from . import __version__, analysis, branching, moments as mom
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, load_config
 from .model import validate_hypotheses
 from .semigroup import build_generator, fit_H, hp4_edge_decay, principal_eigentriple
 
@@ -41,9 +43,9 @@ def _meta_line(cfg):
     )
 
 
-def _out_dir(cfg, args):
-    if args.out:
-        base = args.out
+def _out_dir(cfg, out):
+    if out:
+        base = out
     else:
         root = os.environ.get("BRANCHLAB_OUT_ROOT")
         base = os.path.join(root, cfg.name) if root else cfg.output_dir
@@ -85,78 +87,31 @@ def _write_run_meta(out, command, elapsed):
 # shared computation steps
 
 
-def _spectral(cfg):
-    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid, dt_report=cfg.solver["dt_report"])
-    spec = principal_eigentriple(gen, cfg.model)
-    return gen, spec
+def _calibrated_model(cfg):
+    """Apply the criticality calibration block, if present, then build the
+    generator and its principal eigentriple.  Returns (cfg, calibration
+    record or None, generator, eigentriple)."""
+    cal = None
+    if cfg.calibrate:
+        knob = cfg.calibrate["knob"]
+        tol = float(cfg.calibrate.get("tol", 1e-6))
 
+        def factory(theta):
+            return cfg.apply_knob(knob, theta).model
 
-def _maybe_calibrate(cfg):
-    """Apply the criticality calibration block, if present."""
-    if not cfg.calibrate:
-        return cfg, None
-    knob = cfg.calibrate["knob"]
-    bracket = cfg.calibrate["bracket"]
-    tol = float(cfg.calibrate.get("tol", 1e-6))
-
-    def factory(theta):
-        return cfg.apply_knob(knob, theta).model
-
-    theta, lam0, history = mom.calibrate_criticality(
-        factory, bracket, cfg.dynamics, cfg.grid, tol=tol, dt_report=cfg.solver["dt_report"]
-    )
-    return cfg.apply_knob(knob, theta), {"knob": knob, "theta": theta, "lambda0": lam0, "evaluations": len(history)}
-
-
-def _run_mc(cfg, record_times, functionals=None, threads=1, reps=None, **kwargs):
-    """Chunked ensemble run; per-replica streams are indexed globally, so
-    the concatenated output is identical for any thread count."""
-    reps = reps if reps is not None else int(cfg.mc["reps"])
-    cutoff = branching.CutoffSpec(m=float(cfg.mc["cutoff_m"]))
-    # a reflecting solver grid means the trait process itself reflects
-    reflect = (cfg.grid.x_min, cfg.grid.x_max) if cfg.grid.boundary == "reflecting" else None
-    common = dict(
-        reflect_at=reflect,
-        x0=float(cfg.mc["x0"]),
-        t_end=float(max(record_times)),
-        dt=float(cfg.mc["dt"]),
-        model=cfg.model,
-        dyn=cfg.dynamics,
-        cutoff=cutoff,
-        seed=int(cfg.mc["seed"]),
-        record_times=record_times,
-        functionals=functionals,
-        **kwargs,
-    )
-    if threads <= 1 or reps < 2 * threads:
-        return branching.simulate_ensemble(reps=reps, **common)
-    chunk = math.ceil(reps / threads)
-    offsets = [(i * chunk, min(chunk, reps - i * chunk)) for i in range(threads) if i * chunk < reps]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda ov: branching.simulate_ensemble(reps=ov[1], rep_offset=ov[0], **common),
-                offsets,
-            )
+        theta, lam0, history = mom.calibrate_criticality(
+            factory, cfg.calibrate["bracket"], cfg.dynamics, cfg.grid, tol=tol, dt_report=cfg.solver["dt_report"]
         )
-    first = parts[0]
-    return branching.EnsembleResult(
-        times=first.times,
-        counts=np.concatenate([p.counts for p in parts], axis=1),
-        functionals={
-            name: np.concatenate([p.functionals[name] for p in parts], axis=1)
-            for name in first.functionals
-        },
-        max_abs=np.concatenate([p.max_abs for p in parts], axis=1),
-        tm_first=np.concatenate([p.tm_first for p in parts]),
-        seed=first.seed,
-        dt=first.dt,
-        x0=first.x0,
-        cutoff_m=first.cutoff_m,
-        reps=reps,
-        traits_at={},
-        forest=None,
-        history_rep_limit=0,
+        cfg = cfg.apply_knob(knob, theta)
+        cal = {"knob": knob, "theta": theta, "lambda0": lam0, "evaluations": len(history)}
+    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid, dt_report=cfg.solver["dt_report"])
+    return cfg, cal, gen, principal_eigentriple(gen, cfg.model)
+
+
+def _survival_field(cfg, gen):
+    solver = cfg.solver
+    return mom.solve_survival(
+        float(solver["t_end"]), gen, cfg.model, dt_pde=solver["dt_pde"], n_store=solver["n_store"]
     )
 
 
@@ -164,8 +119,7 @@ def _run_mc(cfg, record_times, functionals=None, threads=1, reps=None, **kwargs)
 # commands
 
 
-def cmd_validate(cfg, args):
-    out = _out_dir(cfg, args)
+def cmd_validate(cfg, args, out):
     report = validate_hypotheses(cfg.model, cfg.dynamics, cfg.grid)
     _write_json(os.path.join(out, "validation.json"), cfg, report.to_dict())
     for check in report.checks:
@@ -175,10 +129,8 @@ def cmd_validate(cfg, args):
     return EXIT_OK if report.all_passed else EXIT_VALIDATION
 
 
-def cmd_spectrum(cfg, args):
-    out = _out_dir(cfg, args)
-    cfg, cal = _maybe_calibrate(cfg)
-    gen, spec = _spectral(cfg)
+def cmd_spectrum(cfg, args, out):
+    cfg, cal, gen, spec = _calibrated_model(cfg)
     spec.H = fit_H(gen, spec, cfg.solver["dt_pde"])
     payload = spec.to_dict()
     if cal:
@@ -200,19 +152,8 @@ def cmd_spectrum(cfg, args):
     return EXIT_OK
 
 
-def _f_bank(cfg, spec):
-    xs = cfg.grid.nodes
-    return {
-        "one": np.ones(len(xs)),
-        "theta0": spec.theta0.copy(),
-        "bump": np.exp(-0.5 * (xs - float(cfg.mc["x0"])) ** 2),
-    }
-
-
-def cmd_moments(cfg, args):
-    out = _out_dir(cfg, args)
-    cfg, _cal = _maybe_calibrate(cfg)
-    gen, spec = _spectral(cfg)
+def cmd_moments(cfg, args, out):
+    cfg, _cal, gen, spec = _calibrated_model(cfg)
     n_orders = int(cfg.solver["n_orders"])
     t_end = float(cfg.solver["t_end"])
     field = mom.solve_moments(
@@ -242,10 +183,7 @@ def cmd_moments(cfg, args):
             n: float(np.interp(cfg.mc["x0"], field.nodes, V[n])) for n in V
         }
     elif regime == "subcritical":
-        u0f = mom.solve_survival(
-            t_end, gen, cfg.model, dt_pde=cfg.solver["dt_pde"], n_store=cfg.solver["n_store"]
-        )
-        sub = mom.subcritical_limits(spec, cfg.model, field, u0f, n_orders)
+        sub = mom.subcritical_limits(spec, cfg.model, field, _survival_field(cfg, gen), n_orders)
         limits["V_minus"] = {n: float(v) for n, v in sub["V"].items()}
         limits["K_minus"] = sub["K_minus"]
         limits["beta"] = sub["beta"]
@@ -260,14 +198,10 @@ def cmd_moments(cfg, args):
     return EXIT_OK
 
 
-def cmd_survive(cfg, args):
-    out = _out_dir(cfg, args)
-    cfg, _cal = _maybe_calibrate(cfg)
-    gen, spec = _spectral(cfg)
+def cmd_survive(cfg, args, out):
+    cfg, _cal, gen, spec = _calibrated_model(cfg)
     t_end = float(cfg.solver["t_end"])
-    u0f = mom.solve_survival(
-        t_end, gen, cfg.model, dt_pde=cfg.solver["dt_pde"], n_store=cfg.solver["n_store"]
-    )
+    u0f = _survival_field(cfg, gen)
     nodes = u0f.nodes.tolist()
     rows = []
     stride = max(1, len(u0f.times) // 100)
@@ -304,17 +238,11 @@ def cmd_survive(cfg, args):
     return EXIT_OK
 
 
-def cmd_simulate(cfg, args):
-    out = _out_dir(cfg, args)
-    cfg, _cal = _maybe_calibrate(cfg)
-    gen, spec = _spectral(cfg)
-    fbank = _f_bank(cfg, spec)
-    xs = cfg.grid.nodes
-    functionals = {
-        name: (lambda arr, v=vals: np.interp(arr, xs, v)) for name, vals in fbank.items()
-    }
+def cmd_simulate(cfg, args, out):
+    cfg, _cal, _gen, spec = _calibrated_model(cfg)
+    fbank = analysis.functional_bank(cfg, spec)
     times = [float(t) for t in cfg.mc["times"]]
-    res = _run_mc(cfg, times, functionals=functionals, threads=args.threads)
+    res = branching.run_ensemble(cfg, times, fbank, args.threads)
     rows = []
     for k, t in enumerate(res.times):
         for r in range(res.reps):
@@ -340,196 +268,19 @@ def cmd_simulate(cfg, args):
     return EXIT_OK
 
 
-def _verify_critical(cfg, gen, spec, threads, out=None):
-    reports = []
-    t_end = float(cfg.solver["t_end"])
-    u0f = mom.solve_survival(
-        t_end, gen, cfg.model, dt_pde=cfg.solver["dt_pde"], n_store=cfg.solver["n_store"]
-    )
-    reports.append(analysis.critical_survival_check(u0f, spec))
-    decomp = analysis.CriticalDecomposition.from_field(u0f, spec)
-    reports.append(analysis.critical_ode_residual(decomp, spec, cfg.model))
-    if out:
-        _write_csv(
-            os.path.join(out, "r_series.csv"),
-            cfg,
-            ["time", "r", "scaled_r"],
-            zip(decomp.times, decomp.r, (1.0 + decomp.times) * decomp.r),
+def cmd_verify(cfg, args, out):
+    cfg, cal, gen, spec = _calibrated_model(cfg)
+    regime = spec.regime()
+    requested = args.regime or cfg.verify["regime"]
+    if requested not in (None, "auto", regime):
+        raise mom.RegimeError(
+            f"requested regime {requested!r} but spectral data is {regime} (lambda0 = {spec.lambda0:.4g})"
         )
-
-    t_mc = float(cfg.verify.get("t_mc") or max(cfg.mc["times"]))
-    fbank = _f_bank(cfg, spec)
-    xs = cfg.grid.nodes
-    functionals = {n: (lambda a, v=v: np.interp(a, xs, v)) for n, v in fbank.items()}
-    res = _run_mc(cfg, [t_mc], functionals=functionals, threads=threads)
-    alpha = float(cfg.verify["alpha"])
-    n_t = res.counts[-1]
-    reports.append(analysis.yaglom_test_critical(n_t, spec, t_mc, alpha=alpha))
-    if out:
-        survivors = np.sort(n_t[n_t > 0]) / ((t_mc + 1.0) * spec.A * spec.B)
-        emp = np.arange(1, len(survivors) + 1) / len(survivors)
-        _write_csv(
-            os.path.join(out, "yaglom_cdf.csv"),
-            cfg,
-            ["normalized_mass", "empirical_cdf", "exponential_cdf"],
-            zip(survivors, emp, 1.0 - np.exp(-survivors)),
-        )
-    nu_theta = spec.nu(spec.theta0)
-    reports.append(
-        analysis.lln_ratio_test(res.functionals["theta0"][-1], n_t, spec, nu_theta)
-    )
-    nu_bump = spec.nu(fbank["bump"])
-    reports.append(
-        analysis.lln_ratio_test(res.functionals["bump"][-1], n_t, spec, nu_bump)
-    )
-    reports.append(
-        analysis.upsilon_test(res.functionals["theta0"][-1], n_t, t_mc, spec, nu_theta, alpha=alpha)
-    )
-    return reports
-
-
-def _verify_subcritical(cfg, gen, spec, threads):
-    reports = []
-    t_end = float(cfg.solver["t_end"])
-    u0f = mom.solve_survival(
-        t_end, gen, cfg.model, dt_pde=cfg.solver["dt_pde"], n_store=cfg.solver["n_store"]
-    )
-    field = mom.solve_moments(
-        np.ones(cfg.grid.n_points),
-        4,
-        t_end,
-        gen,
-        cfg.model,
-        dt_pde=cfg.solver["dt_pde"],
-        n_store=cfg.solver["n_store"],
-    )
-    limits = mom.subcritical_limits(spec, cfg.model, field, u0f, 4)
-    floor = limits["V"][1] ** 2 / limits["V"][2]
-    reports.append(
-        analysis.TestReport(
-            name="subcritical-K-floor",
-            statistic="K^- - (V1^-)^2/V2^-",
-            value=limits["K_minus"] - floor,
-            threshold=0.0,
-            sample_size=1,
-            passed=bool(limits["K_minus"] >= floor > 0),
-            details={"K_minus": limits["K_minus"], "floor": floor},
-        )
-    )
-    # moment-determinacy ceiling on the computed limits
-    v1_norm = field.normalized(1, "subcritical", spec.lambda0)
-    c1 = float(np.max(v1_norm))
-    eta = c1 * cfg.model.b_star / spec.lambda0
-    theta_sup = float(np.max(spec.theta0))
-    worst_excess = -math.inf
-    for n in sorted(limits["V"]):
-        _r_star, bound = mom.hamburger_bound(c1, eta, n)
-        worst_excess = max(worst_excess, abs(limits["V"][n]) - bound / theta_sup)
-    reports.append(
-        analysis.TestReport(
-            name="subcritical-hamburger-bound",
-            statistic="max (|V_n^-| - bound)",
-            value=worst_excess,
-            threshold=0.0,
-            sample_size=len(limits["V"]),
-            passed=bool(worst_excess <= 1e-9),
-        )
-    )
-
-    t_mc = float(cfg.verify.get("t_mc") or max(cfg.mc["times"]))
-    res = _run_mc(cfg, [t_mc], threads=threads)
-    n_orders_mc = int(cfg.verify.get("n_orders_mc", 3))
-    reports.append(
-        analysis.subcritical_yaglom_test(
-            res.counts[-1].astype(float), limits, n_orders=n_orders_mc
-        )
-    )
-    return reports
-
-
-def _verify_supercritical(cfg, gen, spec, threads):
-    reports = []
-    hres = mom.solve_h(
-        cfg.model,
-        cfg.dynamics,
-        cfg.grid,
-        tol=float(cfg.solver["h_tol"]),
-        generator=gen,
-        spectral=spec,
-        dt_pde=cfg.solver["dt_pde"],
-    )
-    reports.append(
-        analysis.TestReport(
-            name="supercritical-h-routes",
-            statistic="sup |h_Newton - h_u0|",
-            value=hres.agreement,
-            threshold=3.0 * float(cfg.solver["h_tol"]),
-            sample_size=cfg.grid.n_points,
-            passed=bool(hres.agreement <= 3.0 * float(cfg.solver["h_tol"])),
-        )
-    )
-    fbank = _f_bank(cfg, spec)
-    sup_t = mom.supercritical_limits(spec, cfg.model, gen, 3, spec.theta0)
-    sup_b = mom.supercritical_limits(spec, cfg.model, gen, 3, fbank["bump"])
-    mu_b = spec.mu0_integral(fbank["bump"])
-    worst = 0.0
-    for n in (2, 3):
-        pred = sup_t["V"][n] * mu_b**n
-        err = float(np.max(np.abs(sup_b["V"][n] - pred)) / max(np.max(np.abs(pred)), 1e-300))
-        worst = max(worst, err)
-    reports.append(
-        analysis.TestReport(
-            name="supercritical-factorization",
-            statistic="max relative deviation",
-            value=worst,
-            threshold=1e-4,
-            sample_size=2,
-            passed=bool(worst <= 1e-4),
-            details={
-                "note": "algebraic identity: V_n^+ is homogeneous of degree n in mu0(f); "
-                "tests/test_moments.py::test_supercritical_resolvent_matches_moment_march "
-                "checks V_n^+ against the moment march"
-            },
-        )
-    )
-    t_mc = float(cfg.verify.get("t_mc") or max(cfg.mc["times"]))
-    xs = cfg.grid.nodes
-    functionals = {"theta0": lambda a: np.interp(a, xs, spec.theta0)}
-    res = _run_mc(cfg, [t_mc], functionals=functionals, threads=threads)
-    w = math.exp(spec.lambda0 * t_mc) * res.functionals["theta0"][-1]
-    x0 = float(cfg.mc["x0"])
-    h_x0 = float(np.interp(x0, xs, hres.h))
-    v_plus = {n: float(np.interp(x0, xs, sup_t["V"][n])) for n in (1, 2)}
-    reports.append(analysis.w_infty_diagnostics(w, spec, h_x0, x0, t_mc, v_plus=v_plus))
-    return reports
-
-
-def cmd_verify(cfg, args):
-    out = _out_dir(cfg, args)
-    cfg, cal = _maybe_calibrate(cfg)
-    gen, spec = _spectral(cfg)
-    regime = cfg.verify["regime"]
-    if args.regime and args.regime != "auto":
-        regime = args.regime
-    if regime in (None, "auto"):
-        regime = spec.regime()
-    actual = spec.regime()
-    if regime != actual:
-        print(f"error: requested regime {regime!r} but spectral data is {actual} "
-              f"(lambda0 = {spec.lambda0:.4g})")
-        return EXIT_HARD_FAIL
 
     validation = validate_hypotheses(cfg.model, cfg.dynamics, cfg.grid)
-    suites = {
-        "critical": _verify_critical,
-        "subcritical": _verify_subcritical,
-        "supercritical": _verify_supercritical,
-    }
-    if regime == "critical":
-        reports = _verify_critical(cfg, gen, spec, args.threads, out=out)
-    else:
-        reports = suites[regime](cfg, gen, spec, args.threads)
-
+    reports, tables = analysis.verify_suite(cfg, gen, spec, args.threads)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(out, name), cfg, header, rows)
     manifest = {
         "regime": regime,
         "lambda0": spec.lambda0,
@@ -559,8 +310,7 @@ def cmd_verify(cfg, args):
     return EXIT_HARD_FAIL if hard_fail else EXIT_OK
 
 
-def cmd_report(cfg, args):
-    out = _out_dir(cfg, args)
+def cmd_report(cfg, args, out):
     artifact_dir = args.artifacts or out
     collected = {}
     for name in sorted(os.listdir(artifact_dir)):
@@ -590,6 +340,24 @@ def cmd_report(cfg, args):
 
 # ----------------------------------------------------------------------
 # entry point
+
+
+def _thread_count(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+class _RegimeAction(argparse.Action):
+    """Store the full regime name: sub and super expand, auto stores None."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        value = {"auto": None, "sub": "subcritical", "super": "supercritical"}.get(value, value)
+        setattr(namespace, self.dest, value)
 
 
 def build_parser():
@@ -622,13 +390,21 @@ def build_parser():
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory (default: config output.dir)")
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
-        p.add_argument("--threads", type=int, default=1, help="replica chunks run in parallel")
-        p.add_argument(
-            "--regime",
-            choices=["auto", "critical", "sub", "subcritical", "super", "supercritical"],
-            default=None,
-            help="expected regime (verify refuses a mismatch)",
-        )
+        if name in ("simulate", "verify"):
+            p.add_argument(
+                "--threads",
+                type=_thread_count,
+                default=1,
+                help="replica chunks (at least 1), run on at most one thread per CPU",
+            )
+        if name == "verify":
+            p.add_argument(
+                "--regime",
+                choices=["auto", "critical", "sub", "subcritical", "super", "supercritical"],
+                action=_RegimeAction,
+                default=None,
+                help="expected regime (a mismatch is an error)",
+            )
         if name == "report":
             p.add_argument("--artifacts", default=None, help="directory of artifacts to collate")
     return parser
@@ -644,25 +420,22 @@ _COMMANDS = {
     "report": cmd_report,
 }
 
-_REGIME_ALIAS = {"sub": "subcritical", "super": "supercritical"}
-
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.regime:
-        args.regime = _REGIME_ALIAS.get(args.regime, args.regime)
     try:
-        cfg = load_config(args.config).with_overrides(seed=args.seed, out_dir=args.out)
+        cfg = load_config(args.config).with_overrides(seed=args.seed)
     except (OSError, json.JSONDecodeError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    out = _out_dir(cfg, args.out)
     start = time.time()
     try:
-        code = _COMMANDS[args.command](cfg, args)
+        code = _COMMANDS[args.command](cfg, args, out)
     except (ConfigError, ValueError, RuntimeError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_HARD_FAIL
-    _write_run_meta(_out_dir(cfg, args), args.command, time.time() - start)
+    _write_run_meta(out, args.command, time.time() - start)
     return code
 
 

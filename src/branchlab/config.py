@@ -134,14 +134,10 @@ class ExperimentConfig:
             hash=config_hash(raw),
         )
 
-    def with_overrides(self, seed=None, out_dir=None, regime=None):
+    def with_overrides(self, seed=None):
         raw = json.loads(json.dumps(self.raw))
         if seed is not None:
             raw.setdefault("mc", {})["seed"] = int(seed)
-        if out_dir is not None:
-            raw.setdefault("output", {})["dir"] = out_dir
-        if regime is not None and regime != "auto":
-            raw.setdefault("verify", {})["regime"] = regime
         return ExperimentConfig.from_dict(raw)
 
     def apply_knob(self, knob_path, value):

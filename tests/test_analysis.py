@@ -377,6 +377,29 @@ def test_ks_slack_calibration_scales():
     assert analysis.ks_slack(30.0, B=2.0) == pytest.approx(analysis.ks_slack(60.0), rel=1e-12)
 
 
+def _geometric_ks_reference(t, limit_cdf_of_u):
+    """The slack calibrations written out: KS distance between the
+    geometric conditional law of the constant-rate model (b = 1) and a
+    limit CDF of u = k / mean, over both sides of each atom."""
+    mean = 1.0 + t
+    q = t / (1.0 + t)
+    ks = np.arange(1, int(40 * mean) + 1)
+    limit = limit_cdf_of_u(ks / mean)
+    return float(max(np.max(np.abs(1.0 - q**ks - limit)), np.max(np.abs(1.0 - q ** (ks - 1) - limit))))
+
+
+@pytest.mark.parametrize("t, B", [(5.0, 1.0), (30.0, 1.0), (14.0, 0.7)])
+def test_ks_slacks_are_bit_equal_to_the_written_out_calibration(t, B):
+    exp_d = _geometric_ks_reference(t, lambda u: 1.0 - np.exp(-u))
+    ups_d = _geometric_ks_reference(t, lambda u: upsilon_law(np.sqrt(u) - 0.5 / np.sqrt(u)))
+    assert critical_ks_slack_constant(t) == exp_d
+    assert analysis.upsilon_ks_slack_constant(t) == ups_d
+    exp_c = 1.5 * 30.0 * _geometric_ks_reference(30.0, lambda u: 1.0 - np.exp(-u))
+    ups_c = 1.5 * 30.0 * _geometric_ks_reference(30.0, lambda u: upsilon_law(np.sqrt(u) - 0.5 / np.sqrt(u)))
+    assert analysis.ks_slack(t, B) == exp_c / (B * t)
+    assert analysis.upsilon_slack(t, B) == ups_c / (B * t)
+
+
 def test_subcritical_two_starting_points_agree():
     # same conditional limits from two starting traits (subcritical oscillator)
     import math

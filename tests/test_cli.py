@@ -91,7 +91,8 @@ def test_threads_do_not_change_results(tmp_path):
     b = tmp_path / "t4"
     assert main(["simulate", "--config", cfg, "--out", str(a), "--threads", "1"]) == 0
     assert main(["simulate", "--config", cfg, "--out", str(b), "--threads", "4"]) == 0
-    assert (a / "trajectories.csv").read_bytes() == (b / "trajectories.csv").read_bytes()
+    for name in ("trajectories.csv", "simulation.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_seed_override_changes_mc_only(tmp_path):
@@ -116,10 +117,137 @@ def test_verify_critical_small(tmp_path):
     assert (out / "verification.txt").exists()
 
 
-def test_verify_regime_mismatch_fails(tmp_path):
+def test_verify_regime_mismatch_fails(tmp_path, capsys):
     cfg = small_critical_config(tmp_path, reps=2000)
     code = main(["verify", "--config", cfg, "--out", str(tmp_path / "m"), "--regime", "super"])
     assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: requested regime 'supercritical' but spectral data is critical")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--threads", "2"],
+        ["spectrum", "--regime", "critical"],
+        ["simulate", "--regime", "auto"],
+        ["simulate", "--threads", "0"],
+        ["verify", "--threads", "-1"],
+        ["verify", "--threads", "two"],
+        ["verify", "--regime", "hyper"],
+    ],
+)
+def test_flags_outside_their_commands_or_range_are_usage_errors(tmp_path, capsys, argv):
+    cfg = small_critical_config(tmp_path, reps=100)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", cfg, "--out", str(tmp_path / "o")] + argv[1:])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_regime_flag_expands_aliases():
+    parser = cli.build_parser()
+    for flag, want in [("auto", None), ("sub", "subcritical"), ("super", "supercritical"),
+                       ("critical", "critical"), ("supercritical", "supercritical")]:
+        args = parser.parse_args(["verify", "--config", "c.json", "--regime", flag])
+        assert args.regime == want
+    assert parser.parse_args(["verify", "--config", "c.json"]).regime is None
+
+
+def test_ensemble_chunks_per_thread_on_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
+    """--threads sets the chunk count; the pool never exceeds the CPUs, and
+    neither number changes the result."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from branchlab import branching
+
+    cfg = load_config(small_critical_config(tmp_path, reps=40))
+    bank = {"one": np.ones(cfg.grid.n_points)}
+    ref = branching.run_ensemble(cfg, [2.0], bank, threads=1)
+
+    workers, chunks = [], []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    simulate = branching.simulate_ensemble
+
+    def counted(*args, **kwargs):
+        chunks.append(kwargs["rep_offset"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(branching, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(branching, "simulate_ensemble", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    res = branching.run_ensemble(cfg, [2.0], bank, threads=4)
+    assert workers == [2] and sorted(chunks) == [0, 10, 20, 30]
+    for name in ("counts", "max_abs", "tm_first"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    assert np.array_equal(res.functionals["one"], ref.functionals["one"])
+    assert res.reps == ref.reps == 40
+
+
+def test_large_thread_count_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
+    """--threads 5000 on 10^4 replicas asks the pool for os.cpu_count()
+    workers; the recording pool starts no thread and runs nothing."""
+    from branchlab import branching
+
+    class Started(Exception):
+        pass
+
+    workers = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            raise Started
+
+    monkeypatch.setattr(branching, "ThreadPoolExecutor", Recording)
+    cfg = small_critical_config(tmp_path, reps=10_000)
+    with pytest.raises(Started):
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "5000"])
+    assert workers == [os.cpu_count() or 1]
+
+
+def _small_verify_config(tmp_path, name, reps, t_end, t_mc):
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    doc["solver"]["t_end"] = t_end
+    doc["mc"]["reps"] = reps
+    doc["mc"]["times"] = [t_mc]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, reps, t_end, t_mc, verdicts",
+    [
+        ("subcritical_constant", 3000, 20.0, 3.0,
+         ["subcritical-K-floor", "subcritical-hamburger-bound", "subcritical-yaglom-moments"]),
+        ("supercritical_constant", 600, 8.0, 5.0,
+         ["supercritical-h-routes", "supercritical-factorization", "supercritical-w-diagnostics"]),
+    ],
+)
+def test_verify_sub_and_supercritical_small(tmp_path, capsys, name, reps, t_end, t_mc, verdicts):
+    """The battery's structure, not its outcome: verdict names in order, an
+    exit code that follows them, and no dependence on --threads."""
+    cfg = _small_verify_config(tmp_path, name, reps, t_end, t_mc)
+    docs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"t{threads}"
+        code = main(["verify", "--config", cfg, "--out", str(out), "--threads", threads])
+        docs.append((out / "verification.json").read_bytes())
+        doc = json.loads(docs[-1])
+        assert [t["name"] for t in doc["tests"]] == verdicts
+        failed = any(not t["passed"] and not t["inconclusive"] for t in doc["tests"])
+        assert code == (1 if failed else 0)
+        assert "error" not in capsys.readouterr().err
+    assert docs[0] == docs[1]
 
 
 def test_survive_and_moments_and_report(tmp_path):
