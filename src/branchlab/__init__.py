@@ -1,10 +1,10 @@
 """branchlab: simulation and grid numerics for branching Markov processes.
 
-The package pairs an exact-in-distribution particle simulator for
-measure-valued birth/death processes with grid solvers for the associated
-Feynman-Kac semigroup, moment recursions and survival equations, plus
-statistical verification of the critical / subcritical / supercritical
-long-time limits at desk scale.
+The package pairs a time-stepped particle simulator for measure-valued
+birth/death processes (first-order accurate in dt) with grid solvers for
+the associated Feynman-Kac semigroup, moment recursions and survival
+equations, plus statistical verification of the critical / subcritical /
+supercritical long-time limits at desk scale.
 """
 
 __version__ = "0.1.0"

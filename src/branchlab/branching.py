@@ -1,12 +1,14 @@
 """Branching particle system: births at rate b, deaths at rate d^(m), traits
-moving per the dynamics spec, with genealogy and Monte Carlo estimators.
+moving per the dynamics spec, and Monte Carlo estimators.
 
 The scheme is time stepped: in each step of size dt every particle
 independently branches with probability b(x) dt, dies with probability
 d^(m)(x) dt (d truncated at the cutoff level m), and otherwise takes one
-dynamics step.  Children start at the parent trait and inherit a fresh
-counter-based stream key split from the parent.  Replicas are simulated
-together in flat arrays.
+dynamics step; a particle that branches or dies takes no move in that step.
+Children start at the parent trait and inherit a fresh counter-based stream
+key split from the parent.  Particles are anonymous: the state of a particle
+is its trait, its stream key, its replica and its running max |trait|.
+Replicas are simulated together in flat arrays.
 
 Every draw is a pure function of (key, step, channel).  The step kernel
 therefore walks the population in cache-sized blocks, moves every particle
@@ -34,17 +36,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .dynamics import PathSegment, check_cap, move
+from .dynamics import check_cap, move
 
 __all__ = [
     "CutoffSpec",
-    "Population",
-    "HistoricalForest",
     "EnsembleResult",
-    "simulate",
     "simulate_ensemble",
     "run_ensemble",
-    "simulate_coupled_yule",
     "yule_moment_bound",
     "mc_moments",
     "mc_survival",
@@ -68,12 +66,12 @@ BLOCK = 1 << 15
 # (and its pages untouched until rows reach them).
 GROWTH = 1.5
 
-# Bytes per capacity row at the peak, a growth: the five 8-byte state
-# arrays (x, keys, rep, pid, pmax) at the new capacity, plus the one old
-# array being copied, at most 8 bytes per new row.  There is no second
-# compacted copy of the state, and the block masks and temporaries are a
-# fixed few MB, left out.
-BYTES_PER_PARTICLE = 5 * 8 + 8
+# Bytes per capacity row at the peak, a growth: the four 8-byte state
+# arrays (x, keys, rep, pmax) at the new capacity, plus the one old array
+# being copied, at most 8 bytes per new row.  There is no second compacted
+# copy of the state, and the block masks and temporaries are a fixed few
+# MB, left out.
+BYTES_PER_PARTICLE = 4 * 8 + 8
 MEMORY_BUDGET = 2 * 1024**3  # bytes of particle state a run may hold
 
 
@@ -85,106 +83,6 @@ class CutoffSpec:
 
     def truncated_death(self, model, x):
         return model.d(np.clip(x, -self.m, self.m))
-
-
-@dataclass
-class Population:
-    """Snapshot of the particle system at one time."""
-
-    time: float
-    ids: np.ndarray
-    traits: np.ndarray
-
-    @property
-    def size(self):
-        return len(self.ids)
-
-    def functional(self, f):
-        return float(np.sum(f(self.traits))) if self.size else 0.0
-
-
-class HistoricalForest:
-    """Genealogy store: per-particle parent pointers and birth steps plus
-    per-step id/trait snapshots, materialized lazily into ancestral paths."""
-
-    def __init__(self, dt):
-        self.dt = dt
-        # indexed by particle id; -1 marks an id never registered as a child
-        self._parent = np.full(0, -1, dtype=np.int64)
-        self._birth_step = np.zeros(0, dtype=np.int64)
-        self._steps = []  # (sorted ids, traits) per recorded step
-
-    def register(self, ids, parents, step):
-        ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) == 0:
-            return
-        need = int(ids.max()) + 1
-        if need > len(self._parent):
-            grow = max(need, 2 * len(self._parent)) - len(self._parent)
-            self._parent = np.concatenate([self._parent, np.full(grow, -1, dtype=np.int64)])
-            self._birth_step = np.concatenate([self._birth_step, np.zeros(grow, dtype=np.int64)])
-        self._parent[ids] = parents
-        self._birth_step[ids] = step
-
-    def _registered(self):
-        return np.flatnonzero(self._parent >= 0)
-
-    @property
-    def parent(self):
-        """Child id -> parent id, over the registered children."""
-        ids = self._registered()
-        return dict(zip(ids.tolist(), self._parent[ids].tolist()))
-
-    @property
-    def birth_step(self):
-        """Child id -> step at which it was born, over the registered children."""
-        ids = self._registered()
-        return dict(zip(ids.tolist(), self._birth_step[ids].tolist()))
-
-    def record_step(self, ids, traits):
-        self._steps.append((ids.copy(), traits.copy()))
-
-    @property
-    def recorded_steps(self):
-        return len(self._steps)
-
-    def _lookup(self, step, pid):
-        ids, traits = self._steps[step]
-        j = np.searchsorted(ids, pid)
-        if j < len(ids) and ids[j] == pid:
-            return float(traits[j])
-        return None
-
-    def path(self, pid, upto_step=None):
-        """Materialize the ancestral path of ``pid`` as a PathSegment."""
-        upto = self.recorded_steps - 1 if upto_step is None else min(int(upto_step), self.recorded_steps - 1)
-        states = np.full(upto + 1, np.nan)
-        cur = int(pid)
-        step = upto
-        while step >= 0:
-            known = cur < len(self._parent)
-            born = int(self._birth_step[cur]) if known else 0
-            while step >= born:
-                val = self._lookup(step, cur)
-                if val is None:
-                    break
-                states[step] = val
-                step -= 1
-            nxt = int(self._parent[cur]) if known else -1
-            if nxt < 0:
-                break
-            cur = nxt
-        seen = ~np.isnan(states)
-        if not seen.any():
-            raise KeyError(f"particle {pid} absent from the recorded history")
-        first = int(np.argmax(seen))
-        states[:first] = states[first]
-        times = np.arange(upto + 1) * self.dt
-        return PathSegment(times, states, np.zeros(upto + 1, dtype=bool))
-
-    def alive_at(self, step):
-        ids, traits = self._steps[min(step, self.recorded_steps - 1)]
-        return ids, traits
 
 
 @dataclass
@@ -201,9 +99,7 @@ class EnsembleResult:
     x0: float
     cutoff_m: float
     reps: int
-    traits_at: dict = field(default_factory=dict)  # time -> (rep idx, traits, ids)
-    forest: HistoricalForest | None = None
-    history_rep_limit: int = 0
+    traits_at: dict = field(default_factory=dict)  # time -> (rep idx, traits)
 
     def survival(self, k):
         return self.counts[k] > 0
@@ -229,11 +125,11 @@ def check_event_cap(model, dyn, cutoff, dt):
         check_cap(float(np.max(dyn.jump.total_mass(xs))), dt, "sup Rbar")
 
 
-def _check_budget(n_particles, what):
+def _check_budget(n_particles):
     need = n_particles * BYTES_PER_PARTICLE
     if need > MEMORY_BUDGET:
         raise MemoryError(
-            f"{what} of {n_particles} particles needs {need} bytes of state "
+            f"population of {n_particles} particles needs {need} bytes of state "
             f"({BYTES_PER_PARTICLE} per particle), over the {MEMORY_BUDGET}-byte "
             f"budget; lower t_end or reps"
         )
@@ -243,8 +139,7 @@ class _Rows:
     """Parallel per-particle arrays in capacity-backed buffers: rows
     ``[:n]`` are live, the rest is room to grow into."""
 
-    def __init__(self, what, **columns):
-        self.what = what  # names the population in a budget error
+    def __init__(self, **columns):
         self.cols = columns
         self.n = len(next(iter(columns.values())))
 
@@ -259,7 +154,7 @@ class _Rows:
         if at + k > cap:
             # growth slack is clipped to the budget, so only a real need fails
             new_cap = max(at + k, min(int(cap * GROWTH), MEMORY_BUDGET // BYTES_PER_PARTICLE))
-            _check_budget(new_cap, self.what)
+            _check_budget(new_cap)
             for name, old in self.cols.items():
                 new = np.empty(new_cap, dtype=old.dtype)
                 new[:at] = old[:at]
@@ -267,10 +162,6 @@ class _Rows:
                 del old  # free it before the next column grows
         for name, values in rows.items():
             self.cols[name][at : at + k] = values
-
-    def append(self, rows):
-        self.put(self.n, rows)
-        self.n += len(next(iter(rows.values())))
 
     def move_down(self, src, dst, k, keep=None):
         """Move rows ``[src, src + k)`` (only those where ``keep`` is True,
@@ -285,24 +176,19 @@ class _Rows:
 
 
 class _Ensemble:
-    """Flat-array state of all replicas during a stepped simulation.
+    """Flat-array state of all replicas during a stepped simulation: per
+    particle its trait, stream key, replica and running max |trait|."""
 
-    ``pid`` (particle ids) is kept only with ``track_ids``, for genealogy
-    and trait snapshots; ``next_id`` advances either way."""
-
-    def __init__(self, x0, seed, reps, rep_offset=0, reflect_at=None, *, track_ids):
+    def __init__(self, x0, seed, reps, rep_offset=0, reflect_at=None):
+        _check_budget(reps)
         self.reflect_at = reflect_at
         x = np.full(reps, float(x0))
-        cols = dict(
+        self.state = _Rows(
             x=x,
             keys=rng.root_key(seed, rep_offset + np.arange(reps, dtype=np.uint64)),
             rep=np.arange(reps, dtype=np.int64),
             pmax=np.abs(x),
         )
-        if track_ids:
-            cols["pid"] = np.arange(reps, dtype=np.int64)
-        self.state = _Rows("population", **cols)
-        self.next_id = reps
         self.reps = reps
         self.repmax = np.abs(x)  # running max per replica, deaths folded in
 
@@ -314,11 +200,7 @@ class _Ensemble:
     def rep(self):
         return self.state["rep"]
 
-    @property
-    def pid(self):
-        return self.state["pid"]
-
-    def step(self, step, dt, model, dyn, cutoff, on_birth=None):
+    def step(self, step, dt, model, dyn, cutoff):
         """Advance one step.  Every particle draws one event uniform: it
         branches (u < b dt), dies (the next strip of width d^(m) dt) or moves.
         Survivors keep their order and children follow in parent order, so
@@ -334,7 +216,7 @@ class _Ensemble:
         crossed = []
         for lo in range(0, n, BLOCK):
             k = min(BLOCK, n - lo)
-            kept, born, hit = self._step_block(lo, k, w, step, dt, model, dyn, cutoff, on_birth)
+            kept, born, hit = self._step_block(lo, k, w, step, dt, model, dyn, cutoff)
             w += kept
             if born is not None:
                 self.state.put(n + n_born, born)
@@ -345,7 +227,7 @@ class _Ensemble:
         self.state.n = w + n_born
         return np.concatenate(crossed) if crossed else np.zeros(0, dtype=np.int64)
 
-    def _step_block(self, lo, k, w, step, dt, model, dyn, cutoff, on_birth):
+    def _step_block(self, lo, k, w, step, dt, model, dyn, cutoff):
         """Step rows ``[lo, lo + k)`` and move their survivors down to row
         ``w``.  Returns (survivors, children rows or None, replicas whose
         running max passed the cutoff or None)."""
@@ -379,12 +261,6 @@ class _Ensemble:
         if len(parents):
             born = dict(x=xb[parents], keys=rng.spawn_keys(kb[parents], step),
                         rep=repb[parents], pmax=pmb[parents])
-            child_pid = self.next_id + np.arange(len(parents), dtype=np.int64)
-            self.next_id += len(parents)
-            if "pid" in cols:
-                born["pid"] = child_pid
-            if on_birth is not None:
-                on_birth(child_pid, cols["pid"][blk][parents], born["rep"])
         n_die = int(np.count_nonzero(dd))
         if n_die:
             np.maximum.at(self.repmax, repb[dd], pmb[dd])
@@ -418,8 +294,6 @@ def simulate_ensemble(
     record_times,
     functionals=None,
     record_traits_at=(),
-    history_until=None,
-    history_rep_limit=None,
     rep_offset=0,
     reflect_at=None,
 ):
@@ -429,10 +303,9 @@ def simulate_ensemble(
     recorded at every snapshot time.  ``reflect_at = (lo, hi)`` folds every
     continuous move back into the interval (matching a reflecting solver
     grid); ``rep_offset`` shifts the stream indices so chunked runs
-    reproduce the monolithic ensemble bit for bit.  ``record_traits_at`` lists times whose
-    full per-replica trait arrays are kept.  ``history_until`` turns on
-    genealogy recording through that time, limited to the first
-    ``history_rep_limit`` replicas.
+    reproduce the monolithic ensemble bit for bit.  ``record_traits_at``
+    lists times at which the (replica, trait) arrays of the whole
+    population are kept.
     """
     if t_end < 0 or dt <= 0:
         raise ValueError("need t_end >= 0 and dt > 0")
@@ -445,18 +318,7 @@ def simulate_ensemble(
     record_set = set(record_steps)
     trait_steps = set(_snap_steps(record_traits_at, dt, t_end))
 
-    ens = _Ensemble(
-        x0, seed, reps, rep_offset=rep_offset, reflect_at=reflect_at,
-        track_ids=history_until is not None or bool(trait_steps),
-    )
-
-    history = None
-    hist_limit = 0
-    hist_steps = -1
-    if history_until is not None:
-        hist_limit = history_rep_limit if history_rep_limit is not None else reps
-        history = HistoricalForest(dt)
-        hist_steps = int(round(history_until / dt))
+    ens = _Ensemble(x0, seed, reps, rep_offset=rep_offset, reflect_at=reflect_at)
 
     n_rec = len(record_steps)
     counts = np.zeros((n_rec, reps), dtype=np.int64)
@@ -474,16 +336,9 @@ def simulate_ensemble(
             func_vals[name][rec_idx] = ens.replica_sums(f(ens.x)) if len(ens.x) else 0.0
         max_abs_rec[rec_idx] = ens.replica_max_abs()
         if step_idx in trait_steps:
-            traits_at[float(step_idx * dt)] = (ens.rep.copy(), ens.x.copy(), ens.pid.copy())
-
-    def record_history(step_idx):
-        sel = ens.rep < hist_limit
-        order = np.argsort(ens.pid[sel], kind="stable")
-        history.record_step(ens.pid[sel][order], ens.x[sel][order])
+            traits_at[float(step_idx * dt)] = (ens.rep.copy(), ens.x.copy())
 
     rec_idx = 0
-    if history is not None:
-        record_history(0)
     if 0 in record_set:
         record(0, 0)
         rec_idx = 1
@@ -491,18 +346,9 @@ def simulate_ensemble(
     for step in range(n_steps):
         if len(ens.x) == 0:
             break
-        on_birth = None
-        if history is not None and step < hist_steps:
-            def on_birth(child_pid, parent_pid, child_rep, _s=step):
-                sel = child_rep < hist_limit
-                history.register(child_pid[sel], parent_pid[sel], _s + 1)
-
-        hit = ens.step(step, dt, model, dyn, cutoff, on_birth=on_birth)
+        hit = ens.step(step, dt, model, dyn, cutoff)
         if len(hit):
             tm_first[hit[~np.isfinite(tm_first[hit])]] = (step + 1) * dt
-
-        if history is not None and step + 1 <= hist_steps:
-            record_history(step + 1)
         if (step + 1) in record_set:
             record(rec_idx, step + 1)
             rec_idx += 1
@@ -525,8 +371,6 @@ def simulate_ensemble(
         cutoff_m=cutoff.m,
         reps=reps,
         traits_at=traits_at,
-        forest=history,
-        history_rep_limit=hist_limit,
     )
 
 
@@ -577,100 +421,6 @@ def run_ensemble(cfg, record_times, fields, threads=1):
         tm_first=np.concatenate([p.tm_first for p in parts]),
         reps=reps,
     )
-
-
-def simulate(x0, t_end, dt, model, dyn, cutoff, seed, record_history=False, record_times=None):
-    """Single-replica simulation.
-
-    Returns (list of Population snapshots, HistoricalForest or None,
-    T_m estimate).  Deterministic given the seed.
-    """
-    if record_times is None:
-        record_times = np.linspace(0.0, t_end, 11) if t_end > 0 else [0.0]
-    res = simulate_ensemble(
-        x0,
-        t_end,
-        dt,
-        model,
-        dyn,
-        cutoff,
-        seed,
-        reps=1,
-        record_times=record_times,
-        record_traits_at=record_times,
-        history_until=t_end if record_history else None,
-    )
-    snaps = []
-    for t in res.times:
-        _, traits, ids = res.traits_at.get(
-            float(t), (None, np.zeros(0), np.zeros(0, dtype=np.int64))
-        )
-        snaps.append(Population(time=float(t), ids=ids, traits=traits))
-    return snaps, res.forest, float(res.tm_first[0])
-
-
-def simulate_coupled_yule(x0, t_end, dt, model, dyn, cutoff, seed, reps, record_times):
-    """Couple the system with its dominating Yule process (birth rate
-    b_star, no deaths) through shared event uniforms.
-
-    Every Yule particle carries an in-system flag.  One shared uniform per
-    particle per step decides: system birth (u < b(x) dt), system death
-    (the next strip of width d^(m)(x) dt), Yule birth (u < b_star dt;
-    a superset of system births since b <= b_star).  Returns (times,
-    counts_system, counts_yule); pathwise counts_system <= counts_yule.
-    """
-    check_event_cap(model, dyn, cutoff, dt)
-    n_steps = int(round(t_end / dt))
-    record_steps = _snap_steps(record_times, dt, t_end)
-    record_set = set(record_steps)
-
-    state = _Rows(
-        "coupled Yule population",
-        x=np.full(reps, float(x0)),
-        keys=rng.root_key(seed, np.arange(reps, dtype=np.uint64)),
-        alive=np.ones(reps, dtype=bool),
-        rep=np.arange(reps, dtype=np.int64),
-    )
-
-    n_rec = len(record_steps)
-    counts_z = np.zeros((n_rec, reps), dtype=np.int64)
-    counts_y = np.zeros((n_rec, reps), dtype=np.int64)
-
-    def record(idx):
-        rep = state["rep"]
-        counts_z[idx] = np.bincount(rep[state["alive"]], minlength=reps)
-        counts_y[idx] = np.bincount(rep, minlength=reps)
-
-    rec_idx = 0
-    if 0 in record_set:
-        record(0)
-        rec_idx = 1
-
-    p_star = model.b_star * dt
-    for step in range(n_steps):
-        x, keys, alive_z = state["x"], state["keys"], state["alive"]
-        pb = np.asarray(model.b(x), dtype=float) * dt
-        pd = np.asarray(cutoff.truncated_death(model, x), dtype=float) * dt
-        u = rng.uniform(keys, step, rng.CH_EVENT)
-        branch_z = alive_z & (u < pb)
-        die_z = alive_z & (~branch_z) & (u < pb + pd)
-        parents = np.flatnonzero(u < p_star)
-        # only live system particles that neither branch nor die move
-        moved, _ = move(x, keys, step, dt, dyn)
-        np.copyto(x, moved, where=alive_z & ~(branch_z | die_z))
-        alive_z &= ~die_z
-
-        if len(parents):
-            state.append(dict(
-                x=x[parents], keys=rng.spawn_keys(keys[parents], step),
-                alive=branch_z[parents], rep=state["rep"][parents],
-            ))
-        if (step + 1) in record_set:
-            record(rec_idx)
-            rec_idx += 1
-
-    times = np.array([s * dt for s in record_steps])
-    return times, counts_z, counts_y
 
 
 # ----------------------------------------------------------------------

@@ -83,6 +83,36 @@ def _get(raw, path, expected=None):
     return cur
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_mc(mc):
+    """Reject an ``mc`` block the ensemble cannot run as written, naming the
+    key: a replica count the estimators cannot use, a non-positive step or
+    cutoff, or no snapshot times."""
+
+    def need(ok, key, what):
+        if not ok:
+            raise ConfigError(f"config key mc.{key} must be {what}; got {mc[key]!r}")
+
+    # the replica streams are keyed by the seed as an unsigned 64-bit word
+    need(_is_int(mc["seed"]) and 0 <= mc["seed"] < 2**64, "seed", "an integer in [0, 2^64)")
+    need(_is_int(mc["reps"]) and mc["reps"] >= 2, "reps", "an integer >= 2")
+    for key in ("dt", "cutoff_m"):
+        need(_is_number(mc[key]) and mc[key] > 0, key, "a number > 0")
+    times = mc["times"]
+    need(
+        isinstance(times, list) and times and all(_is_number(t) and t >= 0 for t in times),
+        "times",
+        "a non-empty list of numbers >= 0",
+    )
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict
@@ -115,10 +145,7 @@ class ExperimentConfig:
             raise ConfigError(f"grid block: {err}") from err
         solver = {**_DEFAULT_SOLVER, **raw.get("solver", {})}
         mc = {**_DEFAULT_MC, **raw.get("mc", {})}
-        seed = mc["seed"]
-        # the replica streams are keyed by the seed as an unsigned 64-bit word
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ConfigError(f"config key mc.seed must be an integer in [0, 2^64); got {seed!r}")
+        _check_mc(mc)
         verify = {**_DEFAULT_VERIFY, **raw.get("verify", {})}
         return cls(
             raw=raw,

@@ -5,64 +5,32 @@ The three dynamics classes share one fixed-step scheme:
 - diffusion:        x -> x - a(x) dt + sqrt(dt) * N(0,1)
 - diffusion-jumps:  with probability Rbar(x) dt a jump from R(x,.)/Rbar(x)
                     replaces the diffusion step
-- drifted-jump:     x -> x + dt between jumps (exact translation, no
-                    discretization error in the drift)
+- drifted-jump:     x -> x + dt, unless a jump from R(x,.)/Rbar(x), taken
+                    with probability Rbar(x) dt, replaces the translation
 
-Jump thinning requires sup Rbar * dt <= 0.1 so the neglected double-jump
-probability stays O(dt^2) below statistical noise.  All step functions are
-stateless; randomness comes from the counter-based streams in ``rng``.
+The scheme is not exact in distribution.  At most one event happens per
+step, and in the particle system a particle that branches, dies or jumps in
+a step takes no continuous move in that step: for drifted-jump it loses dt
+of drift at every event.  Both errors are first order in dt.  Jump thinning
+requires sup Rbar * dt <= 0.1 so the neglected double-jump probability
+stays O(dt^2).  The step is stateless; randomness comes from the
+counter-based streams in ``rng``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .model import DRIFTED_JUMP
 
-__all__ = ["PathSegment", "step_diffusion", "step_with_jumps", "move", "sample_path", "THINNING_CAP"]
+__all__ = ["ConfigurationError", "THINNING_CAP", "check_cap", "move"]
 
 THINNING_CAP = 0.1
 
 
 class ConfigurationError(ValueError):
     pass
-
-
-@dataclass
-class PathSegment:
-    """A sampled trajectory piece: aligned times/states plus jump flags."""
-
-    times: np.ndarray
-    states: np.ndarray
-    jumped: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=float)
-        self.jumped = np.asarray(self.jumped, dtype=bool)
-
-    @property
-    def t_start(self):
-        return float(self.times[0])
-
-    @property
-    def t_end(self):
-        return float(self.times[-1])
-
-    def state_at(self, t):
-        """State at time t by previous-value lookup (cadlag convention)."""
-        i = np.searchsorted(self.times, t, side="right") - 1
-        return float(self.states[max(i, 0)])
-
-
-def step_diffusion(x, dt, noise, a):
-    """One Euler-Maruyama step of dX = dB - a(X) dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return x - a(x) * dt + np.sqrt(dt) * noise
 
 
 def check_cap(rate_sup, dt, what):
@@ -76,19 +44,12 @@ def check_cap(rate_sup, dt, what):
         )
 
 
-def check_thinning_cap(dyn, dt, scan_radius=50.0):
-    if dyn.has_jumps:
-        xs = np.linspace(-scan_radius, scan_radius, 1001)
-        check_cap(float(np.max(dyn.jump.total_mass(xs))), dt, "sup Rbar")
-
-
 def move(x, keys, step, dt, dyn):
     """One dynamics step for every particle of the 1-d arrays ``x`` and
     ``keys``; returns (new traits, jump flags), the flags None without jumps.
 
-    The single particle-step routine of the package: paths, the ensemble
-    and the coupled Yule process all move through it.  With jumps, a
-    particle jumps with probability Rbar(x) dt to x + z, z ~ R(x, .)/Rbar(x),
+    The one particle-step routine of the package: the particle system's
+    step kernel moves its particles through it.  With jumps, a particle jumps with probability Rbar(x) dt to x + z, z ~ R(x, .)/Rbar(x),
     and otherwise takes the continuous step (diffusion or x + dt).  Jump
     sizes are drawn for the jumping particles only; a draw depends on
     (key, step, channel) alone, so drawing for a subset changes no value.
@@ -110,48 +71,3 @@ def move(x, keys, step, dt, dyn):
         u_size = rng.uniform(keys[jumpers], step, rng.CH_JUMP_SIZE)
         out[jumpers] = x[jumpers] + kernel.sample_displacement(u_size)
     return out, jumped
-
-
-def step_with_jumps(x, dt, key, step_index, dyn):
-    """One thinned step of a jump variant; returns (new state, jumped flag).
-
-    With probability Rbar(x) dt the particle jumps to z ~ R(x,.)/Rbar(x);
-    otherwise it takes the continuous step (diffusion or x + dt).
-    Vectorized over x/key arrays.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x, key = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(key, dtype=np.uint64))
-    check_cap(float(np.max(dyn.jump.total_mass(x), initial=0.0)), dt, "Rbar(x)")
-    out, jumped = move(x.ravel(), key.ravel(), step_index, dt, dyn)
-    if x.ndim == 0:
-        return float(out[0]), bool(jumped[0])
-    return out.reshape(x.shape), jumped.reshape(x.shape)
-
-
-def sample_path(x0, t_end, dt, dyn, seed):
-    """Sample one trajectory on [0, t_end] with fixed step dt.
-
-    Deterministic given (seed, dt); the final time equals t_end exactly
-    (the last step is shortened).  Returns a PathSegment.
-    """
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    check_thinning_cap(dyn, dt)
-    keys = np.atleast_1d(rng.root_key(seed))
-    n_full = int(np.floor(t_end / dt + 1e-12))
-    steps = [(s, dt) for s in range(n_full)]
-    rem = t_end - n_full * dt
-    if rem > 1e-12 * max(1.0, t_end):
-        steps.append((n_full, rem))  # the shortened last step
-    times = [0.0]
-    states = [float(x0)]
-    flags = [False]
-    x = np.array([float(x0)])
-    for step, h in steps:
-        x, jumped = move(x, keys, step, h, dyn)
-        times.append((step + 1) * dt)
-        states.append(float(x[0]))
-        flags.append(jumped is not None and bool(jumped[0]))
-    times[-1] = t_end
-    return PathSegment(times, states, flags)

@@ -136,10 +136,6 @@ class JumpKernel:
             return 1.0 + self.width**4 / 5.0
         return 1.0 + 3.0 * self.sigma**4
 
-    def m4_bound(self, grid=None):
-        xs = grid.nodes if grid is not None else np.linspace(-50, 50, 2001)
-        return float(np.max(self.rate(xs))) * self.m4_profile()
-
     def to_config(self):
         cfg = {"family": self.family, "rate": self.rate.to_config()}
         if self.width is not None:

@@ -320,23 +320,15 @@ def test_acceptance_9_qprocess(critical_setup):
     res = simulate_ensemble(
         0.0, max(t_list), 0.01, model, dyn, CUT, seed=1009, reps=reps,
         record_times=[s] + t_list, record_traits_at=[s],
-        history_until=s, history_rep_limit=reps,
     )
-    forest = res.forest
-    s_step = int(round(s / res.dt))
-    ids_s, _ = forest.alive_at(s_step)
-    rep_s, traits_s, pid_s = res.traits_at[s]
+    rep_s, traits_s = res.traits_at[s]
 
-    # path functional: indicator that the endpoint sits in [-1, 1]
-    fvals = np.zeros(reps)
-    for pid, r in zip(pid_s, rep_s):
-        path = forest.path(int(pid), upto_step=s_step)
-        fvals[r] += 1.0 if abs(path.states[-1]) <= 1.0 else 0.0
+    # functional of Z_s: the number of particles in [-1, 1] at time s
+    fvals = np.bincount(rep_s, weights=np.abs(traits_s) <= 1.0, minlength=reps)
 
-    weights = np.zeros(reps)
-    for r in range(reps):
-        mask = rep_s == r
-        weights[r] = qprocess_weight(traits_s[mask], s, 0.0, spec)
+    # each replica's traits, in population order, grouped by a stable sort
+    groups = np.split(traits_s[np.argsort(rep_s, kind="stable")], np.cumsum(res.counts[0])[:-1])
+    weights = np.array([qprocess_weight(g, s, 0.0, spec) for g in groups])
 
     surv = {t: res.counts[k + 1] > 0 for k, t in enumerate(t_list)}
     rep = analysis.qprocess_law_test(fvals, weights, surv)

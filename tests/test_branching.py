@@ -10,8 +10,6 @@ from branchlab.branching import (
     mc_moments,
     mc_survival,
     qprocess_weight,
-    simulate,
-    simulate_coupled_yule,
     simulate_ensemble,
     yule_moment_bound,
 )
@@ -76,12 +74,6 @@ def test_rep_offset_chunks_match_monolithic(zero_drift):
     second = simulate_ensemble(0.0, 3.0, 0.02, m, zero_drift, CUT, seed=7, reps=150, record_times=[3.0], rep_offset=250)
     merged = np.concatenate([first.counts[0], second.counts[0]])
     assert np.array_equal(whole.counts[0], merged)
-
-
-def test_yule_coupling_dominates(zero_drift):
-    m = make_constant_model(0.7, 0.9)
-    _, cz, cy = simulate_coupled_yule(0.0, 3.0, 0.02, m, zero_drift, CutoffSpec(m=30.0), seed=8, reps=2_000, record_times=[1.0, 2.0, 3.0])
-    assert np.all(cz <= cy)
 
 
 def test_yule_moment_bound_values():
@@ -238,35 +230,6 @@ def test_cutoff_monotone_in_m_and_single_particle_oracle(zero_drift):
         direct = (peak > mm).mean()
         se = math.sqrt(max(direct * (1 - direct), 1e-12) / 20_000)
         assert abs(e - direct) < 4.0 * se + 1e-3
-
-
-def test_simulate_single_replica_and_history(zero_drift):
-    m = make_constant_model(1.0, 0.2)
-    snaps, forest, tm = simulate(0.0, 2.0, 0.02, m, zero_drift, CutoffSpec(m=30.0), seed=19, record_history=True)
-    assert snaps[0].size == 1
-    assert forest is not None
-    ids, traits = forest.alive_at(forest.recorded_steps - 1)
-    assert len(ids) == snaps[-1].size
-    # every alive particle's path must reconstruct back to time 0
-    for pid in ids:
-        path = forest.path(int(pid))
-        assert len(path.states) == forest.recorded_steps
-        assert not np.any(np.isnan(path.states))
-        assert path.times[0] == 0.0
-
-
-def test_history_child_inherits_parent_prefix(zero_drift):
-    m = make_constant_model(2.0, 0.0)
-    m.b_star = 2.0
-    snaps, forest, _ = simulate(0.0, 1.0, 0.01, m, zero_drift, CutoffSpec(m=30.0), seed=23, record_history=True)
-    children = [pid for pid in forest.parent if forest.parent[pid] >= 0 and forest.birth_step.get(pid, 0) > 0]
-    assert children, "expected at least one birth"
-    pid = children[0]
-    parent = forest.parent[pid]
-    born = forest.birth_step[pid]
-    child_path = forest.path(pid)
-    parent_path = forest.path(parent)
-    assert np.allclose(child_path.states[:born], parent_path.states[:born])
 
 
 def test_yule_bound_monotone_property():

@@ -313,6 +313,26 @@ def test_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("reps", 0), ("reps", 1), ("reps", 2.5), ("reps", "10"), ("reps", -5), ("reps", True),
+        ("dt", 0), ("dt", -0.01), ("cutoff_m", -1), ("cutoff_m", 0),
+        ("times", []), ("times", [-1.0]), ("times", 5.0), ("times", [1.0, "2"]),
+    ],
+)
+def test_bad_mc_value_is_a_config_error(tmp_path, capsys, key, value):
+    with open(small_critical_config(tmp_path, reps=100)) as fh:
+        doc = json.load(fh)
+    doc["mc"][key] = value
+    p = tmp_path / "bad_mc.json"
+    p.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"mc.{key}" in err and "Traceback" not in err
+
+
 def test_population_cap_is_a_hard_failure(tmp_path, capsys, monkeypatch):
     from branchlab import branching
 

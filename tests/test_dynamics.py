@@ -2,30 +2,38 @@ import numpy as np
 import pytest
 
 from branchlab import DynamicsSpec, JumpKernel, rng
+from branchlab.branching import CutoffSpec, simulate_ensemble
 from branchlab.curves import Curve, constant
-from branchlab.dynamics import (
-    ConfigurationError,
-    sample_path,
-    step_diffusion,
-    step_with_jumps,
-)
+from branchlab.dynamics import ConfigurationError, move
 
+from .conftest import make_constant_model
 from .oracles import euler_ou_variance, ou_variance
 
 OU = Curve("polynomial", {"coeffs": [0.0, 1.0]})
 
 
 def test_step_diffusion_identity():
-    assert step_diffusion(1.7, 0.5, 0.0, constant(0.0)) == pytest.approx(1.7)
+    # without drift the diffusion step adds only the scaled normal draw
+    dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
+    keys = rng.root_key(4, np.arange(20))
+    x = np.linspace(-2, 2, 20)
+    out, jumped = move(x, keys, 3, 0.5, dyn)
+    assert jumped is None
+    assert np.array_equal(out, x + np.sqrt(0.5) * rng.normal(keys, 3, rng.CH_MOVE))
 
 
 def test_step_diffusion_arithmetic():
-    assert step_diffusion(1.0, 0.01, 0.0, OU) == pytest.approx(0.99)
+    dyn = DynamicsSpec(variant="diffusion", a=OU)
+    keys = rng.root_key(6, np.arange(20))
+    x = np.linspace(-1, 1, 20)
+    out, _ = move(x, keys, 5, 0.01, dyn)
+    assert np.allclose(out, x - 0.01 * x + 0.1 * rng.normal(keys, 5, rng.CH_MOVE))
 
 
-def test_step_diffusion_needs_positive_dt():
-    with pytest.raises(ValueError):
-        step_diffusion(0.0, 0.0, 0.0, OU)
+def test_step_diffusion_needs_positive_dt(zero_drift):
+    with pytest.raises(ValueError, match="dt > 0"):
+        simulate_ensemble(0.0, 1.0, 0.0, make_constant_model(1.0, 1.0), zero_drift,
+                          CutoffSpec(m=30.0), seed=1, reps=4, record_times=[1.0])
 
 
 def test_ou_variance_oracle():
@@ -65,7 +73,7 @@ def test_jumpless_kernel_reduces_to_continuous():
     dyn = DynamicsSpec(variant="diffusion-jumps", a=OU, jump=kern)
     keys = rng.root_key(3, np.arange(50))
     x = np.linspace(-1, 1, 50)
-    out, jumped = step_with_jumps(x, 0.01, keys, 7, dyn)
+    out, jumped = move(x, keys, 7, 0.01, dyn)
     assert not jumped.any()
     expect = x - OU(x) * 0.01 + 0.1 * rng.normal(keys, 7, rng.CH_MOVE2)
     assert np.allclose(out, expect)
@@ -79,7 +87,7 @@ def test_poisson_jump_count_oracle():
     x = np.zeros(n)
     count = np.zeros(n)
     for s in range(int(t / dt)):
-        x, j = step_with_jumps(x, dt, keys, s, dyn)
+        x, j = move(x, keys, s, dt, dyn)
         count += j
     mean_exact = lam * t
     se = np.sqrt(count.var() / n)
@@ -89,38 +97,18 @@ def test_poisson_jump_count_oracle():
 def test_drifted_translation_without_jump():
     kern = JumpKernel("uniform-window", 0.0, width=1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
-    out, jumped = step_with_jumps(0.0, 0.25, rng.root_key(1), 0, dyn)
-    assert not jumped
-    assert out == pytest.approx(0.25)
+    out, jumped = move(np.array([0.0]), rng.root_key(1, np.arange(1)), 0, 0.25, dyn)
+    assert not jumped[0]
+    assert out[0] == 0.25
 
 
 def test_thinning_cap_enforced():
+    # sup Rbar dt = 0.25 > 0.1 while (b_star + d) dt = 0.05 is within the cap
     kern = JumpKernel("uniform-window", 5.0, width=1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
-    with pytest.raises(ConfigurationError):
-        step_with_jumps(0.0, 0.05, rng.root_key(1), 0, dyn)
-
-
-def test_sample_path_zero_horizon():
-    dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
-    p = sample_path(0.3, 0.0, 0.01, dyn, seed=1)
-    assert len(p.times) == 1
-    assert p.states[0] == 0.3
-
-
-def test_sample_path_deterministic():
-    dyn = DynamicsSpec(variant="diffusion", a=OU)
-    p1 = sample_path(0.5, 2.0, 0.01, dyn, seed=9)
-    p2 = sample_path(0.5, 2.0, 0.01, dyn, seed=9)
-    assert np.array_equal(p1.states, p2.states)
-    assert p1.t_end == 2.0
-
-
-def test_sample_path_shortened_last_step():
-    dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
-    p = sample_path(0.0, 0.105, 0.01, dyn, seed=2)
-    assert p.times[-1] == pytest.approx(0.105)
-    assert np.all(np.diff(p.times) > 0)
+    with pytest.raises(ConfigurationError, match="Rbar"):
+        simulate_ensemble(0.0, 1.0, 0.05, make_constant_model(0.5, 0.5), dyn, CutoffSpec(m=30.0),
+                          seed=1, reps=4, record_times=[1.0])
 
 
 def test_brownian_variance_oracle():
@@ -137,12 +125,15 @@ def test_brownian_variance_oracle():
 def test_drifted_jump_between_jump_increments_exact():
     kern = JumpKernel("uniform-window", 0.3, width=1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
-    p = sample_path(0.0, 3.0, 0.05, dyn, seed=11)
-    inc = np.diff(p.states)
-    dts = np.diff(p.times)
-    no_jump = ~p.jumped[1:]
-    assert np.allclose(inc[no_jump], dts[no_jump])
-    assert p.jumped[1:].any()  # some jumps do occur at rate 0.3 over 3 units
+    keys = rng.root_key(11, np.arange(20))
+    x = np.zeros(20)
+    n_jumps = 0
+    for s in range(60):
+        out, jumped = move(x, keys, s, 0.05, dyn)
+        assert np.allclose(out[~jumped] - x[~jumped], 0.05)
+        n_jumps += int(jumped.sum())
+        x = out
+    assert n_jumps > 0  # jumps do occur at rate 0.3 over 20 paths of 3 units
 
 
 def test_weak_error_mean_halves_with_dt():

@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchlab import DynamicsSpec, JumpKernel, RateModel, branching, rng
-from branchlab.branching import CutoffSpec, simulate_coupled_yule, simulate_ensemble
+from branchlab.branching import CutoffSpec, simulate_ensemble
 from branchlab.curves import Curve
-from branchlab.dynamics import sample_path
 from branchlab.model import DRIFTED_JUMP
 
 from .conftest import make_constant_model
@@ -57,15 +56,12 @@ def _reference_move(x, keys, step, dt, dyn):
 
 
 class _ReferenceEnsemble:
-    def __init__(self, x0, seed, reps, rep_offset=0, reflect_at=None, *, track_ids):
-        # the earlier ensemble kept particle ids whether or not they were read
+    def __init__(self, x0, seed, reps, rep_offset=0, reflect_at=None):
         self.reflect_at = reflect_at
         self.x = np.full(reps, float(x0))
         self.keys = rng.root_key(seed, rep_offset + np.arange(reps, dtype=np.uint64))
         self.rep = np.arange(reps, dtype=np.int64)
-        self.pid = np.arange(reps, dtype=np.int64)
         self.pmax = np.abs(self.x)
-        self.next_id = reps
         self.reps = reps
         self.repmax = np.abs(self.x).copy()
 
@@ -81,11 +77,11 @@ class _ReferenceEnsemble:
             np.maximum.at(cur, self.rep, self.pmax)
         return cur
 
-    def step(self, step, dt, model, dyn, cutoff, on_birth=None):
-        self._step(step, dt, model, dyn, cutoff, on_birth)
+    def step(self, step, dt, model, dyn, cutoff):
+        self._step(step, dt, model, dyn, cutoff)
         return self.rep[self.pmax > cutoff.m]  # every replica over the cutoff
 
-    def _step(self, step, dt, model, dyn, cutoff, on_birth):
+    def _step(self, step, dt, model, dyn, cutoff):
         if len(self.x) == 0:
             return
         x = self.x
@@ -113,22 +109,16 @@ class _ReferenceEnsemble:
             child_x = self.x[branch]
             child_rep = self.rep[branch]
             child_pmax = self.pmax[branch]
-            child_pid = self.next_id + np.arange(len(child_keys), dtype=np.int64)
-            self.next_id += len(child_keys)
-            if on_birth is not None:
-                on_birth(child_pid, self.pid[branch], child_rep)
             keep = ~die
             self.x = np.concatenate([self.x[keep], child_x])
             self.keys = np.concatenate([self.keys[keep], child_keys])
             self.rep = np.concatenate([self.rep[keep], child_rep])
-            self.pid = np.concatenate([self.pid[keep], child_pid])
             self.pmax = np.concatenate([self.pmax[keep], child_pmax])
         elif np.any(die):
             keep = ~die
             self.x = self.x[keep]
             self.keys = self.keys[keep]
             self.rep = self.rep[keep]
-            self.pid = self.pid[keep]
             self.pmax = self.pmax[keep]
 
 
@@ -168,10 +158,10 @@ def _assert_same(a, b):
         assert np.array_equal(a.functionals[name], b.functionals[name]), name
     assert np.array_equal(a.max_abs, b.max_abs)
     assert np.array_equal(a.tm_first, b.tm_first)
-    for t, (rep, traits, pid) in a.traits_at.items():
-        rep_b, traits_b, pid_b = b.traits_at[t]
+    assert a.traits_at.keys() == b.traits_at.keys()
+    for t, (rep, traits) in a.traits_at.items():
+        rep_b, traits_b = b.traits_at[t]
         assert np.array_equal(rep, rep_b) and np.array_equal(traits, traits_b)
-        assert np.array_equal(pid, pid_b)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -243,7 +233,7 @@ def test_reflecting_grid_keeps_traits_inside(lo, width, seed):
         lo + 0.5 * width, 1.0, 0.01, make_constant_model(2.0, 1.0), JUMPS, CutoffSpec(m=10.0), seed, 8,
         record_times=times, record_traits_at=times, reflect_at=(lo, hi),
     )
-    for _, traits, _ in res.traits_at.values():
+    for _, traits in res.traits_at.values():
         assert np.all((traits >= lo) & (traits <= hi))
 
 
@@ -257,9 +247,12 @@ def test_eventless_replica_is_sample_path(dyn):
         0.4, 2.5, 0.01, model, dyn, CutoffSpec(m=50.0), 21, 1,
         record_times=times, record_traits_at=times,
     )
-    path = sample_path(0.4, 2.5, 0.01, dyn, seed=21)
+    keys = rng.root_key(21, np.arange(1, dtype=np.uint64))
+    path = [np.array([0.4])]
+    for s in range(250):
+        path.append(_reference_move(path[-1], keys, s, 0.01, dyn))
     got = [res.traits_at[t][1][0] for t in res.times]
-    assert got == [path.states[s] for s in steps]
+    assert got == [path[s][0] for s in steps]
 
 
 def _spy_blocks(monkeypatch):
@@ -320,7 +313,7 @@ def test_trait_snapshot_survives_later_steps(monkeypatch):
     _assert_same(long, _reference(monkeypatch, "diffusion-jumps", t_end=2.0, record_traits_at=[0.5]))
 
 
-def test_ids_kept_only_when_read(monkeypatch):
+def test_state_is_anonymous(monkeypatch):
     ensembles = []
     init = branching._Ensemble.__init__
 
@@ -329,60 +322,19 @@ def test_ids_kept_only_when_read(monkeypatch):
         ensembles.append(self)
 
     monkeypatch.setattr(branching._Ensemble, "__init__", spy)
-    got = _run("diffusion", record_traits_at=())
-    assert "pid" not in ensembles[-1].state.cols
-    assert ensembles[-1].next_id > got.reps  # ids are still handed out
-    _run("diffusion", history_until=1.0)
-    assert "pid" in ensembles[-1].state.cols
-    _assert_same(got, _reference(monkeypatch, "diffusion", record_traits_at=()))
+    _run("diffusion")
+    assert set(ensembles[-1].state.cols) == {"x", "keys", "rep", "pmax"}
+    assert branching.BYTES_PER_PARTICLE == 8 * len(ensembles[-1].state.cols) + 8
 
 
-def _reference_yule(x0, t_end, dt, model, dyn, cutoff, seed, reps, record_times):
-    """The coupled Yule loop before its state moved into capacity-backed rows."""
-    n_steps = int(round(t_end / dt))
-    record_steps = branching._snap_steps(record_times, dt, t_end)
-    x = np.full(reps, float(x0))
-    alive_z = np.ones(reps, dtype=bool)
-    keys = rng.root_key(seed, np.arange(reps, dtype=np.uint64))
-    rep = np.arange(reps, dtype=np.int64)
-    counts_z, counts_y = [], []
-    if 0 in record_steps:
-        counts_z.append(np.bincount(rep[alive_z], minlength=reps))
-        counts_y.append(np.bincount(rep, minlength=reps))
-    p_star = model.b_star * dt
-    for step in range(n_steps):
-        pb = np.asarray(model.b(x), dtype=float) * dt
-        pd = np.asarray(cutoff.truncated_death(model, x), dtype=float) * dt
-        u = rng.uniform(keys, step, rng.CH_EVENT)
-        branch_z = alive_z & (u < pb)
-        die_z = alive_z & (~branch_z) & (u < pb + pd)
-        parents = np.flatnonzero(u < p_star)
-        moved = _reference_move(x, keys, step, dt, dyn)
-        np.copyto(moved, x, where=~alive_z | branch_z | die_z)
-        alive_z &= ~die_z
-        if len(parents):
-            keys = np.concatenate([keys, rng.spawn_keys(keys[parents], step)])
-            alive_z = np.concatenate([alive_z, branch_z[parents]])
-            rep = np.concatenate([rep, rep[parents]])
-            moved = np.concatenate([moved, moved[parents]])
-        x = moved
-        if step + 1 in record_steps:
-            counts_z.append(np.bincount(rep[alive_z], minlength=reps))
-            counts_y.append(np.bincount(rep, minlength=reps))
-    return np.array(counts_z), np.array(counts_y)
-
-
-@pytest.mark.parametrize("dyn", [DIFFUSION, JUMPS], ids=lambda d: d.variant)
-def test_yule_coupling_matches_reference_loop(dyn):
-    args = (0.3, 3.0, 0.01, SUPER, dyn, CutoffSpec(m=1.5), 17, 25, [0.0, 1.0, 2.0, 3.0])
-    _, cz, cy = simulate_coupled_yule(*args)
-    assert cy[-1].sum() > 10 * 25  # the buffers grew several times
-    ref_z, ref_y = _reference_yule(*args)
-    assert np.array_equal(cz, ref_z) and np.array_equal(cy, ref_y)
-
-
-def test_yule_coupling_respects_memory_budget(monkeypatch, zero_drift):
+def test_ensemble_respects_memory_budget(monkeypatch, zero_drift):
     monkeypatch.setattr(branching, "MEMORY_BUDGET", 50 * branching.BYTES_PER_PARTICLE)
-    with pytest.raises(MemoryError, match="bytes"):
-        simulate_coupled_yule(0.0, 2.0, 0.02, make_constant_model(2.0, 0.0), zero_drift,
-                              CutoffSpec(m=30.0), seed=8, reps=20, record_times=[2.0])
+    # 20 replicas fit, and the growing population then exceeds the budget
+    with pytest.raises(MemoryError, match="population of .* particles"):
+        simulate_ensemble(0.0, 2.0, 0.02, make_constant_model(2.0, 0.0), zero_drift,
+                          CutoffSpec(m=30.0), seed=8, reps=20, record_times=[2.0])
+    # too many replicas fail by name before the state is built
+    monkeypatch.setattr(branching, "_Rows", None)
+    with pytest.raises(MemoryError, match="population of 51 particles"):
+        simulate_ensemble(0.0, 2.0, 0.02, make_constant_model(2.0, 0.0), zero_drift,
+                          CutoffSpec(m=30.0), seed=8, reps=51, record_times=[2.0])
