@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .branching import run_ensemble
 from .moments import (
@@ -119,25 +120,26 @@ def _require_regime(spectral, regime, op):
 def ks_test(samples, cdf):
     """One-sample two-sided Kolmogorov-Smirnov test against ``cdf``.
 
-    Returns (statistic, asymptotic p-value)."""
-    samples = np.asarray(samples, dtype=float)
-    if len(samples) < 20:
+    Returns (statistic D, asymptotic p-value).  D is computed as
+    ``scipy.stats.kstest`` computes it; the p-value is Kolmogorov's limit
+    law P(sqrt(n) D_n > d), not the exact finite-n tail."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = len(samples)
+    if n < 20:
         raise ValueError("KS test needs at least 20 samples")
-    # imported here: at module level scipy.stats would add ~0.6 s to the
-    # start-up of every command, testing or not
-    from scipy import stats
-
-    res = stats.kstest(samples, cdf)
-    return float(res.statistic), float(res.pvalue)
+    cdf_vals = cdf(samples)
+    d_plus = (np.arange(1.0, n + 1) / n - cdf_vals).max()
+    d_minus = (cdf_vals - np.arange(0.0, n) / n).max()
+    d = float(max(d_plus, d_minus))
+    return d, float(special.kolmogorov(math.sqrt(n) * d))
 
 
 def ks_band(alpha, n):
     """Two-sided KS rejection threshold at level alpha for n samples."""
-    # kstwobign.ppf, not special.kolmogi: the two differ by 1 ulp at the
-    # shipped alphas, and the band is written to verification.json
-    from scipy import stats
-
-    return float(stats.kstwobign.ppf(1.0 - alpha) / math.sqrt(n))
+    # the quantile as scipy.stats.kstwobign.ppf(1 - alpha) computes it, bit
+    # for bit: kolmogi(alpha) itself can differ by 1 ulp, and the band is
+    # written to verification.json
+    return float(special.kolmogi(1.0 - (1.0 - alpha)) / math.sqrt(n))
 
 
 def moment_z_test(sample_moments, targets, ses, z_max, name="moment-z"):
@@ -754,7 +756,7 @@ def verify_suite(cfg, gen, spec, threads=1):
     The grid checks run first, then one particle ensemble (``threads``
     chunks) to ``verify.t_mc`` (default: the last ``mc.times``) feeds the
     limit-law tests.  Returns ``(reports, tables)``: the TestReports in
-    battery order, and plot data as {file name: (header, rows)}.
+    battery order, and plot data as {file name: (header, columns)}.
     """
     regime = spec.regime()
     solver, model, xs = cfg.solver, cfg.model, cfg.grid.nodes
@@ -810,7 +812,7 @@ def verify_suite(cfg, gen, spec, threads=1):
             reports.append(critical_ode_residual(decomp, spec, model))
             tables["r_series.csv"] = (
                 ["time", "r", "scaled_r"],
-                list(zip(decomp.times, decomp.r, (1.0 + decomp.times) * decomp.r)),
+                (decomp.times, decomp.r, (1.0 + decomp.times) * decomp.r),
             )
         else:
             mom_field = solve_moments(
@@ -858,7 +860,7 @@ def verify_suite(cfg, gen, spec, threads=1):
         emp = np.arange(1, len(survivors) + 1) / len(survivors)
         tables["yaglom_cdf.csv"] = (
             ["normalized_mass", "empirical_cdf", "exponential_cdf"],
-            list(zip(survivors, emp, 1.0 - np.exp(-survivors))),
+            (survivors, emp, 1.0 - np.exp(-survivors)),
         )
         z_theta = res.functionals["theta0"][-1]
         nu_theta = spec.nu(spec.theta0)

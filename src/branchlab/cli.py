@@ -13,12 +13,12 @@ byte-identical across reruns with the same config and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
 from itertools import repeat
+from numbers import Number
 
 import numpy as np
 
@@ -53,12 +53,34 @@ def _out_dir(cfg, out):
     return base
 
 
-def _write_csv(path, cfg, header, rows):
+def _write_csv(path, cfg, header, blocks):
+    """Write the meta line, the header, then the rows of each block.
+
+    A block is a sequence of columns.  A column is a list or 1-D array of
+    numbers (or of their text), or one number (or its text) repeated down
+    the block.  The
+    bytes are those csv.writer writes for the rows: ``str`` of each value,
+    ``,`` between fields and ``\r\n`` after each line.  Each column is
+    formatted once per block, and the file is written block by block.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(_meta_line(cfg) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            cols = [_cells(col) for col in block]
+            n_rows = min((len(c) for c in cols if isinstance(c, list)), default=1)
+            cols = [c if isinstance(c, list) else repeat(c, n_rows) for c in cols]
+            if n_rows:
+                fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+
+
+def _cells(col):
+    """The text of a column: a list of strings, or one string for a scalar."""
+    if isinstance(col, (str, Number)):
+        return str(col)
+    if isinstance(col, np.ndarray):
+        col = col.tolist()
+    return list(map(str, col))
 
 
 def _write_json(path, cfg, payload):
@@ -108,6 +130,11 @@ def _calibrated_model(cfg):
     return cfg, cal, gen, principal_eigentriple(gen, cfg.model)
 
 
+def _slices(field, stride):
+    """(index, time) of every ``stride``-th stored slice of a field."""
+    return list(enumerate(field.times.tolist()))[::stride]
+
+
 def _survival_field(cfg, gen):
     solver = cfg.solver
     return mom.solve_survival(
@@ -143,7 +170,7 @@ def cmd_spectrum(cfg, args, out):
         os.path.join(out, "eigenfunction.csv"),
         cfg,
         ["x", "theta0", "mu0", "rho"],
-        zip(cfg.grid.nodes, spec.theta0, spec.mu0, rho),
+        [(cfg.grid.nodes, spec.theta0, spec.mu0, rho)],
     )
     print(
         f"lambda0 = {spec.lambda0:.8g}  lambda1 = {spec.lambda1:.8g}  "
@@ -165,15 +192,14 @@ def cmd_moments(cfg, args, out):
         dt_pde=cfg.solver["dt_pde"],
         n_store=cfg.solver["n_store"],
     )
-    # rows of Python floats: csv writes each with repr, as it did numpy's
-    nodes = field.nodes.tolist()
-    rows = []
+    nodes = _cells(field.nodes)
     stride = max(1, len(field.times) // 50)
-    for k in range(0, len(field.times), stride):
-        t = field.times[k].item()
-        for n in field.orders:
-            rows.extend(zip(repeat(t), nodes, repeat(n), field.fields[n][k].tolist()))
-    _write_csv(os.path.join(out, "moments.csv"), cfg, ["time", "node", "order", "value"], rows)
+    _write_csv(
+        os.path.join(out, "moments.csv"),
+        cfg,
+        ["time", "node", "order", "value"],
+        ((t, nodes, n, field.fields[n][k]) for k, t in _slices(field, stride) for n in field.orders),
+    )
 
     regime = spec.regime()
     limits = {"regime": regime, "lambda0": spec.lambda0, "A": spec.A, "B": spec.B}
@@ -202,13 +228,16 @@ def cmd_survive(cfg, args, out):
     cfg, _cal, gen, spec = _calibrated_model(cfg)
     t_end = float(cfg.solver["t_end"])
     u0f = _survival_field(cfg, gen)
-    nodes = u0f.nodes.tolist()
-    rows = []
+    nodes = _cells(u0f.nodes)
     stride = max(1, len(u0f.times) // 100)
-    for k in range(0, len(u0f.times), stride):
-        rows.extend(zip(repeat(u0f.times[k].item()), nodes, u0f.fields[0][k].tolist()))
-    _write_csv(os.path.join(out, "u0.csv"), cfg, ["time", "node", "u0"], rows)
+    _write_csv(
+        os.path.join(out, "u0.csv"),
+        cfg,
+        ["time", "node", "u0"],
+        ((t, nodes, u0f.fields[0][k]) for k, t in _slices(u0f, stride)),
+    )
 
+    # the u0 route of h continues the survey march
     hres = mom.solve_h(
         cfg.model,
         cfg.dynamics,
@@ -217,13 +246,9 @@ def cmd_survive(cfg, args, out):
         generator=gen,
         spectral=spec,
         dt_pde=cfg.solver["dt_pde"],
+        survival=u0f,
     )
-    _write_csv(
-        os.path.join(out, "h.csv"),
-        cfg,
-        ["x", "h", "h_u0_route"],
-        zip(nodes, hres.h.tolist(), hres.h_u0_route.tolist()),
-    )
+    _write_csv(os.path.join(out, "h.csv"), cfg, ["x", "h", "h_u0_route"], [(nodes, hres.h, hres.h_u0_route)])
     payload = {
         "regime": spec.regime(),
         "h_sup": float(np.max(hres.h)),
@@ -243,18 +268,14 @@ def cmd_simulate(cfg, args, out):
     fbank = analysis.functional_bank(cfg, spec)
     times = [float(t) for t in cfg.mc["times"]]
     res = branching.run_ensemble(cfg, times, fbank, args.threads)
-    rows = []
-    for k, t in enumerate(res.times):
-        for r in range(res.reps):
-            rows.append(
-                (t, r, res.counts[k][r])
-                + tuple(res.functionals[name][k][r] for name in fbank)
-            )
     _write_csv(
         os.path.join(out, "trajectories.csv"),
         cfg,
         ["time", "replicate", "N"] + list(fbank),
-        rows,
+        (
+            (t, range(res.reps), res.counts[k], *(res.functionals[name][k] for name in fbank))
+            for k, t in enumerate(res.times)
+        ),
     )
     surv = branching.mc_survival(res)
     moments_tbl = branching.mc_moments(res, 2, f_sup=1.0, b_star=cfg.model.b_star)
@@ -279,8 +300,8 @@ def cmd_verify(cfg, args, out):
 
     validation = validate_hypotheses(cfg.model, cfg.dynamics, cfg.grid)
     reports, tables = analysis.verify_suite(cfg, gen, spec, args.threads)
-    for name, (header, rows) in tables.items():
-        _write_csv(os.path.join(out, name), cfg, header, rows)
+    for name, (header, columns) in tables.items():
+        _write_csv(os.path.join(out, name), cfg, header, [columns])
     manifest = {
         "regime": regime,
         "lambda0": spec.lambda0,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .grid import Grid
@@ -91,14 +92,30 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _need(block, name, key, ok, what):
+    if not ok:
+        raise ConfigError(f"config key {name}.{key} must be {what}; got {block[key]!r}")
+
+
+def _check_solver(solver):
+    """Reject a ``solver`` block the grid marches cannot run, naming the key:
+    a step, horizon or tolerance that is not a finite number > 0, or a
+    slice or order count that is not an integer >= 1."""
+    for key in ("dt_pde", "t_end", "h_tol"):
+        v = solver[key]
+        _need(solver, "solver", key, _is_number(v) and math.isfinite(v) and v > 0, "a finite number > 0")
+    for key in ("n_store", "n_orders"):
+        _need(solver, "solver", key, _is_int(solver[key]) and solver[key] >= 1, "an integer >= 1")
+
+
 def _check_mc(mc):
     """Reject an ``mc`` block the ensemble cannot run as written, naming the
     key: a replica count the estimators cannot use, a non-positive step or
-    cutoff, or no snapshot times."""
+    cutoff, no snapshot times, or a starting trait that is not a finite
+    number."""
 
     def need(ok, key, what):
-        if not ok:
-            raise ConfigError(f"config key mc.{key} must be {what}; got {mc[key]!r}")
+        _need(mc, "mc", key, ok, what)
 
     # the replica streams are keyed by the seed as an unsigned 64-bit word
     need(_is_int(mc["seed"]) and 0 <= mc["seed"] < 2**64, "seed", "an integer in [0, 2^64)")
@@ -111,6 +128,7 @@ def _check_mc(mc):
         "times",
         "a non-empty list of numbers >= 0",
     )
+    need(_is_number(mc["x0"]) and math.isfinite(mc["x0"]), "x0", "a finite number")
 
 
 @dataclass
@@ -144,6 +162,7 @@ class ExperimentConfig:
         except (KeyError, ValueError) as err:
             raise ConfigError(f"grid block: {err}") from err
         solver = {**_DEFAULT_SOLVER, **raw.get("solver", {})}
+        _check_solver(solver)
         mc = {**_DEFAULT_MC, **raw.get("mc", {})}
         _check_mc(mc)
         verify = {**_DEFAULT_VERIFY, **raw.get("verify", {})}

@@ -126,13 +126,21 @@ class _IMEXMarcher:
         self.prop = _propagator(generator, dt)
         self.dt = float(dt)
 
-    def run(self, init, source_fn, t_end, store_steps, guard=None, smooth_start=False):
+    def run(self, init, source_fn, t_end, store_steps, guard=None, smooth_start=False, triangular=False):
         """March the block and return its stored slices, shape (k, n_stored, n).
 
         ``init`` is the (n, k) block of initial fields; ``source_fn(state,
         out)`` writes the source of every column of ``state`` into the
         (n, k) buffer ``out``.  ``store_steps`` is a sorted iterable of step
         indices to record (0 = initial data); ``guard(state, t)`` may raise.
+
+        ``triangular`` declares that the source of column j reads only
+        columns below j, so column 0 has none (the moment hierarchy).  Then
+        column 0's predictor is already its corrected value and no source
+        reads the top column's predictor: a CN step solves columns 0..k-2
+        as the predictor (``source_fn`` gets that narrower block) and
+        columns 1..k-1 as the corrector.  Each column's values are those
+        of the full predictor-corrector step, bit for bit.
         """
         n_steps = int(round(t_end / self.dt))
         if abs(n_steps * self.dt - t_end) > 1e-9 * max(1.0, t_end):
@@ -145,6 +153,7 @@ class _IMEXMarcher:
         if 0 in slot:
             stored[:, slot[0]] = state.T
         smooth_left = self.prop.rannacher if smooth_start else 0
+        lead = max(state.shape[1] - 1, 1)
         for step in range(n_steps):
             source_fn(state, src0)
             if smooth_left > 0:
@@ -153,6 +162,14 @@ class _IMEXMarcher:
                 source_fn(half, src1)
                 state = self.prop.step_be_half(half, src1)
                 smooth_left -= 1
+            elif triangular:
+                pred = self.prop.step_cn(state[:, :lead], src0[:, :lead])
+                if lead < state.shape[1]:
+                    source_fn(pred, src1)
+                    src1 += src0
+                    src1 *= 0.5
+                    state[:, 1:] = self.prop.step_cn(state[:, 1:], src1[:, 1:])
+                state[:, 0] = pred[:, 0]
             else:
                 pred = self.prop.step_cn(state, src0)
                 source_fn(pred, src1)
@@ -209,7 +226,8 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
     binom = {n: [float(comb(n, k)) for k in range(n + 1)] for n in range(2, n_max + 1)}
 
     def source(state, out):
-        # column n - 1 holds order n; order 1 has no source
+        # column n - 1 holds order n; order 1 has no source, and order n
+        # reads only the columns of orders below n
         out[:, 0] = 0.0
         for n in range(2, n_max + 1):
             s = out[:, n - 1]
@@ -218,11 +236,23 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
                 s += binom[n][k] * state[:, k - 1] * state[:, n - k - 1]
             s *= b_vals
 
+    def ceilings(t):
+        bounds = [guard_factor * (f_sup**n) * yule_moment_bound(n, t, model.b_star) for n in range(1, n_max + 1)]
+        return np.array(bounds)
+
+    # with b_star >= 0 the ceilings grow with t, so those of an earlier step
+    # bound the current ones from below: they are recomputed only when a
+    # peak passes them
+    known = ceilings(0.0)
+
     def guard(state, t):
-        peaks = np.max(np.abs(state), axis=0)
+        nonlocal known
+        peaks = np.abs(state).max(axis=0)
+        if model.b_star >= 0 and not (peaks > known).any():
+            return
+        known = ceilings(t)
         for n in range(1, n_max + 1):
-            ceiling = guard_factor * (f_sup**n) * yule_moment_bound(n, t, model.b_star)
-            if peaks[n - 1] > ceiling:
+            if peaks[n - 1] > known[n - 1]:
                 raise BlowupError(
                     f"order-{n} moment reached {peaks[n - 1]:.3g} at t = {t:.3g}, above "
                     f"{guard_factor}x the pure-birth ceiling; check the model scale"
@@ -232,7 +262,7 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
     marcher = _IMEXMarcher(generator, dt_pde)
     # initial data f^n generally ignores the absorbing boundary, so damp
     # the startup like the survival solver does
-    stored = marcher.run(init, source, t_end, steps, guard=guard, smooth_start=True)
+    stored = marcher.run(init, source, t_end, steps, guard=guard, smooth_start=True, triangular=True)
     times = np.array(steps) * dt_pde
     return MomentField(
         times=times,
@@ -439,7 +469,7 @@ def _newton_h(generator, b_vals, tol):
     )
 
 
-def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.005):
+def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.005, survival=None):
     """Extinction-probability limit h, by Newton's method on the stationary
     equation L h - b h^2 = 0 and by the long-time survival march.
 
@@ -448,6 +478,14 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
     stationary solution there is an error) and the zero field is returned.
     In the supercritical regime both routes are computed and must agree to
     3 * tol, else a hard failure is raised.
+
+    The survival route marches u0 on in segments of about 1 / beta, beta =
+    min(|lambda0|, gap), until the extrapolated remainder drops below tol.
+    ``survival`` is an optional u0 field from ``solve_survival`` (the survey
+    march of ``survive``): the route continues from its last slice, at its
+    ``meta["dt_pde"]``, in segments of whole stored slices, and measures its
+    first contraction rates on the field's slices.  Without it the route
+    first marches u0 from t = 0 over four segments at ``dt_pde``.
     """
     from .semigroup import build_generator, principal_eigentriple
 
@@ -473,34 +511,40 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
             regime=regime,
         )
 
-    # survival route: march u0 in fixed segments until the geometrically
-    # extrapolated remainder drops below tol
+    # survival route: march u0 on in segments of about 1 / beta until the
+    # geometrically extrapolated remainder drops below tol
     beta = min(abs(spectral.lambda0), spectral.gap)
-    dt_seg = math.ceil(max(4.0 / beta, 2.0) / (4.0 * dt_pde)) * dt_pde
-    t_probe = 4.0 * dt_seg
-    seg = solve_survival(t_probe, generator, model, dt_pde=dt_pde, n_store=4)
-    u0_final = seg.fields[0][-1]
-    u_prev = seg.fields[0][-2]
-    dt_used = seg.meta["dt_pde"]  # the survival solver may have halved its step
+    t_probe = max(4.0 / beta, 2.0)
+    if survival is None or len(survival.times) < 2:
+        dt_seg = math.ceil(t_probe / (4.0 * dt_pde)) * dt_pde
+        survival = solve_survival(4.0 * dt_seg, generator, model, dt_pde=dt_pde, n_store=4)
+        stride = 1
+    else:
+        # segments of a whole number of the survey's stored slices
+        stride = max(1, round(t_probe / (4.0 * survival.dt_store)))
+        dt_seg = stride * survival.dt_store
+    # checkpoints a segment apart, newest first: the field's last slice and
+    # up to two before it
+    marks = list(survival.fields[0][::-stride][:3])
+    dt_used = survival.meta["dt_pde"]  # the survival solver may have halved its step
     marcher = _IMEXMarcher(generator, dt_used)
     src = _survival_source(b_vals)
-    t_total = t_probe
-    inc_prev = float(np.max(np.abs(seg.fields[0][-2] - seg.fields[0][-3])))
+    t_total = float(survival.times[-1])
     for _ in range(60):
-        inc = float(np.max(np.abs(u0_final - u_prev)))
-        # contraction per segment: measured where sane, else the spectral rate
-        q = math.exp(-beta * dt_seg)
-        if inc_prev > 0 and inc > 0:
-            q = min(max(inc / inc_prev, q), 0.98)
-        remaining = inc * q / max(1.0 - q, 1e-12)
-        if remaining < 0.5 * tol or t_total > 400.0:
-            break
-        u_prev = u0_final
-        inc_prev = inc
-        out = marcher.run(u0_final[:, None], src, dt_seg, [int(round(dt_seg / dt_used))])
-        u0_final = np.clip(out[0][-1].real, 0.0, 1.0)
+        if len(marks) > 1:
+            inc = float(np.max(np.abs(marks[0] - marks[1])))
+            inc_prev = float(np.max(np.abs(marks[1] - marks[2]))) if len(marks) > 2 else 0.0
+            # contraction per segment: measured where sane, else the spectral rate
+            q = math.exp(-beta * dt_seg)
+            if inc_prev > 0 and inc > 0:
+                q = min(max(inc / inc_prev, q), 0.98)
+            remaining = inc * q / max(1.0 - q, 1e-12)
+            if remaining < 0.5 * tol or t_total > 400.0:
+                break
+        out = marcher.run(marks[0][:, None], src, dt_seg, [int(round(dt_seg / dt_used))])
+        marks = [np.clip(out[0][-1].real, 0.0, 1.0), *marks[:2]]
         t_total += dt_seg
-    h_u0 = u0_final
+    h_u0 = marks[0]
 
     agreement = float(np.max(np.abs(h - h_u0)))
     if agreement > 3.0 * tol:

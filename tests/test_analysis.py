@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -62,6 +66,42 @@ def test_ks_null_p_values_uniform():
         ps.append(p)
     d, p_of_p = ks_test(np.array(ps), lambda v: np.clip(v, 0, 1))
     assert p_of_p > 1e-3
+
+
+def test_ks_statistic_and_band_match_scipy_stats():
+    """D is scipy's kstest statistic and the band scipy's kstwobign
+    quantile, bit for bit; the p-value is the asymptotic Kolmogorov tail."""
+    from scipy import stats
+
+    def cdf(v):
+        return 1.0 - np.exp(-np.clip(v, 0.0, None))
+
+    for seed in range(5):
+        x = np.random.default_rng(seed).exponential(1.02, size=707)
+        d, p = ks_test(x, cdf)
+        assert d == stats.kstest(x, cdf).statistic
+        assert p == pytest.approx(stats.kstwobign.sf(math.sqrt(len(x)) * d), rel=1e-12)
+    for alpha in (0.01, 0.05, 0.001):
+        for n in (50, 707, 5000):
+            assert ks_band(alpha, n) == float(stats.kstwobign.ppf(1.0 - alpha) / math.sqrt(n))
+
+
+def test_ks_helpers_leave_scipy_stats_unloaded():
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from branchlab.analysis import ks_band, ks_test
+        x = np.random.default_rng(3).uniform(size=200)
+        d, p = ks_test(x, lambda v: np.clip(v, 0.0, 1.0))
+        assert 0.0 < d < 1.0 and 0.0 < p <= 1.0 and ks_band(0.01, 200) > 0.0
+        assert "scipy.stats" not in sys.modules
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_moment_z_test():

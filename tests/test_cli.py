@@ -319,6 +319,7 @@ def test_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
         ("reps", 0), ("reps", 1), ("reps", 2.5), ("reps", "10"), ("reps", -5), ("reps", True),
         ("dt", 0), ("dt", -0.01), ("cutoff_m", -1), ("cutoff_m", 0),
         ("times", []), ("times", [-1.0]), ("times", 5.0), ("times", [1.0, "2"]),
+        ("x0", "a"), ("x0", None), ("x0", True), ("x0", [0.0]), ("x0", float("nan")), ("x0", float("inf")),
     ],
 )
 def test_bad_mc_value_is_a_config_error(tmp_path, capsys, key, value):
@@ -331,6 +332,28 @@ def test_bad_mc_value_is_a_config_error(tmp_path, capsys, key, value):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"mc.{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dt_pde", 0), ("dt_pde", -0.01), ("dt_pde", "0.01"), ("dt_pde", None), ("dt_pde", float("inf")),
+        ("t_end", 0), ("t_end", -1.0), ("t_end", True), ("t_end", float("nan")),
+        ("h_tol", 0), ("h_tol", -1e-6), ("h_tol", "1e-6"),
+        ("n_store", 0), ("n_store", 2.5), ("n_store", True), ("n_store", "200"),
+        ("n_orders", 0), ("n_orders", -1), ("n_orders", 3.0), ("n_orders", False),
+    ],
+)
+def test_bad_solver_value_is_a_config_error(tmp_path, capsys, key, value):
+    with open(small_critical_config(tmp_path, reps=100)) as fh:
+        doc = json.load(fh)
+    doc["solver"][key] = value
+    p = tmp_path / "bad_solver.json"
+    p.write_text(json.dumps(doc))
+    code = main(["moments", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"solver.{key}" in err and "Traceback" not in err
 
 
 def test_population_cap_is_a_hard_failure(tmp_path, capsys, monkeypatch):
@@ -393,6 +416,59 @@ def test_spectrum_writes_the_fitted_H(tmp_path):
     spec = principal_eigentriple(gen, cfg.model)
     assert spec.H is None
     assert doc["H"] == fit_H(gen, spec, cfg.solver["dt_pde"])
+
+
+def test_survive_marches_u0_once(tmp_path, monkeypatch):
+    """survive marches the survival equation from t = 0 once, in its survey;
+    the u0 route of h only continues that march, with CN steps alone."""
+    from branchlab import moments, semigroup
+
+    phase = ["other"]
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            key = (phase[0], name)
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def in_phase(label, fn):
+        def wrapper(*args, **kwargs):
+            outer, phase[0] = phase[0], label
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = outer
+
+        return wrapper
+
+    monkeypatch.setattr(semigroup.Propagator, "step_cn", counted("cn", semigroup.Propagator.step_cn))
+    monkeypatch.setattr(semigroup.Propagator, "step_be_half", counted("be", semigroup.Propagator.step_be_half))
+    monkeypatch.setattr(moments, "solve_survival", counted("survival", in_phase("survey", moments.solve_survival)))
+    monkeypatch.setattr(moments, "solve_h", in_phase("route", moments.solve_h))
+    cfg_path = os.path.join(CONFIG_DIR, "supercritical_constant.json")
+    assert main(["survive", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    survey = calls[("survey", "cn")] + calls.get(("survey", "be"), 0)
+    continuation = calls[("route", "cn")]
+    assert calls[("other", "survival")] == 1 and ("route", "survival") not in calls
+    assert ("route", "be") not in calls  # no restart from the initial data
+    assert sum(calls[k] for k in calls if k[1] in ("cn", "be")) == survey + continuation
+
+    # the route without the survey marches u0 again from t = 0
+    calls.clear()
+    cfg = load_config(cfg_path)
+    _cfg, _cal, gen, spec = cli._calibrated_model(cfg)
+    fresh = moments.solve_h(
+        cfg.model, cfg.dynamics, cfg.grid, tol=float(cfg.solver["h_tol"]), generator=gen, spectral=spec,
+        dt_pde=cfg.solver["dt_pde"],
+    )
+    assert calls[("route", "survival")] == 1 and calls[("survey", "be")] > 0
+    assert calls[("survey", "cn")] + calls.get(("route", "cn"), 0) > continuation
+    h_csv = np.loadtxt(tmp_path / "o" / "h.csv", delimiter=",", skiprows=2)
+    assert np.array_equal(h_csv[:, 1], fresh.h)
+    assert np.max(np.abs(h_csv[:, 2] - fresh.h_u0_route)) <= 3.0 * float(cfg.solver["h_tol"])
 
 
 def _reference_csv(path, cfg, header, rows):
@@ -466,3 +542,23 @@ def test_csv_rows_match_the_numpy_scalar_reference(tmp_path, monkeypatch):
     text = (out / "moments.csv").read_text()
     assert ",-0.0\n" in text and ",1e-20\n" in text and ",5e-324\n" in text
     assert ",1,-0.0\n" in text and ",3,-0.0\n" in text  # orders written as integers
+
+    # the writer itself, on every kind of column it takes: arrays, lists of
+    # Python and numpy scalars, ranges, repeated scalars and preformatted text
+    vals = np.array([-0.0, 1e-20, 5e-324, -1.5e300, np.nan, np.inf, -np.inf, 0.1 + 0.2, 7.0])
+    ints = np.array([0, -3, 2**62, 5, 1, 0, 12, 7, 9])
+    blocks = [
+        (2.5, vals, ints, list(vals), range(9)),
+        (np.float64(-0.0), list(ints), [np.float64(v) for v in vals[::-1]], 3, "0.25"),
+        (float("nan"), np.array([]), [], 1, 2),
+    ]
+    rows = [
+        row
+        for block in blocks
+        for row in zip(*(col if isinstance(col, (np.ndarray, list, range)) else [col] * len(block[1]) for col in block))
+    ]
+    cli._write_csv(out / "writer.csv", cfg, list("abcde"), blocks)
+    _reference_csv(ref / "writer.csv", cfg, list("abcde"), rows)
+    assert (out / "writer.csv").read_bytes() == (ref / "writer.csv").read_bytes()
+    text = (out / "writer.csv").read_text()
+    assert ",nan," in text and ",inf," in text and ",-inf," in text and "\n-0.0,-3," in text

@@ -186,6 +186,31 @@ def test_h_newton_matches_u0_route_on_oscillator(supercritical_oscillator_setup)
     assert np.max(np.abs(resid)) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "setup, dt_pde, t_end, n_store",
+    [("supercritical_setup", 0.005, 16.0, 200), ("supercritical_oscillator_setup", 0.01, 20.0, 100)],
+)
+def test_h_route_continues_a_survey_march(setup, dt_pde, t_end, n_store, request, monkeypatch):
+    """Continued from a survival field, the u0 route starts no new march
+    from t = 0 and agrees with the route that does to 3 tol."""
+    import branchlab.moments as mom
+    from branchlab import semigroup
+
+    model, dyn, grid, gen, spec = request.getfixturevalue(setup)
+    tol = 1e-6
+    fresh = solve_h(model, dyn, grid, tol=tol, generator=gen, spectral=spec, dt_pde=dt_pde)
+    survey = solve_survival(t_end, gen, model, dt_pde=dt_pde, n_store=n_store)
+    started = []
+    monkeypatch.setattr(mom, "solve_survival", lambda *a, **k: started.append(a))
+    half_step = semigroup.Propagator.step_be_half
+    monkeypatch.setattr(semigroup.Propagator, "step_be_half", lambda *a: started.append(a) or half_step(*a))
+    cont = solve_h(model, dyn, grid, tol=tol, generator=gen, spectral=spec, dt_pde=dt_pde, survival=survey)
+    assert not started
+    assert np.array_equal(cont.h, fresh.h)
+    assert np.max(np.abs(cont.h_u0_route - fresh.h_u0_route)) <= 3.0 * tol
+    assert cont.agreement <= 3.0 * tol
+
+
 def test_h_newton_nonconvergence_raises(supercritical_oscillator_setup, monkeypatch):
     import branchlab.moments as mom
 
@@ -546,6 +571,77 @@ def test_block_march_equals_column_marches(setup, request):
     for j in range(3):
         alone = marcher.run(block[:, [j]], _column_source(b_vals), 0.1, steps, smooth_start=True)
         assert np.array_equal(together[j], alone[0])
+
+
+def _full_block_moment_march(gen, model, f_vals, n_max, t_end, dt, steps):
+    """The moment march with every order in both CN solves of each step
+    (predictor and corrector on the whole block), stored at ``steps``."""
+    from branchlab.semigroup import _propagator
+    from scipy.special import comb
+
+    prop = _propagator(gen, dt)
+    b_vals = np.asarray(model.b(gen.grid.nodes), dtype=float)
+
+    def source(state, out):
+        out[:, 0] = 0.0
+        for n in range(2, n_max + 1):
+            s = out[:, n - 1]
+            s[:] = 0.0
+            for k in range(1, n):
+                s += float(comb(n, k)) * state[:, k - 1] * state[:, n - k - 1]
+            s *= b_vals
+
+    state = np.array(np.column_stack([f_vals**n for n in range(1, n_max + 1)]), order="F")
+    src0, src1 = np.empty_like(state), np.empty_like(state)
+    stored = {0: state.T.copy()}
+    for step in range(int(round(t_end / dt))):
+        source(state, src0)
+        if step < prop.rannacher:
+            half = prop.step_be_half(state, src0)
+            source(half, src1)
+            state = prop.step_be_half(half, src1)
+        else:
+            pred = prop.step_cn(state, src0)
+            source(pred, src1)
+            src1 += src0
+            src1 *= 0.5
+            state = prop.step_cn(state, src1)
+        stored[step + 1] = state.T.copy()
+    return np.stack([stored[k] for k in steps], axis=1)
+
+
+@pytest.mark.parametrize("setup", ["oscillator_setup", "jumps_setup", "drifted_setup"])
+@pytest.mark.parametrize("n_max", [1, 2, 4])
+def test_moment_march_equals_the_full_block_march(setup, n_max, request):
+    """Solving only the columns that a source reads changes no bit."""
+    from branchlab.moments import _store_steps
+
+    model, _dyn, grid, gen, _spec = request.getfixturevalue(setup)
+    f_vals = 0.5 + np.exp(-0.5 * grid.nodes**2)
+    mf = solve_moments(f_vals, n_max, 0.4, gen, model, dt_pde=0.01, n_store=8)
+    want = _full_block_moment_march(gen, model, f_vals, n_max, 0.4, 0.01, _store_steps(0.4, 0.01, 8))
+    assert mf.orders == list(range(1, n_max + 1))
+    for n in mf.orders:
+        assert np.array_equal(mf.fields[n], want[n - 1])
+
+
+def test_blowup_guard_fires_at_the_first_step_over_the_ceiling():
+    from branchlab.branching import yule_moment_bound
+    from branchlab.moments import BlowupError
+
+    grid = Grid(-4.0, 4.0, 101, boundary="reflecting")
+    model = make_constant_model(1.0, 0.0)
+    dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
+    gen = build_generator(model, dyn, grid)
+    model.b_star = 0.05
+    march = _full_block_moment_march(gen, model, np.ones(101), 2, 3.0, 0.01, range(301))
+    first = next(
+        k
+        for k in range(1, 301)
+        if any(np.max(np.abs(march[n - 1, k])) > 10.0 * yule_moment_bound(n, k * 0.01, 0.05) for n in (1, 2))
+    )
+    with pytest.raises(BlowupError, match=rf"at t = {first * 0.01:.3g},"):
+        solve_moments(np.ones(101), 2, 3.0, gen, model, dt_pde=0.01)
 
 
 def test_imex_march_matches_dense_scheme(jumps_setup):
