@@ -8,8 +8,10 @@ Statistical conventions: comparisons of Monte Carlo output against exact
 finite-t values use 3 standard errors; comparisons against t -> infinity
 limits use 4 standard errors (they carry additional O(1/t) bias).  The
 Kolmogorov-Smirnov tests of the limit laws get a finite-t slack delta(t) =
-c / t added to the rejection band, with c calibrated once against the
-exactly known conditional law of the constant-rate model.
+c / (B t) added to the rejection band, with c calibrated once per limit law
+against the exactly known conditional law of the constant-rate model
+(``ks_slack``).  Sample moments are z-tested by ``sample_moment_test``, and
+a check that cannot decide returns the one inconclusive report.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ __all__ = [
     "upsilon_law",
     "upsilon_quantile_h",
     "upsilon_test",
-    "upsilon_slack",
-    "upsilon_ks_slack_constant",
+    "upsilon_law_of_mass",
     "subcritical_yaglom_test",
     "w_infty_diagnostics",
     "w_atom_threshold",
@@ -54,7 +55,10 @@ __all__ = [
     "ks_test",
     "ks_band",
     "moment_z_test",
-    "critical_ks_slack_constant",
+    "sample_moment_test",
+    "exponential_law",
+    "geometric_ks_distance",
+    "ks_slack",
     "null_calibration",
 ]
 
@@ -102,6 +106,21 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+def _inconclusive(name, statistic, threshold, sample_size, reason, **details):
+    """The report of a check that could not decide: value NaN, not passed,
+    and ``reason`` first in the details."""
+    return TestReport(
+        name=name,
+        statistic=statistic,
+        value=math.nan,
+        threshold=threshold,
+        sample_size=sample_size,
+        passed=False,
+        inconclusive=True,
+        details={"reason": reason, **details},
+    )
 
 
 def _require_regime(spectral, regime, op):
@@ -161,6 +180,22 @@ def moment_z_test(sample_moments, targets, ses, z_max, name="moment-z"):
     )
 
 
+def sample_moment_test(sample, orders, targets, z_max, name):
+    """z-test of the raw sample moments mean(sample**n), n in ``orders``,
+    against ``targets``, each with standard error sd(sample**n)/sqrt(m) over
+    the m samples; passes when every |z| is within ``z_max``.  ``details``
+    holds the moments, the targets and the z-scores."""
+    sample = np.asarray(sample, dtype=float)
+    powers = [sample**n for n in orders]
+    moments = [float(np.mean(y)) for y in powers]
+    ses = [float(np.std(y, ddof=1) / math.sqrt(len(sample))) for y in powers]
+    targets = [float(v) for v in targets]
+    rep = moment_z_test(moments, targets, ses, z_max, name=name)
+    rep.sample_size = len(sample)
+    rep.details = {"moments": moments, "targets": targets, **rep.details}
+    return rep
+
+
 def null_calibration(run_once, reps=100, seed=0):
     """Feed a test its own null ``reps`` times; returns the pass rate.
 
@@ -216,15 +251,9 @@ def critical_survival_check(u0_field, spectral, model=None, tolerance=0.02):
     times = u0_field.times
     t_end = float(times[-1])
     if t_end < 50.0 / B:
-        return TestReport(
-            name="critical-survival-asymptotic",
-            statistic="sup deviation",
-            value=math.nan,
-            threshold=tolerance / B,
-            sample_size=len(times),
-            passed=False,
-            inconclusive=True,
-            details={"reason": f"horizon {t_end:.3g} below 50/B = {50 / B:.3g}"},
+        return _inconclusive(
+            "critical-survival-asymptotic", "sup deviation", tolerance / B, len(times),
+            f"horizon {t_end:.3g} below 50/B = {50 / B:.3g}",
         )
     u0 = u0_field.fields[0]
     target = spectral.theta0 / B
@@ -287,16 +316,10 @@ def critical_ode_residual(decomp, spectral, model, rel_tol=1e-3):
     trunc_rel = (spectral.B * r[mid] * dt) ** 2
     use = (trunc_rel <= rel_tol / 10.0) & (r[mid] > 1e-6)
     if not use.any():
-        return TestReport(
-            name="critical-ode-residual",
-            statistic="relative residual",
-            value=math.nan,
-            threshold=rel_tol,
-            sample_size=0,
-            passed=False,
-            inconclusive=True,
-            details={"reason": "differentiation noise dominates everywhere"},
+        return _inconclusive(
+            "critical-ode-residual", "relative residual", rel_tol, 0, "differentiation noise dominates everywhere"
         )
+    kept = times[mid][use]
     rel = np.abs(drdt[use] - rhs[use]) / np.maximum(np.abs(rhs[use]), 1e-300)
     worst = float(np.max(rel))
 
@@ -314,6 +337,10 @@ def critical_ode_residual(decomp, spectral, model, rel_tol=1e-3):
             "psi_over_r2_final": float(ratio[-1]),
             "psi_over_r2_max_late": float(np.max(ratio[lastq])),
             "psi_over_r2_bounded": bool(ratio_bounded),
+            # the times the filter kept, and its cut on the truncation estimate
+            "window_first_t": float(kept[0]),
+            "window_last_t": float(kept[-1]),
+            "window_cut": rel_tol / 10.0,
         },
     )
 
@@ -322,42 +349,38 @@ def critical_ode_residual(decomp, spectral, model, rel_tol=1e-3):
 # critical limit laws
 
 
-def _geometric_ks_distance(t, b, k_max, limit_cdf_of_u):
+def exponential_law(u):
+    """CDF of the critical Yaglom limit, the unit-mean exponential."""
+    return 1.0 - np.exp(-u)
+
+
+def geometric_ks_distance(limit_cdf, t):
     """Exact KS distance between the conditional law of the constant-rate
-    critical model at time t (geometric, with u = k / mean) and a limit CDF
-    of u, over both sides of each atom."""
-    mean = 1.0 + b * t
-    q = b * t / (1.0 + b * t)
-    k_max = k_max or int(40 * mean)
-    ks = np.arange(1, k_max + 1)
-    cdf_limit = limit_cdf_of_u(ks / mean)
+    critical model (b = d = 1) at time t (geometric, with u = k / mean) and
+    the limit CDF ``limit_cdf`` of u, over both sides of each atom."""
+    mean = 1.0 + t
+    q = t / (1.0 + t)
+    ks = np.arange(1, int(40 * mean) + 1)
+    cdf_limit = limit_cdf(ks / mean)
     cdf_right = 1.0 - q**ks
     cdf_left = 1.0 - q ** (ks - 1)
     return float(max(np.max(np.abs(cdf_right - cdf_limit)), np.max(np.abs(cdf_left - cdf_limit))))
 
 
 @functools.cache
-def _slack_constant(ks_distance):
-    """c = 1.5 t_cal d(t_cal): the finite-t KS slack constant of one limit
-    law, calibrated once on the constant-rate model (B = 1, 50% margin)."""
+def _slack_constant(limit_cdf):
     t_cal = 30.0
-    return 1.5 * t_cal * ks_distance(t_cal)
+    return 1.5 * t_cal * geometric_ks_distance(limit_cdf, t_cal)
 
 
-def critical_ks_slack_constant(t, b=1.0, k_max=None):
-    """Exact KS distance between the conditional law of the constant-rate
-    critical model at time t (geometric, normalized by (t+1) with A=B=1)
-    and the exponential limit.  Used to calibrate the finite-t slack
-    c = t * distance once; delta(t) = c / t."""
-    return _geometric_ks_distance(t, b, k_max, lambda u: 1.0 - np.exp(-u))
-
-
-def ks_slack(t, B=1.0):
-    """Finite-t KS slack delta(t) = c / (B t), with c calibrated once on
-    the constant-rate model (where B = 1; 50% safety margin).  The B
-    scaling matches the conditional population scale E[N_t | alive] ~ B t,
-    which sets the lattice spacing of the normalized law."""
-    return _slack_constant(critical_ks_slack_constant) / (B * t)
+def ks_slack(limit_cdf, t, B=1.0):
+    """Finite-t KS slack delta(t) = c / (B t) of a limit law with CDF
+    ``limit_cdf`` of the normalized mass u.  c = 1.5 t_cal d(t_cal) is
+    calibrated once on the constant-rate model (where B = 1; 50% safety
+    margin), with d its exact KS distance at t_cal = 30.  The B scaling
+    matches the conditional population scale E[N_t | alive] ~ B t, which
+    sets the lattice spacing of the normalized law."""
+    return _slack_constant(limit_cdf) / (B * t)
 
 
 def yaglom_test_critical(n_samples, spectral, t, alpha=0.01, min_survivors=500):
@@ -368,25 +391,18 @@ def yaglom_test_critical(n_samples, spectral, t, alpha=0.01, min_survivors=500):
     n_samples = np.asarray(n_samples, dtype=float)
     survivors = n_samples[n_samples > 0]
     if len(survivors) < min_survivors:
-        return TestReport(
-            name="critical-yaglom-exponential",
-            statistic="KS distance",
-            value=math.nan,
-            threshold=math.nan,
-            sample_size=len(survivors),
-            passed=False,
-            inconclusive=True,
-            details={"reason": f"only {len(survivors)} survivors < {min_survivors}"},
+        return _inconclusive(
+            "critical-yaglom-exponential", "KS distance", math.nan, len(survivors),
+            f"only {len(survivors)} survivors < {min_survivors}",
         )
     scale = (t + 1.0) * spectral.A * spectral.B
     x = survivors / scale
     d, p = ks_test(x, lambda v: 1.0 - np.exp(-np.clip(v, 0.0, None)))
-    threshold = ks_band(alpha, len(x)) + ks_slack(t, spectral.B)
+    slack = ks_slack(exponential_law, t, spectral.B)
+    threshold = ks_band(alpha, len(x)) + slack
     ks_pass = d <= threshold
 
-    moments = [float(np.mean(x**n)) for n in (1, 2, 3)]
-    ses = [float(np.std(x**n, ddof=1) / math.sqrt(len(x))) for n in (1, 2, 3)]
-    mom = moment_z_test(moments, [1.0, 2.0, 6.0], ses, z_max=4.0, name="yaglom moments")
+    mom = sample_moment_test(x, (1, 2, 3), [1.0, 2.0, 6.0], 4.0, name="yaglom moments")
     return TestReport(
         name="critical-yaglom-exponential",
         statistic="KS distance",
@@ -396,10 +412,10 @@ def yaglom_test_critical(n_samples, spectral, t, alpha=0.01, min_survivors=500):
         passed=bool(ks_pass and mom.passed),
         p_value=p,
         details={
-            "slack": ks_slack(t, spectral.B),
+            "slack": slack,
             "moment_z": mom.details["z_scores"],
-            "moments": moments,
-            "targets": [1.0, 2.0, 6.0],
+            "moments": mom.details["moments"],
+            "targets": mom.details["targets"],
         },
     )
 
@@ -417,16 +433,7 @@ def lln_ratio_test(zf_samples, n_samples, spectral, nu_f, z_max=4.0, min_survivo
     ns = np.asarray(n_samples, dtype=float)
     alive = ns > 0
     if alive.sum() < min_survivors:
-        return TestReport(
-            name="critical-lln-ratio",
-            statistic="|mean - nu(f)| / SE",
-            value=math.nan,
-            threshold=z_max,
-            sample_size=int(alive.sum()),
-            passed=False,
-            inconclusive=True,
-            details={"reason": "survivor starvation"},
-        )
+        return _inconclusive("critical-lln-ratio", "|mean - nu(f)| / SE", z_max, int(alive.sum()), "survivor starvation")
     ratio = zf[alive] / ns[alive]
     scale = max(abs(nu_f), float(np.max(np.abs(ratio))), 1e-300)
     se = float(np.std(ratio, ddof=1) / math.sqrt(len(ratio)))
@@ -461,18 +468,11 @@ def upsilon_law(y):
     return 1.0 - np.exp(-upsilon_quantile_h(y))
 
 
-def upsilon_ks_slack_constant(t, b=1.0, k_max=None):
-    """Exact KS distance of the centered ratio on the constant-rate model
-    (spatially constant f, so the ratio is a deterministic transform of the
-    geometric population size) from its limit law at time t."""
-    # y = sqrt(u) - 1/(2 sqrt(u)) is monotone increasing in k
-    return _geometric_ks_distance(t, b, k_max, lambda u: upsilon_law(np.sqrt(u) - 0.5 / np.sqrt(u)))
-
-
-def upsilon_slack(t, B=1.0):
-    """Finite-t slack for the centered-ratio KS test, delta(t) = c / (B t)
-    with c calibrated once on the constant-rate model (50% margin)."""
-    return _slack_constant(upsilon_ks_slack_constant) / (B * t)
+def upsilon_law_of_mass(u):
+    """The centered-ratio limit CDF at the normalized mass u of the
+    constant-rate model: with f spatially constant the centered ratio is
+    y = sqrt(u) - 1/(2 sqrt(u)), monotone increasing in u."""
+    return upsilon_law(np.sqrt(u) - 0.5 / np.sqrt(u))
 
 
 def upsilon_samples(zf_samples, n_samples, t, spectral, nu_f):
@@ -493,18 +493,10 @@ def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01, min_survi
         raise ValueError("upsilon_test needs nu(f) != 0")
     ups = upsilon_samples(zf_samples, n_samples, t, spectral, nu_f)
     if len(ups) < min_survivors:
-        return TestReport(
-            name="critical-upsilon-law",
-            statistic="KS distance",
-            value=math.nan,
-            threshold=math.nan,
-            sample_size=len(ups),
-            passed=False,
-            inconclusive=True,
-            details={"reason": "survivor starvation"},
-        )
+        return _inconclusive("critical-upsilon-law", "KS distance", math.nan, len(ups), "survivor starvation")
     d, p = ks_test(ups, upsilon_law)
-    threshold = ks_band(alpha, len(ups)) + upsilon_slack(t, spectral.B)
+    slack = ks_slack(upsilon_law_of_mass, t, spectral.B)
+    threshold = ks_band(alpha, len(ups)) + slack
     return TestReport(
         name="critical-upsilon-law",
         statistic="KS distance",
@@ -513,7 +505,7 @@ def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01, min_survi
         sample_size=len(ups),
         passed=bool(d <= threshold),
         p_value=p,
-        details={"slack": upsilon_slack(t, spectral.B)},
+        details={"slack": slack},
     )
 
 
@@ -523,37 +515,17 @@ def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01, min_survi
 
 def subcritical_yaglom_test(zf_samples, limits, f_sup=None, z_max=4.0, n_orders=4, min_survivors=200, name_suffix=""):
     """Conditional moments of <Z_t, f> given survival against V_n^-/K^-."""
+    name = "subcritical-yaglom-moments" + name_suffix
     zf = np.asarray(zf_samples, dtype=float)
     alive = zf != 0.0
     survivors = zf[alive]
     if len(survivors) < min_survivors:
-        return TestReport(
-            name="subcritical-yaglom-moments" + name_suffix,
-            statistic="max |z|",
-            value=math.nan,
-            threshold=z_max,
-            sample_size=len(survivors),
-            passed=False,
-            inconclusive=True,
-            details={"reason": "survivor starvation; push t down or reps up"},
+        return _inconclusive(
+            name, "max |z|", z_max, len(survivors), "survivor starvation; push t down or reps up"
         )
-    k_minus = limits["K_minus"]
-    moments, targets, ses = [], [], []
-    for n in range(1, n_orders + 1):
-        yn = survivors**n
-        moments.append(float(np.mean(yn)))
-        ses.append(float(np.std(yn, ddof=1) / math.sqrt(len(yn))))
-        targets.append(limits["V"][n] / k_minus)
-    rep = moment_z_test(moments, targets, ses, z_max, name="subcritical moments")
-    return TestReport(
-        name="subcritical-yaglom-moments" + name_suffix,
-        statistic="max |z|",
-        value=rep.value,
-        threshold=z_max,
-        sample_size=len(survivors),
-        passed=rep.passed,
-        details={"moments": moments, "targets": targets, "z_scores": rep.details["z_scores"]},
-    )
+    orders = range(1, n_orders + 1)
+    targets = [limits["V"][n] / limits["K_minus"] for n in orders]
+    return sample_moment_test(survivors, orders, targets, z_max, name=name)
 
 
 # ----------------------------------------------------------------------
@@ -628,16 +600,8 @@ def w_infty_diagnostics(w_samples, spectral, h_at_x0, x0, t_end, v_plus=None, z_
 
     thr, thr_details = w_atom_threshold(w, doomed_scale)
     if thr is None:
-        return TestReport(
-            name="supercritical-w-diagnostics",
-            statistic="atom separation",
-            value=math.nan,
-            threshold=math.nan,
-            sample_size=n,
-            passed=False,
-            inconclusive=True,
-            details={"reason": "atom separation ambiguous", **thr_details},
-        )
+        # thr_details carries the reason
+        return _inconclusive("supercritical-w-diagnostics", "atom separation", math.nan, n, **thr_details)
     frac = float(np.mean(w > thr))
     se_frac = math.sqrt(max(frac * (1 - frac), 1e-300) / n)
     z_atom = abs(frac - h_at_x0) / se_frac
@@ -647,18 +611,10 @@ def w_infty_diagnostics(w_samples, spectral, h_at_x0, x0, t_end, v_plus=None, z_
     # each check's |z| over its own limit, so 1.0 is the pass line for all
     value = max(z_mart / z_mean, z_atom / z_limit)
     if v_plus is not None:
-        moments = []
-        targets = []
-        ses = []
-        for order, target in v_plus.items():
-            yn = w**order
-            moments.append(float(np.mean(yn)))
-            ses.append(float(np.std(yn, ddof=1) / math.sqrt(n)))
-            targets.append(float(target))
-        rep = moment_z_test(moments, targets, ses, z_limit, name="W moments")
+        rep = sample_moment_test(w, v_plus.keys(), v_plus.values(), z_limit, name="W moments")
         checks["moment_z"] = rep.details["z_scores"]
-        checks["moments"] = moments
-        checks["moment_targets"] = targets
+        checks["moments"] = rep.details["moments"]
+        checks["moment_targets"] = rep.details["targets"]
         value = max(value, rep.value / z_limit)
         if not rep.passed:
             failed.append("moments")
@@ -700,16 +656,7 @@ def qprocess_law_test(fvals, weights, survival_by_T, z_max=4.0, min_survivors=10
         mask = np.asarray(survival_by_T[T], dtype=bool)
         m = int(mask.sum())
         if m < min_survivors:
-            return TestReport(
-                name="qprocess-law",
-                statistic="|gap| / SE",
-                value=math.nan,
-                threshold=z_max,
-                sample_size=m,
-                passed=False,
-                inconclusive=True,
-                details={"reason": f"survivor starvation at T = {T}"},
-            )
+            return _inconclusive("qprocess-law", "|gap| / SE", z_max, m, f"survivor starvation at T = {T}")
         cond = fvals[mask]
         cond_mean = float(np.mean(cond))
         cond_se = float(np.std(cond, ddof=1) / math.sqrt(m))

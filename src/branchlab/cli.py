@@ -95,6 +95,11 @@ def _write_json(path, cfg, payload):
         fh.write("\n")
 
 
+def _status(passed, inconclusive=False):
+    """The status word of a check in the text outputs."""
+    return "INCONCLUSIVE" if inconclusive else ("pass" if passed else "FAIL")
+
+
 def _write_run_meta(out, command, elapsed):
     with open(os.path.join(out, "run_meta.json"), "w") as fh:
         json.dump(
@@ -150,7 +155,7 @@ def cmd_validate(cfg, args, out):
     report = validate_hypotheses(cfg.model, cfg.dynamics, cfg.grid)
     _write_json(os.path.join(out, "validation.json"), cfg, report.to_dict())
     for check in report.checks:
-        status = "pass" if check.passed else "FAIL"
+        status = _status(check.passed)
         extra = f"  ({check.detail})" if check.detail else ""
         print(f"[{status}] {check.name}{extra}")
     return EXIT_OK if report.all_passed else EXIT_VALIDATION
@@ -254,6 +259,8 @@ def cmd_survive(cfg, args, out):
         "h_sup": float(np.max(hres.h)),
         "h_routes_agreement": hres.agreement,
         "iterations": hres.iterations,
+        # the survival march halves dt_pde when its positivity guard trips
+        "survival_dt_pde": u0f.meta["dt_pde"],
     }
     if spec.regime() == "critical":
         rep = analysis.critical_survival_check(u0f, spec)
@@ -311,24 +318,16 @@ def cmd_verify(cfg, args, out):
         "tests": [r.to_dict() for r in reports],
     }
     _write_json(os.path.join(out, "verification.json"), cfg, manifest)
-    lines = []
-    hard_fail = False
-    for r in reports:
-        if r.inconclusive:
-            status = "INCONCLUSIVE"
-        elif r.passed:
-            status = "pass"
-        else:
-            status = "FAIL"
-            hard_fail = True
-        lines.append(
-            f"[{status}] {r.name}: {r.statistic} = {r.value:.4g} (threshold {r.threshold:.4g}, n = {r.sample_size})"
-        )
+    statuses = [_status(r.passed, r.inconclusive) for r in reports]
+    lines = [
+        f"[{status}] {r.name}: {r.statistic} = {r.value:.4g} (threshold {r.threshold:.4g}, n = {r.sample_size})"
+        for status, r in zip(statuses, reports)
+    ]
     summary = "\n".join(lines)
     with open(os.path.join(out, "verification.txt"), "w") as fh:
         fh.write(_meta_line(cfg) + "\n" + summary + "\n")
     print(summary)
-    return EXIT_HARD_FAIL if hard_fail else EXIT_OK
+    return EXIT_HARD_FAIL if "FAIL" in statuses else EXIT_OK
 
 
 def cmd_report(cfg, args, out):
@@ -343,8 +342,8 @@ def cmd_report(cfg, args, out):
         lines.append(f"## {name}")
         if "tests" in doc:
             for t in doc["tests"]:
-                flag = "INCONCLUSIVE" if t.get("inconclusive") else ("pass" if t["passed"] else "FAIL")
-                lines.append(f"- [{flag}] {t['name']}: {t['statistic']} = {t['value']:.4g}")
+                status = _status(t["passed"], t.get("inconclusive"))
+                lines.append(f"- [{status}] {t['name']}: {t['statistic']} = {t['value']:.4g}")
         elif "lambda0" in doc:
             lines.append(f"- lambda0 = {doc['lambda0']:.6g}")
             if "lambda1" in doc:

@@ -13,7 +13,7 @@ predictor-corrector source).  The fields of one march (all moment orders
 together; the real and imaginary parts of a complex H) are the columns of
 one block, so each predictor and each corrector is a single band solve
 with the propagator's factor of I - (dt/2) L, and no matrix-vector
-product (see ``semigroup.Propagator``).  The integral form is then
+product (``semigroup.Propagator.march``).  The integral form is then
 re-evaluated by quadrature over the stored time slices as an independent
 residual check.
 
@@ -39,7 +39,7 @@ from scipy.special import comb
 from .branching import yule_moment_bound
 # Propagator stays importable from here: perfbench checks that its tracer
 # patched the class this module sees
-from .semigroup import Propagator, _propagator
+from .semigroup import Propagator, _propagator, evolve_P
 
 __all__ = [
     "MomentField",
@@ -112,75 +112,6 @@ class MomentField:
         if regime == "supercritical":
             return np.exp(max(n, 1) * lambda0 * t) * u if n >= 1 else u
         raise RegimeError(f"unknown regime {regime!r}")
-
-
-class _IMEXMarcher:
-    """Crank-Nicolson march with trapezoidal predictor-corrector sources.
-
-    The fields are the columns of one Fortran-ordered (n, k) block, so every
-    predictor and every corrector is one band solve for all of them.  The
-    propagator comes from ``semigroup._propagator``'s cache: marches at the
-    same (generator, dt) share one factorization."""
-
-    def __init__(self, generator, dt):
-        self.prop = _propagator(generator, dt)
-        self.dt = float(dt)
-
-    def run(self, init, source_fn, t_end, store_steps, guard=None, smooth_start=False, triangular=False):
-        """March the block and return its stored slices, shape (k, n_stored, n).
-
-        ``init`` is the (n, k) block of initial fields; ``source_fn(state,
-        out)`` writes the source of every column of ``state`` into the
-        (n, k) buffer ``out``.  ``store_steps`` is a sorted iterable of step
-        indices to record (0 = initial data); ``guard(state, t)`` may raise.
-
-        ``triangular`` declares that the source of column j reads only
-        columns below j, so column 0 has none (the moment hierarchy).  Then
-        column 0's predictor is already its corrected value and no source
-        reads the top column's predictor: a CN step solves columns 0..k-2
-        as the predictor (``source_fn`` gets that narrower block) and
-        columns 1..k-1 as the corrector.  Each column's values are those
-        of the full predictor-corrector step, bit for bit.
-        """
-        n_steps = int(round(t_end / self.dt))
-        if abs(n_steps * self.dt - t_end) > 1e-9 * max(1.0, t_end):
-            raise ValueError("t_end must be a multiple of the solver step")
-        state = np.array(init, dtype=complex if np.iscomplexobj(init) else float, order="F")
-        src0 = np.empty_like(state)
-        src1 = np.empty_like(state)
-        slot = {step: i for i, step in enumerate(store_steps)}
-        stored = np.empty((state.shape[1], len(slot), state.shape[0]), dtype=state.dtype)
-        if 0 in slot:
-            stored[:, slot[0]] = state.T
-        smooth_left = self.prop.rannacher if smooth_start else 0
-        lead = max(state.shape[1] - 1, 1)
-        for step in range(n_steps):
-            source_fn(state, src0)
-            if smooth_left > 0:
-                # implicit-Euler half steps with midpoint source refresh
-                half = self.prop.step_be_half(state, src0)
-                source_fn(half, src1)
-                state = self.prop.step_be_half(half, src1)
-                smooth_left -= 1
-            elif triangular:
-                pred = self.prop.step_cn(state[:, :lead], src0[:, :lead])
-                if lead < state.shape[1]:
-                    source_fn(pred, src1)
-                    src1 += src0
-                    src1 *= 0.5
-                    state[:, 1:] = self.prop.step_cn(state[:, 1:], src1[:, 1:])
-                state[:, 0] = pred[:, 0]
-            else:
-                pred = self.prop.step_cn(state, src0)
-                source_fn(pred, src1)
-                src1 += src0
-                src1 *= 0.5
-                state = self.prop.step_cn(state, src1)
-            if guard is not None:
-                guard(state, (step + 1) * self.dt)
-            if (step + 1) in slot:
-                stored[:, slot[step + 1]] = state.T
-        return stored
 
 
 def _survival_source(b_vals):
@@ -259,10 +190,11 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
                 )
 
     steps = _store_steps(t_end, dt_pde, n_store, ensure_times)
-    marcher = _IMEXMarcher(generator, dt_pde)
     # initial data f^n generally ignores the absorbing boundary, so damp
     # the startup like the survival solver does
-    stored = marcher.run(init, source, t_end, steps, guard=guard, smooth_start=True, triangular=True)
+    stored = _propagator(generator, dt_pde).march(
+        init, t_end, steps, source_fn=source, guard=guard, smooth_start=True, triangular=True
+    )
     times = np.array(steps) * dt_pde
     return MomentField(
         times=times,
@@ -293,9 +225,9 @@ def solve_survival(t_end, generator, model, dt_pde=0.01, n_store=200, positivity
                 raise BlowupError(f"survival went negative ({m:.3e}) at t = {t:.3g}")
 
         steps = _store_steps(t_end, attempt_dt, n_store, ensure_times)
-        marcher = _IMEXMarcher(generator, attempt_dt)
+        prop = _propagator(generator, attempt_dt)
         try:
-            stored = marcher.run(np.ones((len(xs), 1)), source, t_end, steps, guard=guard, smooth_start=True)
+            stored = prop.march(np.ones((len(xs), 1)), t_end, steps, source_fn=source, guard=guard, smooth_start=True)
         except BlowupError as err:
             last_err = err
             attempt_dt /= 2.0
@@ -329,14 +261,29 @@ def laplace_functional(f_vals, w, t_end, generator, model, dt_pde=0.01, n_store=
     h0 = 1.0 - np.exp(w * f_vals)
     source = _survival_source(np.asarray(model.b(xs), dtype=float))
     steps = _store_steps(t_end, dt_pde, n_store, ensure_times)
-    marcher = _IMEXMarcher(generator, dt_pde)
-    stored = marcher.run(h0[:, None], source, t_end, steps, smooth_start=True)
+    stored = _propagator(generator, dt_pde).march(h0[:, None], t_end, steps, source_fn=source, smooth_start=True)
     times = np.array(steps) * dt_pde
     return MomentField(times=times, nodes=xs, fields={0: stored[0]}, meta={"w": w, "dt_pde": dt_pde})
 
 
 # ----------------------------------------------------------------------
 # integral-form residuals
+
+
+def _simpson_weights(J, dt):
+    """Composite Simpson weights on J + 1 uniform nodes a step dt apart;
+    the last interval falls back to the trapezoid when J is odd."""
+    w = np.zeros(J + 1)
+    j_even = J if J % 2 == 0 else J - 1
+    if j_even >= 2:
+        w[0:j_even + 1:2] += 2.0 * dt / 3.0
+        w[1:j_even:2] += 4.0 * dt / 3.0
+        w[0] -= dt / 3.0
+        w[j_even] -= dt / 3.0
+    if j_even < J:
+        w[J] += dt / 2.0
+        w[j_even] += dt / 2.0
+    return w
 
 
 def _duhamel_accumulate(generator, slices, dt_store, dt_pde, terminal=None):
@@ -347,27 +294,15 @@ def _duhamel_accumulate(generator, slices, dt_store, dt_pde, terminal=None):
     (the last interval falls back to trapezoid when J is odd).
     """
     J = len(slices) - 1
-    weights = np.zeros(J + 1)
     if J == 0:
-        if terminal is None:
-            return np.zeros_like(slices[0])
-        return np.asarray(terminal, dtype=float)
-    j_even = J if J % 2 == 0 else J - 1
-    if j_even >= 2:
-        weights[0:j_even + 1:2] += 2.0 * dt_store / 3.0
-        weights[1:j_even:2] += 4.0 * dt_store / 3.0
-        weights[0] -= dt_store / 3.0
-        weights[j_even] -= dt_store / 3.0
-    if j_even < J:
-        weights[J] += dt_store / 2.0
-        weights[j_even] += dt_store / 2.0
-    prop = _propagator(generator, dt_pde)
+        return np.zeros_like(slices[0]) if terminal is None else np.asarray(terminal, dtype=float)
+    weights = _simpson_weights(J, dt_store)
     # y accumulates sum_j P_{s_j} (w_j q(T - s_j)); s_J = T carries terminal
     y = weights[J] * slices[0]
     if terminal is not None:
         y = y + terminal
     for j in range(J - 1, -1, -1):
-        y = prop.evolve(y, dt_store)
+        y = evolve_P(y, dt_store, generator, dt_pde=dt_pde)
         y = y + weights[j] * slices[J - j]
     return y
 
@@ -397,7 +332,7 @@ def duhamel_residual(field, order, t_star, generator, model, dt_pde=None):
             qs.append(b_vals * s)
     # the terminal data f^order is as nonsmooth as the march's initial data,
     # so it gets the same damped startup; the q slices are already smooth
-    terminal = _propagator(generator, dt_pde).evolve(f_vals**order, t_star, smooth_start=True)
+    terminal = evolve_P(f_vals**order, t_star, generator, dt_pde=dt_pde, smooth_start=True)
     rhs = terminal + _duhamel_accumulate(generator, qs, field.dt_store, dt_pde)
     lhs = field.fields[order][k_star]
     scale = max(float(np.max(np.abs(lhs))), 1e-12)
@@ -526,8 +461,8 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
     # checkpoints a segment apart, newest first: the field's last slice and
     # up to two before it
     marks = list(survival.fields[0][::-stride][:3])
-    dt_used = survival.meta["dt_pde"]  # the survival solver may have halved its step
-    marcher = _IMEXMarcher(generator, dt_used)
+    # the survival solver may have halved its step
+    prop = _propagator(generator, survival.meta["dt_pde"])
     src = _survival_source(b_vals)
     t_total = float(survival.times[-1])
     for _ in range(60):
@@ -541,8 +476,8 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
             remaining = inc * q / max(1.0 - q, 1e-12)
             if remaining < 0.5 * tol or t_total > 400.0:
                 break
-        out = marcher.run(marks[0][:, None], src, dt_seg, [int(round(dt_seg / dt_used))])
-        marks = [np.clip(out[0][-1].real, 0.0, 1.0), *marks[:2]]
+        out = prop.march(marks[0][:, None], dt_seg, None, source_fn=src)
+        marks = [np.clip(out[0, -1].real, 0.0, 1.0), *marks[:2]]
         t_total += dt_seg
     h_u0 = marks[0]
 
@@ -602,17 +537,7 @@ def _tail_completed_time_integral(times, integrand, min_decay=1e-12):
     times = np.asarray(times, dtype=float)
     y = np.asarray(integrand, dtype=float)
     J = len(times) - 1
-    dt = times[1] - times[0]
-    w = np.zeros(J + 1)
-    j_even = J if J % 2 == 0 else J - 1
-    if j_even >= 2:
-        w[0:j_even + 1:2] += 2.0 * dt / 3.0
-        w[1:j_even:2] += 4.0 * dt / 3.0
-        w[0] -= dt / 3.0
-        w[j_even] -= dt / 3.0
-    if j_even < J:
-        w[J] += dt / 2.0
-        w[j_even] += dt / 2.0
+    w = _simpson_weights(J, times[1] - times[0])
     body = float(np.dot(w, y))
     # fit the tail decay rate on the last quarter of the series
     k0 = max(J - max(J // 4, 2), 0)

@@ -20,6 +20,8 @@ diffusion, with the bandwidth of L otherwise) and takes every CN
 step as u_new = A^{-1}(2u + dt s) - u, which equals the CN update because
 I + (dt/2) L = 2I - A: one band solve per step, no matrix-vector product,
 for one field or for a block of fields marched as columns.
+``Propagator.march`` is the one time loop: ``evolve_P``, ``fit_H`` and
+every march of ``moments`` run through it.
 """
 
 from __future__ import annotations
@@ -206,15 +208,15 @@ class Propagator:
     implicit-Euler half-step matrix.  ``u`` may be one field of shape (n,)
     or a Fortran-ordered block (n, k) of fields marched together; a
     complex field is solved as its real and imaginary columns.
-
-    ``rannacher`` implicit-Euler half steps are used at the start of each
-    ``evolve`` call to damp nonsmooth initial data.
     """
 
-    def __init__(self, generator, dt, rannacher=2):
+    # implicit-Euler half-step pairs that start a smoothed march, to damp
+    # nonsmooth initial data
+    rannacher = 2
+
+    def __init__(self, generator, dt):
         self.generator = generator
         self.dt = float(dt)
-        self.rannacher = int(rannacher)
         n = generator.n
         A = (sp.identity(n, format="csr") - (self.dt / 2.0) * generator.matrix).tocoo()
         A.sum_duplicates()
@@ -258,31 +260,72 @@ class Propagator:
         rhs = np.copy(u) if source is None else u + (self.dt / 2.0) * source
         return self._solve(rhs)
 
-    def evolve(self, g, t, smooth_start=False):
-        """Propagate g over time t (>= 0) with fixed steps; the last step is
-        shortened via a temporary factorization when t is not a multiple."""
-        g = np.asarray(g, dtype=complex if np.iscomplexobj(g) else float)
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if t == 0:
-            return g.copy()
-        n_round = int(round(t / self.dt))
-        if abs(n_round * self.dt - t) > 1e-9 * max(self.dt, t):
-            n_full = int(math.floor(t / self.dt))
-            rem = t - n_full * self.dt
-            out = self.evolve(g, n_full * self.dt, smooth_start=smooth_start) if n_full else g.copy()
-            short = Propagator(self.generator, rem, rannacher=0)
-            return short.step_cn(out)
-        n_full = n_round
-        u = g
-        k = 0
-        if smooth_start:
-            for _ in range(min(self.rannacher, n_full)):
-                u = self.step_be_half(self.step_be_half(u))
-                k += 1
-        for _ in range(n_full - k):
-            u = self.step_cn(u)
-        return u
+    def steps_in(self, t):
+        """The number of steps in time t; a ValueError unless t is a
+        nonnegative whole number of steps."""
+        n = int(round(t / self.dt))
+        if t < 0 or abs(n * self.dt - t) > 1e-9 * max(1.0, t):
+            raise ValueError(f"time {t:g} is not a nonnegative multiple of the solver step {self.dt:g}")
+        return n
+
+    def march(self, init, t_end, store_steps, source_fn=None, guard=None, smooth_start=False, triangular=False):
+        """March the (n, k) block ``init`` over ``t_end`` and return the
+        slices at ``store_steps`` (sorted step indices, 0 = initial data;
+        None = the last step), shape (k, n_stored, n).
+
+        ``smooth_start`` replaces the first ``rannacher`` steps by pairs of
+        implicit-Euler half steps; ``guard(state, t)`` may raise after a
+        step.  Without ``source_fn`` a step is one ``step_cn``.  With it, a
+        step is a trapezoidal predictor-corrector and ``source_fn(state,
+        out)`` writes the source of every column of ``state`` into ``out``;
+        a half-step pair refreshes the source at its midpoint.
+
+        ``triangular`` declares that the source of column j reads only
+        columns below j, so column 0 has none (the moment hierarchy).  Then
+        column 0's predictor is already its corrected value and no source
+        reads the top column's predictor: a CN step solves columns 0..k-2
+        as the predictor (``source_fn`` gets that narrower block) and
+        columns 1..k-1 as the corrector, bit for bit the full step.
+        """
+        n_steps = self.steps_in(t_end)
+        state = np.array(init, dtype=complex if np.iscomplexobj(init) else float, order="F")
+        if source_fn is not None:
+            src0 = np.empty_like(state)
+            src1 = np.empty_like(state)
+        slot = {step: i for i, step in enumerate([n_steps] if store_steps is None else store_steps)}
+        stored = np.empty((state.shape[1], len(slot), state.shape[0]), dtype=state.dtype)
+        if 0 in slot:
+            stored[:, slot[0]] = state.T
+        n_smooth = self.rannacher if smooth_start else 0
+        lead = max(state.shape[1] - 1, 1)
+        for step in range(n_steps):
+            if source_fn is None:
+                state = self.step_be_half(self.step_be_half(state)) if step < n_smooth else self.step_cn(state)
+            else:
+                source_fn(state, src0)
+                if step < n_smooth:
+                    half = self.step_be_half(state, src0)
+                    source_fn(half, src1)
+                    state = self.step_be_half(half, src1)
+                elif triangular:
+                    pred = self.step_cn(state[:, :lead], src0[:, :lead])
+                    if lead < state.shape[1]:
+                        source_fn(pred, src1)
+                        src1 += src0
+                        src1 *= 0.5
+                        state[:, 1:] = self.step_cn(state[:, 1:], src1[:, 1:])
+                    state[:, 0] = pred[:, 0]
+                else:
+                    pred = self.step_cn(state, src0)
+                    source_fn(pred, src1)
+                    src1 += src0
+                    src1 *= 0.5
+                    state = self.step_cn(state, src1)
+            if guard is not None:
+                guard(state, (step + 1) * self.dt)
+            if (step + 1) in slot:
+                stored[:, slot[step + 1]] = state.T
+        return stored
 
 
 _PROP_CACHE = {}
@@ -300,16 +343,18 @@ def _propagator(generator, dt):
 
 
 def evolve_P(g, t, generator, dt_pde=0.01, smooth_start=False):
-    """Feynman-Kac propagation P_t g on the grid."""
-    return _propagator(generator, dt_pde).evolve(g, t, smooth_start=smooth_start)
+    """Feynman-Kac propagation P_t g on the grid of one field, or of an
+    (n, k) block of fields; t must be a whole number of steps ``dt_pde``."""
+    g = np.asarray(g)
+    stored = _propagator(generator, dt_pde).march(g.reshape(len(g), -1), t, None, smooth_start=smooth_start)
+    return stored[:, -1].T.reshape(g.shape)
 
 
 def evolve_Q(g, t, model, dyn=None, grid=None, generator=None, dt_pde=0.01, smooth_start=False):
     """Propagation with the killed potential -(b + d) instead of V."""
     if generator is None:
         generator = build_generator(model, dyn, grid)
-    q_gen = q_generator(generator, model)
-    return _propagator(q_gen, dt_pde).evolve(g, t, smooth_start=smooth_start)
+    return evolve_P(g, t, q_generator(generator, model), dt_pde=dt_pde, smooth_start=smooth_start)
 
 
 def q_generator(generator, model):
@@ -539,7 +584,8 @@ def principal_eigentriple(generator, model, tol=1e-10):
 def fit_H(generator, spectral, dt_pde):
     """Fitted projection constant from HP2, a lower estimate over a finite
     test-function family: sup e^{(l1-l0)t} |e^{l0 t} P_t g - Pi g| / |g|
-    at t = 0.5, 1, 2, 4, by Crank-Nicolson steps of ``dt_pde``."""
+    at t = 0.5, 1, 2, 4, by Crank-Nicolson steps of ``dt_pde`` (which
+    must divide 0.5)."""
     xs = generator.grid.nodes
     width = 0.25 * (xs[-1] - xs[0])
     tests = [
@@ -548,18 +594,16 @@ def fit_H(generator, spectral, dt_pde):
         np.tanh(xs / max(width, 1e-6)),
         np.sin(xs),
     ]
+    tests = [g for g in tests if np.max(np.abs(g)) > 0]
+    times = (0.5, 1.0, 2.0, 4.0)
     prop = _propagator(generator, dt_pde)
+    # one block march: a column's values do not depend on its block
+    stored = prop.march(np.column_stack(tests), times[-1], [prop.steps_in(t) for t in times], smooth_start=True)
     H = 0.0
-    for g in tests:
+    for g, slices in zip(tests, stored):
         gn = np.max(np.abs(g))
-        if gn == 0:
-            continue
         pi_g = spectral.theta0 * spectral.mu0_integral(g)
-        u = g
-        t_prev = 0.0
-        for t in (0.5, 1.0, 2.0, 4.0):
-            u = prop.evolve(u, t - t_prev, smooth_start=(t_prev == 0.0))
-            t_prev = t
+        for t, u in zip(times, slices):
             dev = np.max(np.abs(np.exp(spectral.lambda0 * t) * u - pi_g))
             H = max(H, float(np.exp(spectral.gap * t) * dev / gn))
     return H

@@ -71,3 +71,23 @@ def euler_ou_variance(t, dt, rate=1.0):
 def oscillator_eigenvalue(k):
     """k-th eigenvalue of -(1/2) u'' + x^2 u."""
     return math.sqrt(2.0) * (k + 0.5)
+
+
+def evolve_reference(prop, g, t, smooth_start=False):
+    """P_t g by the fixed-step loop ``Propagator.evolve`` ran before
+    ``Propagator.march`` took its place, for t a whole number of steps:
+    ``prop.rannacher`` pairs of implicit-Euler half steps when smoothing,
+    then one Crank-Nicolson step at a time."""
+    g = np.asarray(g, dtype=complex if np.iscomplexobj(g) else float)
+    if t == 0:
+        return g.copy()
+    n_full = int(round(t / prop.dt))
+    u = g
+    k = 0
+    if smooth_start:
+        for _ in range(min(prop.rannacher, n_full)):
+            u = prop.step_be_half(prop.step_be_half(u))
+            k += 1
+    for _ in range(n_full - k):
+        u = prop.step_cn(u)
+    return u

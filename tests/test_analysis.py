@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -11,10 +12,12 @@ from branchlab import analysis
 from branchlab.analysis import (
     CriticalDecomposition,
     TestReport,
-    critical_ks_slack_constant,
     critical_ode_residual,
     critical_survival_check,
+    exponential_law,
+    geometric_ks_distance,
     ks_band,
+    ks_slack,
     ks_test,
     lln_ratio_test,
     moment_z_test,
@@ -22,6 +25,7 @@ from branchlab.analysis import (
     qprocess_law_test,
     subcritical_yaglom_test,
     upsilon_law,
+    upsilon_law_of_mass,
     upsilon_quantile_h,
     upsilon_test,
     w_infty_diagnostics,
@@ -29,6 +33,7 @@ from branchlab.analysis import (
 )
 from branchlab.moments import RegimeError, solve_survival
 
+from .conftest import make_constant_model
 from .oracles import bd_extinction_params
 
 
@@ -109,6 +114,15 @@ def test_moment_z_test():
     assert rep.passed
     rep2 = moment_z_test([1.0, 3.0], [1.0, 2.0], [0.1, 0.1], z_max=4.0)
     assert not rep2.passed
+
+
+def test_sample_moment_test_hand_computed():
+    # x = 1..4: means 2.5 and 7.5, sample SDs sqrt(5/3) and sqrt(43), SE = SD / 2
+    rep = analysis.sample_moment_test([1.0, 2.0, 3.0, 4.0], (1, 2), [2.0, 7.0], 0.5, name="m")
+    assert rep.details["moments"] == [2.5, 7.5] and rep.details["targets"] == [2.0, 7.0]
+    assert rep.details["z_scores"] == pytest.approx([math.sqrt(0.6), 1.0 / math.sqrt(43.0)], rel=1e-12)
+    assert rep.value == pytest.approx(math.sqrt(0.6), rel=1e-12)
+    assert rep.sample_size == 4 and not rep.passed  # sqrt(0.6) > 0.5
 
 
 def test_null_calibration_harness():
@@ -194,6 +208,20 @@ def test_ode_residual_pure_riccati(critical_field):
     rep = critical_ode_residual(dec, spec, model)
     assert rep.passed
     assert rep.details["psi_over_r2_bounded"]
+
+
+def test_ode_residual_reports_its_window(critical_field):
+    """The details name the first and last time the filter kept and its
+    cut on the truncation estimate (B r dt)^2."""
+    model, gen, spec, u0f = critical_field
+    dec = CriticalDecomposition.from_field(u0f, spec)
+    rep = critical_ode_residual(dec, spec, model, rel_tol=1e-3)
+    times, r = dec.times[1:-1], dec.r[1:-1]
+    dt = dec.times[1] - dec.times[0]
+    kept = times[((spec.B * r * dt) ** 2 <= 1e-4) & (r > 1e-6)]
+    assert rep.details["window_cut"] == 1e-4
+    assert (rep.details["window_first_t"], rep.details["window_last_t"]) == (kept[0], kept[-1])
+    assert rep.sample_size == len(kept)
 
 
 def test_ode_residual_detects_fault_injection(critical_field):
@@ -409,12 +437,12 @@ def test_qprocess_starved():
 
 
 def test_ks_slack_calibration_scales():
-    c30 = critical_ks_slack_constant(30.0)
-    c60 = critical_ks_slack_constant(60.0)
+    c30 = geometric_ks_distance(exponential_law, 30.0)
+    c60 = geometric_ks_distance(exponential_law, 60.0)
     assert c30 == pytest.approx(1.0 / 31.0, rel=0.05)
     assert c60 < c30
-    assert analysis.ks_slack(30.0) >= c30  # the margin covers the exact distance
-    assert analysis.ks_slack(30.0, B=2.0) == pytest.approx(analysis.ks_slack(60.0), rel=1e-12)
+    assert ks_slack(exponential_law, 30.0) >= c30  # the margin covers the exact distance
+    assert ks_slack(exponential_law, 30.0, B=2.0) == pytest.approx(ks_slack(exponential_law, 60.0), rel=1e-12)
 
 
 def _geometric_ks_reference(t, limit_cdf_of_u):
@@ -432,12 +460,12 @@ def _geometric_ks_reference(t, limit_cdf_of_u):
 def test_ks_slacks_are_bit_equal_to_the_written_out_calibration(t, B):
     exp_d = _geometric_ks_reference(t, lambda u: 1.0 - np.exp(-u))
     ups_d = _geometric_ks_reference(t, lambda u: upsilon_law(np.sqrt(u) - 0.5 / np.sqrt(u)))
-    assert critical_ks_slack_constant(t) == exp_d
-    assert analysis.upsilon_ks_slack_constant(t) == ups_d
+    assert geometric_ks_distance(exponential_law, t) == exp_d
+    assert geometric_ks_distance(upsilon_law_of_mass, t) == ups_d
     exp_c = 1.5 * 30.0 * _geometric_ks_reference(30.0, lambda u: 1.0 - np.exp(-u))
     ups_c = 1.5 * 30.0 * _geometric_ks_reference(30.0, lambda u: upsilon_law(np.sqrt(u) - 0.5 / np.sqrt(u)))
-    assert analysis.ks_slack(t, B) == exp_c / (B * t)
-    assert analysis.upsilon_slack(t, B) == ups_c / (B * t)
+    assert ks_slack(exponential_law, t, B) == exp_c / (B * t)
+    assert ks_slack(upsilon_law_of_mass, t, B) == ups_c / (B * t)
 
 
 def test_subcritical_two_starting_points_agree():
@@ -516,3 +544,96 @@ def test_upsilon_cdf_monotone_property():
         assert 0.0 <= lo <= hi <= 1.0
 
     check()
+
+
+# ----------------------------------------------------------------------
+# inconclusive reports
+
+
+def _fake_spec(lambda0, B=1.0):
+    from branchlab.grid import Grid
+    from branchlab.semigroup import SpectralData
+
+    return SpectralData(
+        grid=Grid(-1, 1, 3), lambda0=lambda0, lambda1=1.0, theta0=np.ones(3), mu0=np.full(3, 1 / 3), A=1.0, B=B
+    )
+
+
+def _inconclusive_dict(name, statistic, threshold, sample_size, details):
+    return {
+        "name": name,
+        "statistic": statistic,
+        "value": math.nan,
+        "threshold": threshold,
+        "sample_size": sample_size,
+        "passed": False,
+        "inconclusive": True,
+        "details": details,
+    }
+
+
+def _starved_reports():
+    """(report, the dict that report gave when each check built its own)
+    for every check with an inconclusive branch, driven into it."""
+    from branchlab.moments import MomentField
+
+    crit = _fake_spec(0.0, B=2.0)
+    sup = _fake_spec(-1.0)
+    field = MomentField(times=np.linspace(0.0, 10.0, 11), nodes=crit.grid.nodes, fields={0: np.ones((11, 3))})
+    decomp = CriticalDecomposition(times=np.arange(6.0), r=np.full(6, 1e-7), psi=np.zeros((6, 3)), spectral=crit)
+    zeros = np.zeros(100)
+    # log-uniform W: no density gap between the doomed and survivor scales
+    w = 10.0 ** np.linspace(-6.0, 1.0, 2000)
+    _thr, shallow = analysis.w_atom_threshold(w, math.exp(-10.0))
+    assert _thr is None and set(shallow) == {"reason", "threshold_candidate", "histogram"}
+    return [
+        (
+            critical_survival_check(field, crit),
+            _inconclusive_dict("critical-survival-asymptotic", "sup deviation", 0.01, 11,
+                               {"reason": "horizon 10 below 50/B = 25"}),
+        ),
+        (
+            critical_ode_residual(decomp, crit, make_constant_model(1.0, 1.0)),
+            _inconclusive_dict("critical-ode-residual", "relative residual", 1e-3, 0,
+                               {"reason": "differentiation noise dominates everywhere"}),
+        ),
+        (
+            yaglom_test_critical(zeros, crit, 30.0),
+            _inconclusive_dict("critical-yaglom-exponential", "KS distance", math.nan, 0,
+                               {"reason": "only 0 survivors < 500"}),
+        ),
+        (
+            lln_ratio_test(zeros, zeros, crit, 1.0),
+            _inconclusive_dict("critical-lln-ratio", "|mean - nu(f)| / SE", 4.0, 0, {"reason": "survivor starvation"}),
+        ),
+        (
+            upsilon_test(zeros, zeros, 30.0, crit, 1.0),
+            _inconclusive_dict("critical-upsilon-law", "KS distance", math.nan, 0, {"reason": "survivor starvation"}),
+        ),
+        (
+            subcritical_yaglom_test(zeros, {"K_minus": 1.0, "V": {1: 1.0}}, n_orders=1, name_suffix="-bump"),
+            _inconclusive_dict("subcritical-yaglom-moments-bump", "max |z|", 4.0, 0,
+                               {"reason": "survivor starvation; push t down or reps up"}),
+        ),
+        (
+            w_infty_diagnostics(np.zeros(30), sup, 0.5, 0.0, 10.0),
+            _inconclusive_dict("supercritical-w-diagnostics", "atom separation", math.nan, 30,
+                               {"reason": "too few positive samples"}),
+        ),
+        (
+            w_infty_diagnostics(w, sup, 0.5, 0.0, 10.0),
+            _inconclusive_dict("supercritical-w-diagnostics", "atom separation", math.nan, 2000,
+                               {"reason": "atom separation ambiguous", **shallow}),
+        ),
+        (
+            qprocess_law_test(np.ones(100), np.ones(100), {5.0: np.zeros(100, dtype=bool)}),
+            _inconclusive_dict("qprocess-law", "|gap| / SE", 4.0, 0, {"reason": "survivor starvation at T = 5.0"}),
+        ),
+    ]
+
+
+def test_inconclusive_reports_keep_their_fields():
+    for rep, want in _starved_reports():
+        assert rep.inconclusive and not rep.passed
+        # json spells NaN out, so the comparison covers the NaN fields too
+        assert json.dumps(rep.to_dict()) == json.dumps(want), want["name"]

@@ -562,3 +562,14 @@ def test_csv_rows_match_the_numpy_scalar_reference(tmp_path, monkeypatch):
     assert (out / "writer.csv").read_bytes() == (ref / "writer.csv").read_bytes()
     text = (out / "writer.csv").read_text()
     assert ",nan," in text and ",inf," in text and ",-inf," in text and "\n-0.0,-3," in text
+
+
+@pytest.mark.parametrize("name, halved", [("supercritical_constant", False), ("supercritical_oscillator", True)])
+def test_survival_json_names_the_step_of_the_survival_march(tmp_path, name, halved):
+    """The oscillator's survival march trips its positivity guard at the
+    configured dt_pde and runs at half of it; survival.json says so."""
+    path = os.path.join(CONFIG_DIR, f"{name}.json")
+    dt_pde = load_config(path).solver["dt_pde"]
+    assert main(["survive", "--config", path, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "survival.json").read_text())
+    assert doc["survival_dt_pde"] == (dt_pde / 2.0 if halved else dt_pde)

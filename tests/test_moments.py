@@ -558,18 +558,18 @@ def _column_source(b_vals):
 
 @pytest.mark.parametrize("setup", ["oscillator_setup", "jumps_setup", "drifted_setup"])
 def test_block_march_equals_column_marches(setup, request):
-    from branchlab.moments import _IMEXMarcher
+    from branchlab.semigroup import Propagator
 
     model, _dyn, grid, gen, _spec = request.getfixturevalue(setup)
     b_vals = np.asarray(model.b(grid.nodes), dtype=float)
     rng = np.random.default_rng(8)
     block = rng.uniform(0.0, 1.0, (grid.n_points, 3))
-    marcher = _IMEXMarcher(gen, 0.01)
+    prop = Propagator(gen, 0.01)
     steps = [0, 3, 10]
-    together = marcher.run(block, _column_source(b_vals), 0.1, steps, smooth_start=True)
+    together = prop.march(block, 0.1, steps, source_fn=_column_source(b_vals), smooth_start=True)
     assert together.shape == (3, len(steps), grid.n_points)
     for j in range(3):
-        alone = marcher.run(block[:, [j]], _column_source(b_vals), 0.1, steps, smooth_start=True)
+        alone = prop.march(block[:, [j]], 0.1, steps, source_fn=_column_source(b_vals), smooth_start=True)
         assert np.array_equal(together[j], alone[0])
 
 
@@ -647,7 +647,7 @@ def test_blowup_guard_fires_at_the_first_step_over_the_ceiling():
 def test_imex_march_matches_dense_scheme(jumps_setup):
     """Two implicit-Euler half-step pairs with a midpoint source refresh,
     then CN predictor-corrector steps with the averaged source."""
-    from branchlab.moments import _IMEXMarcher
+    from branchlab.semigroup import Propagator
 
     model, _dyn, grid, gen, _spec = jumps_setup
     dt = 0.02
@@ -669,7 +669,9 @@ def test_imex_march_matches_dense_scheme(jumps_setup):
             pred = np.linalg.solve(left, right @ u + dt * src(u))
             u = np.linalg.solve(left, right @ u + dt * 0.5 * (src(u) + src(pred)))
         want.append(u)
-    got = _IMEXMarcher(gen, dt).run(want[0][:, None], _column_source(b_vals), 6 * dt, range(7), smooth_start=True)
+    got = Propagator(gen, dt).march(
+        want[0][:, None], 6 * dt, range(7), source_fn=_column_source(b_vals), smooth_start=True
+    )
     for k in range(7):
         assert np.max(np.abs(got[0, k] - want[k])) < 1e-13 * np.max(np.abs(want[k]))
 
@@ -683,9 +685,9 @@ def test_marches_share_one_factorization(supercritical_oscillator_setup, monkeyp
     built = []
     init = semigroup.Propagator.__init__
 
-    def counting_init(self, generator, dt, rannacher=2):
+    def counting_init(self, generator, dt):
         built.append(dt)
-        init(self, generator, dt, rannacher)
+        init(self, generator, dt)
 
     monkeypatch.setattr(semigroup.Propagator, "__init__", counting_init)
     monkeypatch.setattr(semigroup, "_PROP_CACHE", {})

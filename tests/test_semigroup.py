@@ -24,7 +24,7 @@ from branchlab.semigroup import (
 )
 
 from .conftest import make_constant_model, make_oscillator_model
-from .oracles import oscillator_eigenvalue
+from .oracles import evolve_reference, oscillator_eigenvalue
 
 
 def test_conservation_reflecting_rows(zero_drift):
@@ -67,6 +67,54 @@ def test_evolve_identity_at_zero(critical_setup):
     _, _, grid, gen, _ = critical_setup
     g = np.sin(grid.nodes)
     assert np.array_equal(evolve_P(g, 0.0, gen), g)
+
+
+@pytest.mark.parametrize("setup", ["oscillator_setup", "jumps_setup", "drifted_setup"])
+@pytest.mark.parametrize("smooth_start", [False, True])
+def test_evolve_p_equals_the_step_loop(setup, smooth_start, request):
+    """evolve_P through Propagator.march gives the bits of the plain
+    fixed-step loop, for real and complex data and at t = 0."""
+    gen = request.getfixturevalue(setup)[3]
+    xs = gen.grid.nodes
+    prop = Propagator(gen, 0.01)
+    for g in ((np.abs(xs) < 1.0).astype(float), np.exp(-(xs**2)) + 1j * np.tanh(xs)):
+        for t in (0.0, 0.01, 0.03, 0.5):
+            want = evolve_reference(prop, g, t, smooth_start=smooth_start)
+            got = evolve_P(g, t, gen, dt_pde=0.01, smooth_start=smooth_start)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("t", [0.015, 1.0 + 1e-6, -0.01])
+def test_evolve_p_rejects_a_time_off_the_step_grid(critical_setup, t):
+    gen = critical_setup[3]
+    with pytest.raises(ValueError, match="not a nonnegative multiple of the solver step"):
+        evolve_P(np.ones(gen.n), t, gen, dt_pde=0.01)
+
+
+def test_fit_h_block_march_equals_one_march_per_test_function(oscillator_setup):
+    """fit_H's one block march gives the H of marching each test function
+    alone from slice to slice, smoothed on the first leg only."""
+    _model, _dyn, grid, gen, spec = oscillator_setup
+    xs = grid.nodes
+    width = 0.25 * (xs[-1] - xs[0])
+    tests = [
+        np.ones_like(xs),
+        np.exp(-((xs - xs.mean()) ** 2) / (2 * (width / 4) ** 2)),
+        np.tanh(xs / max(width, 1e-6)),
+        np.sin(xs),
+    ]
+    prop = Propagator(gen, 0.01)
+    want = 0.0
+    for g in tests:
+        pi_g = spec.theta0 * spec.mu0_integral(g)
+        u, t_prev = g, 0.0
+        for t in (0.5, 1.0, 2.0, 4.0):
+            u = evolve_reference(prop, u, t - t_prev, smooth_start=(t_prev == 0.0))
+            t_prev = t
+            dev = np.max(np.abs(np.exp(spec.lambda0 * t) * u - pi_g))
+            want = max(want, float(np.exp(spec.gap * t) * dev / np.max(np.abs(g))))
+    assert fit_H(gen, spec, 0.01) == want
 
 
 def test_evolve_constant_potential_exponential(box_grid, zero_drift):
