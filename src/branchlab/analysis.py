@@ -693,7 +693,7 @@ def functional_bank(cfg, spec):
     return {
         "one": np.ones(len(xs)),
         "theta0": spec.theta0.copy(),
-        "bump": np.exp(-0.5 * (xs - float(cfg.mc["x0"])) ** 2),
+        "bump": np.exp(-0.5 * (xs - cfg.mc["x0"]) ** 2),
     }
 
 
@@ -701,19 +701,18 @@ def verify_suite(cfg, gen, spec, threads=1):
     """The verification battery of the regime of ``spec``.
 
     The grid checks run first, then one particle ensemble (``threads``
-    chunks) to ``verify.t_mc`` (default: the last ``mc.times``) feeds the
-    limit-law tests.  Returns ``(reports, tables)``: the TestReports in
-    battery order, and plot data as {file name: (header, columns)}.
+    chunks) to ``verify.t_mc`` feeds the limit-law tests.  Returns
+    ``(reports, tables)``: the TestReports in battery order, and plot data
+    as {file name: (header, columns)}.
     """
     regime = spec.regime()
     solver, model, xs = cfg.solver, cfg.model, cfg.grid.nodes
-    x0 = float(cfg.mc["x0"])
-    t_mc = float(cfg.verify.get("t_mc") or max(cfg.mc["times"]))
+    x0, t_mc = cfg.mc["x0"], cfg.verify["t_mc"]
     bank = functional_bank(cfg, spec)
     reports, tables = [], {}
 
     if regime == "supercritical":
-        h_tol = float(solver["h_tol"])
+        h_tol = solver["h_tol"]
         hres = solve_h(
             model, cfg.dynamics, cfg.grid, tol=h_tol, generator=gen, spectral=spec, dt_pde=solver["dt_pde"]
         )
@@ -751,7 +750,7 @@ def verify_suite(cfg, gen, spec, threads=1):
             )
         )
     else:
-        t_end = float(solver["t_end"])
+        t_end = solver["t_end"]
         u0f = solve_survival(t_end, gen, model, dt_pde=solver["dt_pde"], n_store=solver["n_store"])
         if regime == "critical":
             reports.append(critical_survival_check(u0f, spec))
@@ -801,7 +800,7 @@ def verify_suite(cfg, gen, spec, threads=1):
     res = run_ensemble(cfg, [t_mc], bank, threads)
     n_t = res.counts[-1]
     if regime == "critical":
-        alpha = float(cfg.verify["alpha"])
+        alpha = cfg.verify["alpha"]
         reports.append(yaglom_test_critical(n_t, spec, t_mc, alpha=alpha))
         survivors = np.sort(n_t[n_t > 0]) / ((t_mc + 1.0) * spec.A * spec.B)
         emp = np.arange(1, len(survivors) + 1) / len(survivors)
@@ -815,8 +814,7 @@ def verify_suite(cfg, gen, spec, threads=1):
         reports.append(lln_ratio_test(res.functionals["bump"][-1], n_t, spec, spec.nu(bank["bump"])))
         reports.append(upsilon_test(z_theta, n_t, t_mc, spec, nu_theta, alpha=alpha))
     elif regime == "subcritical":
-        n_orders_mc = int(cfg.verify.get("n_orders_mc", 3))
-        reports.append(subcritical_yaglom_test(n_t.astype(float), limits, n_orders=n_orders_mc))
+        reports.append(subcritical_yaglom_test(n_t.astype(float), limits, n_orders=cfg.verify["n_orders_mc"]))
     else:
         w = math.exp(spec.lambda0 * t_mc) * res.functionals["theta0"][-1]
         h_x0 = float(np.interp(x0, xs, hres.h))

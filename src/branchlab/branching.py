@@ -386,17 +386,17 @@ def run_ensemble(cfg, record_times, fields, threads=1):
     ``rep_offset``, so the concatenated result is the one-chunk ensemble bit
     for bit, whatever the number of chunks or workers.
     """
-    reps = int(cfg.mc["reps"])
+    reps = cfg.mc["reps"]
     xs = cfg.grid.nodes
     common = dict(
         reflect_at=(cfg.grid.x_min, cfg.grid.x_max) if cfg.grid.boundary == "reflecting" else None,
-        x0=float(cfg.mc["x0"]),
+        x0=cfg.mc["x0"],
         t_end=float(max(record_times)),
-        dt=float(cfg.mc["dt"]),
+        dt=cfg.mc["dt"],
         model=cfg.model,
         dyn=cfg.dynamics,
-        cutoff=CutoffSpec(m=float(cfg.mc["cutoff_m"])),
-        seed=int(cfg.mc["seed"]),
+        cutoff=CutoffSpec(m=cfg.mc["cutoff_m"]),
+        seed=cfg.mc["seed"],
         record_times=record_times,
         functionals={name: (lambda a, v=v: np.interp(a, xs, v)) for name, v in fields.items()},
     )

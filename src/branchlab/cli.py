@@ -121,13 +121,13 @@ def _calibrated_model(cfg):
     cal = None
     if cfg.calibrate:
         knob = cfg.calibrate["knob"]
-        tol = float(cfg.calibrate.get("tol", 1e-6))
 
         def factory(theta):
             return cfg.apply_knob(knob, theta).model
 
         theta, lam0, history = mom.calibrate_criticality(
-            factory, cfg.calibrate["bracket"], cfg.dynamics, cfg.grid, tol=tol, dt_report=cfg.solver["dt_report"]
+            factory, cfg.calibrate["bracket"], cfg.dynamics, cfg.grid,
+            tol=cfg.calibrate["tol"], dt_report=cfg.solver["dt_report"],
         )
         cfg = cfg.apply_knob(knob, theta)
         cal = {"knob": knob, "theta": theta, "lambda0": lam0, "evaluations": len(history)}
@@ -143,7 +143,7 @@ def _slices(field, stride):
 def _survival_field(cfg, gen):
     solver = cfg.solver
     return mom.solve_survival(
-        float(solver["t_end"]), gen, cfg.model, dt_pde=solver["dt_pde"], n_store=solver["n_store"]
+        solver["t_end"], gen, cfg.model, dt_pde=solver["dt_pde"], n_store=solver["n_store"]
     )
 
 
@@ -186,8 +186,8 @@ def cmd_spectrum(cfg, args, out):
 
 def cmd_moments(cfg, args, out):
     cfg, _cal, gen, spec = _calibrated_model(cfg)
-    n_orders = int(cfg.solver["n_orders"])
-    t_end = float(cfg.solver["t_end"])
+    n_orders = cfg.solver["n_orders"]
+    t_end = cfg.solver["t_end"]
     field = mom.solve_moments(
         np.ones(cfg.grid.n_points),
         n_orders,
@@ -231,7 +231,7 @@ def cmd_moments(cfg, args, out):
 
 def cmd_survive(cfg, args, out):
     cfg, _cal, gen, spec = _calibrated_model(cfg)
-    t_end = float(cfg.solver["t_end"])
+    t_end = cfg.solver["t_end"]
     u0f = _survival_field(cfg, gen)
     nodes = _cells(u0f.nodes)
     stride = max(1, len(u0f.times) // 100)
@@ -247,7 +247,7 @@ def cmd_survive(cfg, args, out):
         cfg.model,
         cfg.dynamics,
         cfg.grid,
-        tol=float(cfg.solver["h_tol"]),
+        tol=cfg.solver["h_tol"],
         generator=gen,
         spectral=spec,
         dt_pde=cfg.solver["dt_pde"],
@@ -273,7 +273,7 @@ def cmd_survive(cfg, args, out):
 def cmd_simulate(cfg, args, out):
     cfg, _cal, _gen, spec = _calibrated_model(cfg)
     fbank = analysis.functional_bank(cfg, spec)
-    times = [float(t) for t in cfg.mc["times"]]
+    times = cfg.mc["times"]
     res = branching.run_ensemble(cfg, times, fbank, args.threads)
     _write_csv(
         os.path.join(out, "trajectories.csv"),

@@ -182,12 +182,12 @@ def constant(value):
 def curve_from_config(cfg):
     """Build a Curve from a ``{"family": ..., "params": {...}}`` mapping.
 
-    A bare number is accepted as shorthand for a constant curve.
+    A bare finite number is accepted as shorthand for a constant curve.
     """
-    if isinstance(cfg, (int, float)):
+    if isinstance(cfg, (int, float)) and not isinstance(cfg, bool) and np.isfinite(cfg):
         return constant(float(cfg))
     if isinstance(cfg, Curve):
         return cfg
-    if not isinstance(cfg, dict) or "family" not in cfg:
-        raise ValueError("curve config must be a number or {family, params} mapping")
+    if not isinstance(cfg, dict) or "family" not in cfg or not set(cfg) <= {"family", "params"}:
+        raise ValueError(f"curve config must be a finite number or a {{family, params}} mapping; got {cfg!r}")
     return Curve(cfg["family"], cfg.get("params", {}))

@@ -42,9 +42,4 @@ class Grid:
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(
-            x_min=float(cfg["x_min"]),
-            x_max=float(cfg["x_max"]),
-            n_points=int(cfg["n_points"]),
-            boundary=cfg.get("boundary", "absorbing"),
-        )
+        return cls(**cfg)

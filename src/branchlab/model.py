@@ -74,8 +74,8 @@ class RateModel:
         return cls(
             b=curve_from_config(cfg["b"]),
             d=curve_from_config(cfg["d"]),
-            b_star=float(cfg["b_star"]),
-            hd_constants=dict(cfg.get("hd", {})),
+            b_star=cfg["b_star"],
+            hd_constants=dict(cfg["hd"]),
         )
 
 
@@ -150,14 +150,7 @@ class JumpKernel:
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(
-            cfg["family"],
-            cfg["rate"],
-            width=cfg.get("width"),
-            sigma=cfg.get("sigma"),
-            density_floor=cfg.get("density_floor"),
-            m4=cfg.get("m4"),
-        )
+        return cls(**cfg)
 
 
 @dataclass
@@ -208,7 +201,7 @@ class DynamicsSpec:
             variant=cfg["variant"],
             a=curve_from_config(cfg["a"]) if "a" in cfg else None,
             jump=JumpKernel.from_config(cfg["jump"]) if "jump" in cfg else None,
-            ha_constants=dict(cfg.get("ha", {})),
+            ha_constants=dict(cfg["ha"]),
         )
 
 
