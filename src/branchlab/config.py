@@ -4,14 +4,13 @@ Every key a config may hold is a row of ``SCHEMA``: its dotted path, type,
 bounds and default (the README's "Config reference" lists the same rows).
 ``ExperimentConfig.from_dict`` walks the schema once: an unknown, missing,
 mistyped or out-of-range key raises a ``ConfigError`` naming its path,
-absent keys take their defaults, and the checked values go to the model,
-dynamics and grid constructors, which keep the checks that involve more
-than one key.  A sha256 hash of the raw mapping is embedded in every output.
+absent keys take their defaults (checked as given values are), and the
+checked values go to the model, dynamics and grid constructors, which
+keep the checks that involve more than one key.  A sha256 hash of the raw mapping is embedded in every output.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -80,7 +79,7 @@ class Key:
     list, or to a string (as its choices).  ``default`` is REQUIRED (the key
     must be present when its block is), None (absent means undeclared), a
     value, or a function of the checked config so far.  ``steps_of`` names
-    the step key whose whole multiple the value must be."""
+    the step key whose whole multiple the value (or a list's largest) must be."""
 
     path: str
     kind: str
@@ -94,11 +93,12 @@ class Key:
         items = value if self.kind in ("numbers", "pair", "bracket") else [value]
         ok = is_kind(value) and (not self.bounds or all(_within(self.bounds, v) for v in items))
         if ok and self.steps_of:
-            dt = reduce(dict.__getitem__, self.steps_of.split("."), doc)
-            ok = abs(round(value / dt) * dt - value) <= 1e-9 * max(1.0, value)
+            dt, last = reduce(dict.__getitem__, self.steps_of.split("."), doc), max(items)
+            ok = abs(round(last / dt) * dt - last) <= 1e-9 * max(1.0, last)
         if not ok:
             where = f" {'in ' if self.bounds[0] in '([{' else ''}{self.bounds}" if self.bounds else ""
-            steps = f", a whole number of {self.steps_of} steps" if self.steps_of else ""
+            largest = "the largest " if self.kind == "numbers" else ""
+            steps = f", {largest}a whole number of {self.steps_of} steps" if self.steps_of else ""
             raise ConfigError(f"config key {self.path} must be {desc}{where}{steps}; got {value!r}")
         try:
             return convert(value) if convert else value
@@ -147,7 +147,7 @@ SCHEMA = (
     Key("mc.dt", "number", "> 0", default=0.01),
     # the replica streams are keyed by the seed as an unsigned 64-bit word
     Key("mc.seed", "integer", "[0, 2^64)", default=1),
-    Key("mc.times", "numbers", ">= 0", default=[1.0, 5.0]),
+    Key("mc.times", "numbers", ">= 0", default=[1.0, 5.0], steps_of="mc.dt"),
     Key("mc.cutoff_m", "number", "> 0", default=20.0),
     Key("mc.x0", "number", default=0.0),
     Key("verify.regime", "string", "{auto, critical, subcritical, supercritical}", default="auto"),
@@ -162,9 +162,9 @@ SCHEMA = (
 )
 
 
-def _walk(raw, path, doc):
-    """Checked values of the block at ``path`` whose raw mapping is ``raw``;
-    ``doc`` is the checked root so far."""
+def _walk(raw, path, doc, out):
+    """Check the block at ``path`` whose raw mapping is ``raw`` into ``out``,
+    which is already in place in ``doc``, the checked root so far."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config key {path or '(top level)'} must be a mapping; got {raw!r}")
     prefix, children = f"{path}." if path else "", {}
@@ -178,18 +178,17 @@ def _walk(raw, path, doc):
     for name, child in children.items():
         if isinstance(child, str) and child in REQUIRED_BLOCKS and name not in raw:
             raise ConfigError(f"missing config key: {child}")
-    out = doc if not path else {}
     for name, child in children.items():
         if isinstance(child, str):
             if name in raw or child not in OPTIONAL_BLOCKS:
-                out[name] = _walk(raw.get(name, {}), child, doc)
+                out[name] = {}
+                _walk(raw.get(name, {}), child, doc, out[name])
         elif name in raw:
             out[name] = child.check(raw[name], doc)
         elif child.default == REQUIRED:
             raise ConfigError(f"missing config key: {child.path}")
         elif child.default is not None:
-            out[name] = child.default(doc) if callable(child.default) else copy.copy(child.default)
-    return out
+            out[name] = child.check(child.default(doc) if callable(child.default) else child.default, doc)
 
 
 def _knob_target(raw, knob):
@@ -234,7 +233,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        doc = _walk(raw, "", {})
+        doc = {}
+        _walk(raw, "", doc, doc)
         if "calibrate" in doc:
             _knob_target(raw, doc["calibrate"]["knob"])
         return cls(

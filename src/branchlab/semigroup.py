@@ -196,6 +196,15 @@ def build_generator(model, dyn, grid, dt_report=1.0):
 # Crank-Nicolson propagation
 
 
+def _band(matrix):
+    """(coo, kl, ku): a sparse matrix's nonzeros and its two bandwidths."""
+    coo = matrix.tocoo()
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    offsets = coo.col - coo.row
+    return coo, -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+
+
 class Propagator:
     """Crank-Nicolson stepper for du/dt = L u (+ source), factored once.
 
@@ -218,19 +227,14 @@ class Propagator:
         self.generator = generator
         self.dt = float(dt)
         n = generator.n
-        A = (sp.identity(n, format="csr") - (self.dt / 2.0) * generator.matrix).tocoo()
-        A.sum_duplicates()
-        A.eliminate_zeros()
-        offsets = A.col - A.row
-        self._kl = max(0, -int(offsets.min()))
-        self._ku = max(0, int(offsets.max()))
+        A, self._kl, self._ku = _band(sp.identity(n, format="csr") - (self.dt / 2.0) * generator.matrix)
         if self._kl <= 1 and self._ku <= 1:
             *self._tri, info = sla.lapack.dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
         else:
             # LAPACK band storage: A[i, j] at row kl + ku + i - j; the
             # first kl rows are room for the fill-in of the pivoting
             band = np.zeros((2 * self._kl + self._ku + 1, n))
-            band[self._kl + self._ku - offsets, A.col] = A.data
+            band[self._kl + self._ku + A.row - A.col, A.col] = A.data
             self._tri = None
             self._band, self._ipiv, info = sla.lapack.dgbtrf(band, self._kl, self._ku, overwrite_ab=1)
         if info != 0:
@@ -451,24 +455,22 @@ class EigenSolverError(RuntimeError):
 
 def _rightmost_eigs(matrix, k, rho=None):
     """The k rightmost eigenvalues of the generator by decreasing real part,
-    one of each complex-conjugate pair: by a symmetric solve when the
-    matrix is rho-symmetric (real values), else by a dense solve."""
+    one of each complex-conjugate pair: by a symmetric tridiagonal solve on
+    the three diagonals when the matrix is tridiagonal and rho-symmetric
+    (real values), else by a dense solve."""
     n = matrix.shape[0]
-    if rho is not None:
-        # S = D L D^{-1} with D = diag(sqrt(rho)) is symmetric tridiagonal
-        # for the fitted diffusion scheme
+    if rho is not None and max(_band(matrix)[1:]) <= 1:
+        # the diagonals of S = D L D^{-1}, D = diag(sqrt(rho)), each entry
+        # rounded as the sparse product diags(d) @ L @ diags(1/d) rounds it
         d = np.sqrt(rho)
-        S = sp.diags(d) @ matrix @ sp.diags(1.0 / d)
-        S = S.toarray()
-        sym_defect = np.max(np.abs(S - S.T))
-        if sym_defect < 1e-8 * max(1.0, np.max(np.abs(S))):
-            S = 0.5 * (S + S.T)
-            if sp.issparse(matrix) and matrix.format == "csr" and _is_tridiagonal(matrix):
-                main = np.diag(S)
-                off = np.diag(S, k=1)
-                vals = sla.eigh_tridiagonal(main, off, select="i", select_range=(n - k, n - 1))[0]
-            else:
-                vals = np.sort(np.linalg.eigvalsh(S))[-k:]
+        inv = 1.0 / d
+        lower = d[1:] * matrix.diagonal(-1) * inv[:-1]
+        main = d * matrix.diagonal() * inv
+        upper = d[:-1] * matrix.diagonal(1) * inv[1:]
+        scale = max(1.0, *(np.max(np.abs(diag)) for diag in (lower, main, upper)))
+        if np.max(np.abs(upper - lower)) < 1e-8 * scale:
+            off = 0.5 * (upper + lower)
+            vals = sla.eigh_tridiagonal(main, off, select="i", select_range=(n - k, n - 1))[0]
             return vals[::-1]
     vals = sla.eigvals(matrix.toarray())
     out = []
@@ -481,11 +483,6 @@ def _rightmost_eigs(matrix, k, rho=None):
         if len(out) == k:
             return np.array(out)
     raise EigenSolverError(f"could not isolate {k} eigenvalues")
-
-
-def _is_tridiagonal(matrix):
-    coo = matrix.tocoo()
-    return bool(np.all(np.abs(coo.row - coo.col) <= 1))
 
 
 def _inverse_iteration(matrix, shift, v0, tol=1e-10, max_iter=200, transpose=False):
@@ -520,9 +517,11 @@ def principal_eigentriple(generator, model, tol=1e-10):
     """Principal eigentriple (lambda0, Theta0, mu0), the gap lambda1 and
     the constants A, B.
 
-    The rightmost eigenvalue is located from the full spectrum, then the
-    eigenpair is polished by shifted inverse power iteration to ``tol`` on
-    the Rayleigh quotient; mu0 comes from the matching left eigenvector.
+    The two rightmost eigenvalues come from a symmetric tridiagonal solve
+    on the generator's three diagonals (diffusion) or a dense solve of the
+    full spectrum (the jump classes); the eigenpair is then polished by
+    shifted inverse power iteration to ``tol`` on the Rayleigh quotient,
+    and mu0 comes from the matching left eigenvector.
     No propagation runs here: H is left ``None`` for ``fit_H``, which only
     the ``spectrum`` command calls.
     """

@@ -5,6 +5,8 @@ checks never share code with the paths they verify."""
 import math
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 
 def bd_survival(t, b, d):
@@ -91,3 +93,25 @@ def evolve_reference(prop, g, t, smooth_start=False):
     for _ in range(n_full - k):
         u = prop.step_cn(u)
     return u
+
+
+def rightmost_eigs_dense(matrix, k, rho):
+    """The k rightmost eigenvalues, by decreasing value, of a sparse
+    generator that is symmetric in ``rho``, by the dense symmetrisation
+    ``semigroup._rightmost_eigs`` ran before it read the three diagonals:
+    S = D L D^{-1} (D = diag sqrt(rho)) as an n x n array, then a
+    tridiagonal solve on the diagonals of (S + S^T)/2 when L is
+    tridiagonal, else a dense symmetric solve.  None when S is not
+    symmetric to 1e-8 of its largest entry."""
+    n = matrix.shape[0]
+    d = np.sqrt(rho)
+    S = (sp.diags(d) @ matrix @ sp.diags(1.0 / d)).toarray()
+    if not np.max(np.abs(S - S.T)) < 1e-8 * max(1.0, np.max(np.abs(S))):
+        return None
+    S = 0.5 * (S + S.T)
+    coo = matrix.tocoo()
+    if np.all(np.abs(coo.row - coo.col) <= 1):
+        vals = sla.eigh_tridiagonal(np.diag(S), np.diag(S, k=1), select="i", select_range=(n - k, n - 1))[0]
+    else:
+        vals = np.sort(np.linalg.eigvalsh(S))[-k:]
+    return vals[::-1]

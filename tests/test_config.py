@@ -65,10 +65,13 @@ MALFORMED = [
     ("calibrate", {"knob": "model.b.params.value", "bracket": [1.5, 0.5]}, "calibrate.bracket"),
     ("calibrate", {"knob": "model.b.params.value", "bracket": [0.5, math.inf]}, "calibrate.bracket"),
     ("calibrate", {"knob": "model.b.params.value", "bracket": [0.5, 1.5], "tol": 0}, "calibrate.tol"),
+    ("mc.times", [14.01], "mc.times"),
+    ("mc.times", [14.0, 14.01], "mc.times"),
+    ("mc.dt", 0.03, "mc.times"),
 ]
 
 
-@pytest.mark.parametrize("command", ["validate", "verify"])
+@pytest.mark.parametrize("command", ["validate", "simulate", "verify"])
 @pytest.mark.parametrize("path, value, named", MALFORMED)
 def test_malformed_key_exits_2_by_name(tmp_path, capsys, command, path, value, named):
     raw = copy.deepcopy(SHIPPED["critical_constant"])
@@ -115,6 +118,19 @@ def test_defaults_fill_absent_blocks_and_keep_raw():
     assert cfg.calibrate is None and cfg.dynamics.jump is None and cfg.model.hd_constants == {}
     assert cfg.grid.boundary == "absorbing" and isinstance(cfg.grid.x_min, float)
     assert isinstance(cfg.model.b_star, float)
+
+
+def test_defaults_meet_the_schema():
+    """A default is checked as a given value is: the default mc.times must
+    be whole mc.dt steps."""
+    raw = {
+        "model": {"b": 1.0, "d": 1.0, "b_star": 1},
+        "dynamics": {"variant": "diffusion", "a": 0.0},
+        "grid": {"x_min": -2, "x_max": 2, "n_points": 41},
+        "mc": {"dt": 0.03},
+    }
+    with pytest.raises(ConfigError, match=re.escape("config key mc.times") + ".*got \\[1.0, 5.0\\]"):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_readme_reference_lists_the_schema():

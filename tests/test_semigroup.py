@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sp
 
 from branchlab import DynamicsSpec, Grid, JumpKernel, RateModel
+from branchlab import semigroup
+from branchlab.config import load_config
 from branchlab.curves import Curve, constant
 from branchlab.model import NotApplicableError
 from branchlab.semigroup import (
@@ -24,7 +29,7 @@ from branchlab.semigroup import (
 )
 
 from .conftest import make_constant_model, make_oscillator_model
-from .oracles import evolve_reference, oscillator_eigenvalue
+from .oracles import evolve_reference, oscillator_eigenvalue, rightmost_eigs_dense
 
 
 def test_conservation_reflecting_rows(zero_drift):
@@ -495,3 +500,69 @@ def test_block_steps_equal_column_steps(kernel_generator):
         got = step(block, src)
         for j in range(block.shape[1]):
             assert np.array_equal(got[:, j], step(block[:, j].copy(), src[:, j].copy()))
+
+
+# ----------------------------------------------------------------------
+# the diffusion eigensolve on three diagonals against the dense symmetrisation
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+DIFFUSION_CONFIGS = [f"{regime}_{rates}" for rates in ("constant", "oscillator")
+                     for regime in ("critical", "subcritical", "supercritical")]
+
+
+def _config_generator(name, n_points=None):
+    cfg = load_config(os.path.join(CONFIG_DIR, name + ".json"))
+    grid = cfg.grid if n_points is None else Grid(cfg.grid.x_min, cfg.grid.x_max, n_points, cfg.grid.boundary)
+    return cfg.model, build_generator(cfg.model, cfg.dynamics, grid, dt_report=cfg.solver["dt_report"])
+
+
+@pytest.mark.parametrize(
+    "name, n_points",
+    [(name, None) for name in DIFFUSION_CONFIGS] + [("supercritical_oscillator", 3201)],
+)
+def test_diffusion_eigensolve_equals_dense_symmetrisation(name, n_points, monkeypatch):
+    model, gen = _config_generator(name, n_points)
+    assert gen.variant == "diffusion" and gen.rho is not None
+    want = rightmost_eigs_dense(gen.matrix, 3, gen.rho)
+    assert want is not None
+    assert np.array_equal(semigroup._rightmost_eigs(gen.matrix, 3, rho=gen.rho), want)
+
+    spec = principal_eigentriple(gen, model)
+    general = semigroup._rightmost_eigs
+
+    def dense(matrix, k, rho=None):
+        return general(matrix, k) if rho is None else rightmost_eigs_dense(matrix, k, rho)
+
+    monkeypatch.setattr(semigroup, "_rightmost_eigs", dense)
+    ref = principal_eigentriple(gen, model)
+    for field in ("lambda0", "lambda1", "lambda1_complex", "A", "B", "eigen_residual"):
+        assert getattr(spec, field) == getattr(ref, field), field
+    assert np.array_equal(spec.theta0, ref.theta0) and np.array_equal(spec.mu0, ref.mu0)
+
+
+def test_rho_with_a_wider_band_takes_the_general_route():
+    """A rho-symmetric pentadiagonal matrix is solved as any other matrix."""
+    n = 60
+    rng = np.random.default_rng(7)
+    rho = rng.uniform(0.5, 2.0, n)
+    d = np.sqrt(rho)
+    bands = [rng.uniform(0.1, 1.0, n - abs(k)) for k in (1, 2)]
+    sym = sp.diags([bands[1], bands[0], -rng.uniform(2.0, 4.0, n), bands[0], bands[1]], [-2, -1, 0, 1, 2])
+    matrix = (sp.diags(1.0 / d) @ sym @ sp.diags(d)).tocsr()
+    got = semigroup._rightmost_eigs(matrix, 2, rho=rho)
+    assert np.array_equal(got, semigroup._rightmost_eigs(matrix, 2))
+    assert np.allclose(got.real, rightmost_eigs_dense(matrix, 2, rho), rtol=0, atol=1e-12)
+
+
+def test_diffusion_eigentriple_memory_is_linear_in_the_grid():
+    """At 3201 nodes a dense n x n symmetrisation needs 3 * 8 * n bytes per
+    node; the eigentriple stays under 512 bytes per node."""
+    n = 3201
+    model, gen = _config_generator("supercritical_oscillator", n)
+    tracemalloc.start()
+    try:
+        principal_eigentriple(gen, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * n, peak / n
