@@ -25,9 +25,8 @@ from scipy import special
 
 from .branching import run_ensemble
 from .moments import (
-    RegimeError,
-    criticality_epsilon,
     hamburger_bound,
+    require_regime,
     solve_h,
     solve_moments,
     solve_survival,
@@ -123,15 +122,6 @@ def _inconclusive(name, statistic, threshold, sample_size, reason, **details):
     )
 
 
-def _require_regime(spectral, regime, op):
-    actual = spectral.regime()
-    if actual != regime:
-        raise RegimeError(
-            f"{op} needs the {regime} regime (|lambda0| gate {criticality_epsilon(spectral):.2e}); "
-            f"spectral data is {actual} with lambda0 = {spectral.lambda0:.4g}"
-        )
-
-
 # ----------------------------------------------------------------------
 # generic statistics
 
@@ -199,7 +189,8 @@ def sample_moment_test(sample, orders, targets, z_max, name):
 def null_calibration(run_once, reps=100, seed=0):
     """Feed a test its own null ``reps`` times; returns the pass rate.
 
-    ``run_once(seed)`` must return a TestReport (or bool).
+    ``run_once(seed)`` must return a TestReport (or bool).  Pending API: the
+    seed scans and power table of ROADMAP items 1 and 11 will call it.
     """
     passes = 0
     for k in range(reps):
@@ -220,25 +211,16 @@ class CriticalDecomposition:
     times: np.ndarray
     r: np.ndarray
     psi: np.ndarray  # (n_times, n_nodes)
-    spectral: object
 
     @classmethod
     def from_field(cls, u0_field, spectral):
         u0 = u0_field.fields[0]
         r = u0 @ spectral.mu0
         psi = u0 - r[:, None] * spectral.theta0[None, :]
-        return cls(times=u0_field.times, r=r, psi=psi, spectral=spectral)
-
-    def reconstruction_error(self, u0_field):
-        u0 = u0_field.fields[0]
-        rec = self.r[:, None] * self.spectral.theta0[None, :] + self.psi
-        return float(np.max(np.abs(u0 - rec)))
-
-    def orthogonality_defect(self):
-        return float(np.max(np.abs(self.psi @ self.spectral.mu0)))
+        return cls(times=u0_field.times, r=r, psi=psi)
 
 
-def critical_survival_check(u0_field, spectral, model=None, tolerance=0.02):
+def critical_survival_check(u0_field, spectral, tolerance=0.02):
     """Fit of the survival asymptotics (1+t) u0 -> Theta0 / B.
 
     Checks sup_x |(1+t) u0(t,x) - Theta0(x)/B| against the declared
@@ -246,7 +228,7 @@ def critical_survival_check(u0_field, spectral, model=None, tolerance=0.02):
     c log(2+t)/(1+t), and requires the fitted c to be stable within 20%
     over the last doubling of t with decreasing residual.
     """
-    _require_regime(spectral, "critical", "critical_survival_check")
+    require_regime(spectral, "critical", "critical_survival_check")
     B = spectral.B
     times = u0_field.times
     t_end = float(times[-1])
@@ -297,7 +279,7 @@ def critical_ode_residual(decomp, spectral, model, rel_tol=1e-3):
     r is well above the differentiation noise.  Also reports the empirical
     ratio sup |Psi|/r^2 and checks it stays bounded over the final half.
     """
-    _require_regime(spectral, "critical", "critical_ode_residual")
+    require_regime(spectral, "critical", "critical_ode_residual")
     times = decomp.times
     if len(times) < 5:
         raise ValueError("need at least 5 stored times")
@@ -387,7 +369,7 @@ def yaglom_test_critical(n_samples, spectral, t, alpha=0.01, min_survivors=500):
     """KS test of N_t / ((t+1) A B) conditioned on survival against the
     unit-mean exponential, with finite-t slack; plus the first three
     conditional moments against n! within 4 SE."""
-    _require_regime(spectral, "critical", "yaglom_test_critical")
+    require_regime(spectral, "critical", "yaglom_test_critical")
     n_samples = np.asarray(n_samples, dtype=float)
     survivors = n_samples[n_samples > 0]
     if len(survivors) < min_survivors:
@@ -428,7 +410,7 @@ def lln_ratio_test(zf_samples, n_samples, spectral, nu_f, z_max=4.0, min_survivo
     (relevant when the ratio is degenerate, e.g. f proportional to 1).
     Scaling f by a positive constant leaves the decision unchanged.
     """
-    _require_regime(spectral, "critical", "lln_ratio_test")
+    require_regime(spectral, "critical", "lln_ratio_test")
     zf = np.asarray(zf_samples, dtype=float)
     ns = np.asarray(n_samples, dtype=float)
     alive = ns > 0
@@ -488,7 +470,7 @@ def upsilon_samples(zf_samples, n_samples, t, spectral, nu_f):
 
 def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01, min_survivors=500):
     """KS test of the sampled centered ratio against 1 - e^{-h(y)}."""
-    _require_regime(spectral, "critical", "upsilon_test")
+    require_regime(spectral, "critical", "upsilon_test")
     if nu_f == 0:
         raise ValueError("upsilon_test needs nu(f) != 0")
     ups = upsilon_samples(zf_samples, n_samples, t, spectral, nu_f)
@@ -513,7 +495,7 @@ def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01, min_survi
 # subcritical limit law
 
 
-def subcritical_yaglom_test(zf_samples, limits, f_sup=None, z_max=4.0, n_orders=4, min_survivors=200, name_suffix=""):
+def subcritical_yaglom_test(zf_samples, limits, z_max=4.0, n_orders=4, min_survivors=200, name_suffix=""):
     """Conditional moments of <Z_t, f> given survival against V_n^-/K^-."""
     name = "subcritical-yaglom-moments" + name_suffix
     zf = np.asarray(zf_samples, dtype=float)
@@ -586,7 +568,7 @@ def w_infty_diagnostics(w_samples, spectral, h_at_x0, x0, t_end, v_plus=None, z_
     ``t_end`` must be large enough that e^{lambda0 t_end} <= 0.01, so the
     smeared atom sits well below the positive part.
     """
-    _require_regime(spectral, "supercritical", "w_infty_diagnostics")
+    require_regime(spectral, "supercritical", "w_infty_diagnostics")
     w = np.asarray(w_samples, dtype=float)
     n = len(w)
     doomed_scale = math.exp(spectral.lambda0 * t_end)
@@ -641,7 +623,8 @@ def qprocess_law_test(fvals, weights, survival_by_T, z_max=4.0, min_survivors=10
     martingale weights at s; ``survival_by_T``: {T: survival mask}.  The
     directly conditioned mean E[F | N_T > 0] must approach the reweighted
     mean E[F * weight] as T grows, with the final gap within ``z_max``
-    combined standard errors.
+    combined standard errors.  Pending API: the Q-process checks of
+    ROADMAP item 5 will call it.
     """
     fvals = np.asarray(fvals, dtype=float)
     weights = np.asarray(weights, dtype=float)

@@ -93,16 +93,12 @@ class EnsembleResult:
     counts: np.ndarray  # (n_times, reps) population sizes
     functionals: dict  # name -> (n_times, reps) values of <Z_t, f>
     max_abs: np.ndarray  # (n_times, reps) running max |trait| up to each time
-    tm_first: np.ndarray  # (reps,) first time |trait| > m, inf if never
     seed: int
     dt: float
     x0: float
     cutoff_m: float
     reps: int
     traits_at: dict = field(default_factory=dict)  # time -> (rep idx, traits)
-
-    def survival(self, k):
-        return self.counts[k] > 0
 
 
 def _snap_steps(record_times, dt, t_end):
@@ -204,33 +200,23 @@ class _Ensemble:
         """Advance one step.  Every particle draws one event uniform: it
         branches (u < b dt), dies (the next strip of width d^(m) dt) or moves.
         Survivors keep their order and children follow in parent order, so
-        the replica reductions (``bincount``) sum in a fixed order.
-
-        Returns the replicas (with repeats) of the particles whose running
-        max |trait| passed ``cutoff.m`` in this step.  The running max only
-        grows and children inherit it, so these are the only replicas that
-        can gain a first exceedance."""
+        the replica reductions (``bincount``) sum in a fixed order."""
         n = self.state.n
         w = 0  # survivors so far, compacted into rows [:w]
         n_born = 0  # children so far, staged in rows [n, n + n_born)
-        crossed = []
         for lo in range(0, n, BLOCK):
             k = min(BLOCK, n - lo)
-            kept, born, hit = self._step_block(lo, k, w, step, dt, model, dyn, cutoff)
+            kept, born = self._step_block(lo, k, w, step, dt, model, dyn, cutoff)
             w += kept
             if born is not None:
                 self.state.put(n + n_born, born)
                 n_born += len(born["x"])
-            if hit is not None:
-                crossed.append(hit)
         self.state.move_down(n, w, n_born)
         self.state.n = w + n_born
-        return np.concatenate(crossed) if crossed else np.zeros(0, dtype=np.int64)
 
     def _step_block(self, lo, k, w, step, dt, model, dyn, cutoff):
         """Step rows ``[lo, lo + k)`` and move their survivors down to row
-        ``w``.  Returns (survivors, children rows or None, replicas whose
-        running max passed the cutoff or None)."""
+        ``w``.  Returns (survivors, children rows or None)."""
         cols = self.state.cols
         blk = slice(lo, lo + k)
         xb, kb, pmb, repb = cols["x"][blk], cols["keys"][blk], cols["pmax"][blk], cols["rep"][blk]
@@ -247,13 +233,7 @@ class _Ensemble:
             moved = _reflect(moved, self.reflect_at)
         # only the movers take the new trait; x is owned by the ensemble
         np.copyto(xb, moved, where=~stay)
-        ab = np.abs(xb)
-        hit = None
-        cross = np.greater(ab, cutoff.m)
-        if cross.any():
-            cross &= pmb <= cutoff.m
-            hit = repb[cross]
-        np.maximum(pmb, ab, out=pmb)
+        np.maximum(pmb, np.abs(xb), out=pmb)
 
         # children rows are copies, taken before survivors overwrite the block
         born = None
@@ -267,7 +247,7 @@ class _Ensemble:
             self.state.move_down(lo, w, k, keep=~dd)
         else:
             self.state.move_down(lo, w, k)
-        return k - n_die, born, hit
+        return k - n_die, born
 
     def replica_counts(self):
         return np.bincount(self.rep, minlength=self.reps)
@@ -324,11 +304,7 @@ def simulate_ensemble(
     counts = np.zeros((n_rec, reps), dtype=np.int64)
     func_vals = {name: np.zeros((n_rec, reps)) for name in functionals}
     max_abs_rec = np.zeros((n_rec, reps))
-    tm_first = np.full(reps, np.inf)
     traits_at = {}
-
-    out0 = np.abs(ens.x) > cutoff.m
-    tm_first[out0] = 0.0
 
     def record(rec_idx, step_idx):
         counts[rec_idx] = ens.replica_counts()
@@ -346,9 +322,7 @@ def simulate_ensemble(
     for step in range(n_steps):
         if len(ens.x) == 0:
             break
-        hit = ens.step(step, dt, model, dyn, cutoff)
-        if len(hit):
-            tm_first[hit[~np.isfinite(tm_first[hit])]] = (step + 1) * dt
+        ens.step(step, dt, model, dyn, cutoff)
         if (step + 1) in record_set:
             record(rec_idx, step + 1)
             rec_idx += 1
@@ -364,7 +338,6 @@ def simulate_ensemble(
         counts=counts,
         functionals=func_vals,
         max_abs=max_abs_rec,
-        tm_first=tm_first,
         seed=seed,
         dt=dt,
         x0=float(x0),
@@ -418,7 +391,6 @@ def run_ensemble(cfg, record_times, fields, threads=1):
             for name in parts[0].functionals
         },
         max_abs=np.concatenate([p.max_abs for p in parts], axis=1),
-        tm_first=np.concatenate([p.tm_first for p in parts]),
         reps=reps,
     )
 
@@ -490,6 +462,7 @@ def mc_survival(result):
 
 def qprocess_weight(traits_at_s, s, x0, spectral, h_field=None):
     """Radon-Nikodym weight of the conditioned-on-survival limit law.
+    Pending API: the Q-process checks of ROADMAP item 5 will call it.
 
     Critical/subcritical: e^{lambda0 s} <Z_s, Theta0> / Theta0(x0).
     Supercritical (``h_field`` given): (1 - exp<Z_s, log(1-h)>) / h(x0).

@@ -300,7 +300,7 @@ def cmd_verify(cfg, args, out):
     cfg, cal, gen, spec = _calibrated_model(cfg)
     regime = spec.regime()
     requested = args.regime or cfg.verify["regime"]
-    if requested not in (None, "auto", regime):
+    if requested not in ("auto", regime):
         raise mom.RegimeError(
             f"requested regime {requested!r} but spectral data is {regime} (lambda0 = {spec.lambda0:.4g})"
         )
@@ -373,10 +373,11 @@ def _thread_count(text):
 
 
 class _RegimeAction(argparse.Action):
-    """Store the full regime name: sub and super expand, auto stores None."""
+    """Store the full regime name: sub and super expand.  A given ``auto``
+    stays ``auto``, so it overrides the config's verify.regime."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        value = {"auto": None, "sub": "subcritical", "super": "supercritical"}.get(value, value)
+        value = {"sub": "subcritical", "super": "supercritical"}.get(value, value)
         setattr(namespace, self.dest, value)
 
 
@@ -444,7 +445,7 @@ _COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config).with_overrides(seed=args.seed)
+        cfg = load_config(args.config, seed=args.seed)
     except (OSError, json.JSONDecodeError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

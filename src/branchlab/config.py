@@ -251,12 +251,6 @@ class ExperimentConfig:
             hash=config_hash(raw),
         )
 
-    def with_overrides(self, seed=None):
-        raw = json.loads(json.dumps(self.raw))
-        if seed is not None:
-            raw.setdefault("mc", {})["seed"] = int(seed)
-        return ExperimentConfig.from_dict(raw)
-
     def apply_knob(self, knob_path, value):
         """Return a copy with the number at ``knob_path`` replaced (used by
         criticality calibration)."""
@@ -266,7 +260,11 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
 
-def load_config(path):
+def load_config(path, seed=None):
+    """The checked config of the JSON file at ``path``; a ``seed`` replaces
+    ``mc.seed`` in the raw mapping (and so in the hash) before the check."""
     with open(path) as fh:
         raw = json.load(fh)
+    if seed is not None and isinstance(raw, dict) and isinstance(raw.get("mc", {}), dict):
+        raw.setdefault("mc", {})["seed"] = int(seed)
     return ExperimentConfig.from_dict(raw)

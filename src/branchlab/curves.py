@@ -160,13 +160,6 @@ class Curve:
             return float(out)
         return out
 
-    def to_config(self):
-        params = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in self.params.items()
-        }
-        return {"family": self.family, "params": params}
-
     def __repr__(self):
         return f"Curve({self.family!r}, {self.params!r})"
 

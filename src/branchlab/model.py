@@ -61,14 +61,6 @@ class RateModel:
     b_star: float
     hd_constants: dict = field(default_factory=dict)
 
-    def to_config(self):
-        return {
-            "b": self.b.to_config(),
-            "d": self.d.to_config(),
-            "b_star": self.b_star,
-            "hd": dict(self.hd_constants),
-        }
-
     @classmethod
     def from_config(cls, cfg):
         return cls(
@@ -136,18 +128,6 @@ class JumpKernel:
             return 1.0 + self.width**4 / 5.0
         return 1.0 + 3.0 * self.sigma**4
 
-    def to_config(self):
-        cfg = {"family": self.family, "rate": self.rate.to_config()}
-        if self.width is not None:
-            cfg["width"] = self.width
-        if self.sigma is not None:
-            cfg["sigma"] = self.sigma
-        if self.density_floor is not None:
-            cfg["density_floor"] = list(self.density_floor)
-        if self.m4_declared is not None:
-            cfg["m4"] = self.m4_declared
-        return cfg
-
     @classmethod
     def from_config(cls, cfg):
         return cls(**cfg)
@@ -186,14 +166,6 @@ class DynamicsSpec:
     @property
     def has_jumps(self):
         return self.variant in (DIFFUSION_JUMPS, DRIFTED_JUMP)
-
-    def to_config(self):
-        cfg = {"variant": self.variant, "ha": dict(self.ha_constants)}
-        if self.a is not None:
-            cfg["a"] = self.a.to_config()
-        if self.jump is not None:
-            cfg["jump"] = self.jump.to_config()
-        return cfg
 
     @classmethod
     def from_config(cls, cfg):

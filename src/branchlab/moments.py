@@ -10,12 +10,10 @@ differential form
 
 with an IMEX Crank-Nicolson march (implicit linear part, trapezoidal
 predictor-corrector source).  The fields of one march (all moment orders
-together; the real and imaginary parts of a complex H) are the columns of
-one block, so each predictor and each corrector is a single band solve
-with the propagator's factor of I - (dt/2) L, and no matrix-vector
-product (``semigroup.Propagator.march``).  The integral form is then
-re-evaluated by quadrature over the stored time slices as an independent
-residual check.
+together) are the columns of one block, so each predictor and each
+corrector is a single band solve with the propagator's factor of
+I - (dt/2) L, and no matrix-vector product
+(``semigroup.Propagator.march``).
 
 The extinction limit h solves the stationary equation L h - b h^2 = 0 by
 Newton's method, cross-checked against the long-time survival march.
@@ -39,7 +37,7 @@ from scipy.special import comb
 from .branching import yule_moment_bound
 # Propagator stays importable from here: perfbench checks that its tracer
 # patched the class this module sees
-from .semigroup import Propagator, _propagator, evolve_P
+from .semigroup import Propagator, _propagator
 
 __all__ = [
     "MomentField",
@@ -48,14 +46,12 @@ __all__ = [
     "solve_survival",
     "solve_h",
     "laplace_functional",
-    "duhamel_residual",
-    "survival_semigroup_check",
     "critical_limits",
     "subcritical_limits",
     "supercritical_limits",
     "hamburger_bound",
     "calibrate_criticality",
-    "criticality_epsilon",
+    "require_regime",
 ]
 
 
@@ -67,9 +63,15 @@ class BlowupError(RuntimeError):
     pass
 
 
-def criticality_epsilon(spectral, factor=1e-4):
-    """Criticality tolerance, dimensionless against the spectral gap."""
-    return factor * max(spectral.gap, 1e-12)
+def require_regime(spectral, regime, op):
+    """Raise a RegimeError naming ``op`` unless ``spectral`` reads as
+    ``regime`` (``SpectralData.regime``)."""
+    actual = spectral.regime()
+    if actual != regime:
+        raise RegimeError(
+            f"{op} needs the {regime} regime (|lambda0| gate {spectral.criticality_eps:.2e}); "
+            f"spectral data is {actual} with lambda0 = {spectral.lambda0:.4g}"
+        )
 
 
 @dataclass
@@ -219,7 +221,7 @@ def solve_survival(t_end, generator, model, dt_pde=0.01, n_store=200, positivity
         worst = [0.0]
 
         def guard(state, t, worst=worst):
-            m = float(np.min(state.real))
+            m = float(np.min(state))
             worst[0] = min(worst[0], m)
             if m < -positivity_tol * 10:
                 raise BlowupError(f"survival went negative ({m:.3e}) at t = {t:.3g}")
@@ -236,7 +238,7 @@ def solve_survival(t_end, generator, model, dt_pde=0.01, n_store=200, positivity
             last_err = BlowupError(f"survival positivity loss {worst[0]:.3e}")
             attempt_dt /= 2.0
             continue
-        u0 = np.clip(stored[0].real, 0.0, 1.0)
+        u0 = np.clip(stored[0], 0.0, 1.0)
         times = np.array(steps) * attempt_dt
         return MomentField(
             times=times,
@@ -250,8 +252,10 @@ def solve_survival(t_end, generator, model, dt_pde=0.01, n_store=200, positivity
 def laplace_functional(f_vals, w, t_end, generator, model, dt_pde=0.01, n_store=100, ensure_times=()):
     """March H(t, x, w) = E[1 - exp(w <Z_t, f>)] in differential form.
 
-    ``w`` must satisfy |w| < 1 / (sup|f| e^{b_star t_end}).
+    ``w`` is real with |w| < 1 / (sup|f| e^{b_star t_end}).  Pending API:
+    the finite-t law checks of ROADMAP item 4 will read it (at w <= 0).
     """
+    w = float(w)
     f_vals = np.asarray(f_vals, dtype=float)
     f_sup = float(np.max(np.abs(f_vals)))
     radius = 1.0 / (f_sup * math.exp(model.b_star * t_end)) if f_sup > 0 else math.inf
@@ -264,100 +268,6 @@ def laplace_functional(f_vals, w, t_end, generator, model, dt_pde=0.01, n_store=
     stored = _propagator(generator, dt_pde).march(h0[:, None], t_end, steps, source_fn=source, smooth_start=True)
     times = np.array(steps) * dt_pde
     return MomentField(times=times, nodes=xs, fields={0: stored[0]}, meta={"w": w, "dt_pde": dt_pde})
-
-
-# ----------------------------------------------------------------------
-# integral-form residuals
-
-
-def _simpson_weights(J, dt):
-    """Composite Simpson weights on J + 1 uniform nodes a step dt apart;
-    the last interval falls back to the trapezoid when J is odd."""
-    w = np.zeros(J + 1)
-    j_even = J if J % 2 == 0 else J - 1
-    if j_even >= 2:
-        w[0:j_even + 1:2] += 2.0 * dt / 3.0
-        w[1:j_even:2] += 4.0 * dt / 3.0
-        w[0] -= dt / 3.0
-        w[j_even] -= dt / 3.0
-    if j_even < J:
-        w[J] += dt / 2.0
-        w[j_even] += dt / 2.0
-    return w
-
-
-def _duhamel_accumulate(generator, slices, dt_store, dt_pde, terminal=None):
-    """Evaluate int_0^T P_s q(T - s) ds + P_T(terminal) by backward Horner
-    accumulation over the stored slices with composite Simpson weights.
-
-    ``slices[j]`` must hold q at time j * dt_store, j = 0 .. J with J even
-    (the last interval falls back to trapezoid when J is odd).
-    """
-    J = len(slices) - 1
-    if J == 0:
-        return np.zeros_like(slices[0]) if terminal is None else np.asarray(terminal, dtype=float)
-    weights = _simpson_weights(J, dt_store)
-    # y accumulates sum_j P_{s_j} (w_j q(T - s_j)); s_J = T carries terminal
-    y = weights[J] * slices[0]
-    if terminal is not None:
-        y = y + terminal
-    for j in range(J - 1, -1, -1):
-        y = evolve_P(y, dt_store, generator, dt_pde=dt_pde)
-        y = y + weights[j] * slices[J - j]
-    return y
-
-
-def duhamel_residual(field, order, t_star, generator, model, dt_pde=None):
-    """Relative deviation of the stored order-``order`` field at ``t_star``
-    from the integral (mild) form, re-evaluated by quadrature over the
-    stored slices.  Independent of the march's source treatment."""
-    if order < 1:
-        raise ValueError("duhamel_residual applies to moment orders >= 1")
-    dt_pde = dt_pde or field.meta.get("dt_pde", 0.01)
-    xs = field.nodes
-    b_vals = np.asarray(model.b(xs), dtype=float)
-    k_star = int(round(t_star / field.dt_store))
-    if abs(k_star * field.dt_store - t_star) > 1e-9 * max(1.0, t_star):
-        raise KeyError("t_star must be a stored slice time")
-    f_vals = field.f_vals
-
-    if order == 1:
-        qs = [np.zeros_like(f_vals) for _ in range(k_star + 1)]
-    else:
-        qs = []
-        for j in range(k_star + 1):
-            s = np.zeros_like(field.fields[1][0])
-            for k in range(1, order):
-                s = s + comb(order, k) * field.fields[k][j] * field.fields[order - k][j]
-            qs.append(b_vals * s)
-    # the terminal data f^order is as nonsmooth as the march's initial data,
-    # so it gets the same damped startup; the q slices are already smooth
-    terminal = evolve_P(f_vals**order, t_star, generator, dt_pde=dt_pde, smooth_start=True)
-    rhs = terminal + _duhamel_accumulate(generator, qs, field.dt_store, dt_pde)
-    lhs = field.fields[order][k_star]
-    scale = max(float(np.max(np.abs(lhs))), 1e-12)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
-
-
-def survival_semigroup_check(field, t, t0, generator, model, dt_pde=None):
-    """Max absolute deviation of u0(t) from the nonlinear semigroup
-    reconstruction started at u0(t0):
-
-        u0(t) = P_{t-t0} u0(t0) - int_0^{t-t0} P_s (b u0^2(t-s)) ds.
-    """
-    dt_pde = dt_pde or field.meta.get("dt_pde", 0.01)
-    b_vals = np.asarray(model.b(field.nodes), dtype=float)
-    k_t = int(round(t / field.dt_store))
-    k_t0 = int(round(t0 / field.dt_store))
-    if k_t0 >= k_t:
-        raise ValueError("need t0 < t on the stored grid")
-    # the accumulation takes q(tau) with tau measured from t0 upward:
-    # q(tau) = b u0^2(t0 + tau), so P_s gets b u0^2(t - s) as required
-    qs = [b_vals * field.fields[0][k_t0 + j] ** 2 for j in range(0, k_t - k_t0 + 1)]
-    rhs = _duhamel_accumulate(
-        generator, [-q for q in qs], field.dt_store, dt_pde, terminal=field.fields[0][k_t0]
-    )
-    return float(np.max(np.abs(field.fields[0][k_t] - rhs)))
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +387,7 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
             if remaining < 0.5 * tol or t_total > 400.0:
                 break
         out = prop.march(marks[0][:, None], dt_seg, None, source_fn=src)
-        marks = [np.clip(out[0, -1].real, 0.0, 1.0), *marks[:2]]
+        marks = [np.clip(out[0, -1], 0.0, 1.0), *marks[:2]]
         t_total += dt_seg
     h_u0 = marks[0]
 
@@ -511,11 +421,7 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
 
 def critical_limits(spectral, model, n_max, f_vals=None):
     """Critical moment limits V_n(x) = n! Theta0(x) nu(f)^n A^n B^{n-1}."""
-    eps = criticality_epsilon(spectral)
-    if abs(spectral.lambda0) > eps:
-        raise RegimeError(
-            f"critical limits need |lambda0| <= {eps:.3g}; got {spectral.lambda0:.3g}"
-        )
+    require_regime(spectral, "critical", "critical_limits")
     nu_f = 1.0 if f_vals is None else spectral.nu(np.asarray(f_vals, dtype=float))
     out = {}
     for n in range(1, n_max + 1):
@@ -527,6 +433,22 @@ def critical_limits(spectral, model, n_max, f_vals=None):
             * (spectral.B ** (n - 1))
         )
     return out
+
+
+def _simpson_weights(J, dt):
+    """Composite Simpson weights on J + 1 uniform nodes a step dt apart;
+    the last interval falls back to the trapezoid when J is odd."""
+    w = np.zeros(J + 1)
+    j_even = J if J % 2 == 0 else J - 1
+    if j_even >= 2:
+        w[0:j_even + 1:2] += 2.0 * dt / 3.0
+        w[1:j_even:2] += 4.0 * dt / 3.0
+        w[0] -= dt / 3.0
+        w[j_even] -= dt / 3.0
+    if j_even < J:
+        w[J] += dt / 2.0
+        w[j_even] += dt / 2.0
+    return w
 
 
 def _tail_completed_time_integral(times, integrand, min_decay=1e-12):
@@ -569,9 +491,7 @@ def subcritical_limits(spectral, model, fields, u0_field, n_max):
     Returns {"V": {n: V_n^-(f)}, "K_minus": K^-, "beta": {n: beta_n},
     "tail_fractions": ...}.  Unresolved quadrature tails raise.
     """
-    eps = criticality_epsilon(spectral)
-    if not spectral.lambda0 > eps:
-        raise RegimeError("subcritical limits need lambda0 > 0")
+    require_regime(spectral, "subcritical", "subcritical_limits")
     lam0 = spectral.lambda0
     xs = spectral.grid.nodes
     b_mu = np.asarray(model.b(xs), dtype=float) * spectral.mu0
@@ -626,9 +546,7 @@ def supercritical_limits(spectral, model, generator, n_max, f_vals):
     spectral abscissa of L + n lambda0 is (n - 1) lambda0 < 0).  Also
     returns the beta_n convergence-rate recursion.
     """
-    eps = criticality_epsilon(spectral)
-    if not spectral.lambda0 < -eps:
-        raise RegimeError("supercritical limits need lambda0 < 0")
+    require_regime(spectral, "supercritical", "supercritical_limits")
     lam0 = spectral.lambda0
     xs = spectral.grid.nodes
     b_vals = np.asarray(model.b(xs), dtype=float)
@@ -659,25 +577,6 @@ def hamburger_bound(a1, eta, n):
     r_star = math.log1p(1.0 / (4.0 * eta * a1))
     bound = math.factorial(n) / (2.0 * eta * r_star**n)
     return r_star, bound
-
-
-def hamburger_recursion_sequence(a1, eta, n_max):
-    """The extremal sequence a_n = a_1 + eta sum C(n,k) a_k a_{n-k}."""
-    a = {1: a1}
-    for n in range(2, n_max + 1):
-        a[n] = a1 + eta * sum(comb(n, k) * a[k] * a[n - k] for k in range(1, n))
-    return a
-
-
-def carleman_partial_sums(moments_even, scale=1.0):
-    """Partial sums of sum_n (m_{2n}/scale)^{-1/(2n)}; divergence of the
-    series certifies moment determinacy."""
-    out = []
-    total = 0.0
-    for n, m2n in enumerate(moments_even, start=1):
-        total += (m2n / scale) ** (-1.0 / (2 * n))
-        out.append(total)
-    return out
 
 
 def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, max_iter=100, dt_report=1.0):

@@ -27,16 +27,15 @@ every march of ``moments`` run through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import model as model_mod
 from .grid import Grid
-from .model import DIFFUSION, DRIFTED_JUMP, NotApplicableError, ell_values, potential
+from .model import DIFFUSION, DRIFTED_JUMP, ell_and_rho, ell_values, potential
 
 __all__ = [
     "Grid",
@@ -48,8 +47,6 @@ __all__ = [
     "evolve_Q",
     "principal_eigentriple",
     "fit_H",
-    "constants_AB",
-    "girsanov_crosscheck",
     "hp4_edge_decay",
     "GridTooNarrowError",
 ]
@@ -61,33 +58,17 @@ class GridTooNarrowError(ValueError):
 
 @dataclass
 class GeneratorMatrix:
-    """Discretized generator: motion block + jump block + diagonal potential."""
+    """Discretized generator: motion block + jump block + diagonal potential,
+    with the speed-measure weights rho of a drift curve (None without one)."""
 
     grid: Grid
     variant: str
-    matrix: sp.csr_matrix  # full operator, motion + jumps + V
-    motion_jump: sp.csr_matrix  # operator without the potential diagonal
-    potential_diag: np.ndarray
-    ell: np.ndarray | None = None
+    matrix: sp.csr_matrix
     rho: np.ndarray | None = None
 
     @property
     def n(self):
         return self.grid.n_points
-
-    def with_potential(self, v_diag):
-        """Same motion/jump blocks with a different diagonal potential."""
-        v_diag = np.asarray(v_diag, dtype=float)
-        mat = (self.motion_jump + sp.diags(v_diag)).tocsr()
-        return GeneratorMatrix(
-            grid=self.grid,
-            variant=self.variant,
-            matrix=mat,
-            motion_jump=self.motion_jump,
-            potential_diag=v_diag,
-            ell=self.ell,
-            rho=self.rho,
-        )
 
 
 def _diffusion_block(grid, dyn):
@@ -176,19 +157,11 @@ def build_generator(model, dyn, grid, dt_report=1.0):
     if dyn.has_jumps:
         motion = (motion + _jump_block(grid, dyn.jump)).tocsr()
 
-    mat = (motion + sp.diags(v)).tocsr()
-    if dyn.has_drift_curve:
-        ell, rho = model_mod.ell_and_rho(dyn, grid)
-    else:
-        ell, rho = None, None
     return GeneratorMatrix(
         grid=grid,
         variant=dyn.variant,
-        matrix=mat,
-        motion_jump=motion.tocsr(),
-        potential_diag=np.asarray(v, dtype=float),
-        ell=ell,
-        rho=rho,
+        matrix=(motion + sp.diags(v)).tocsr(),
+        rho=ell_and_rho(dyn, grid)[1] if dyn.has_drift_curve else None,
     )
 
 
@@ -214,9 +187,8 @@ class Propagator:
     the upwind drift; a kernel of unbounded support fills the whole band).
     Since I + (dt/2) L = 2I - A, a CN step is u_new = A^{-1}(2u + dt s) - u:
     one band solve and no matrix-vector product.  A is also the
-    implicit-Euler half-step matrix.  ``u`` may be one field of shape (n,)
-    or a Fortran-ordered block (n, k) of fields marched together; a
-    complex field is solved as its real and imaginary columns.
+    implicit-Euler half-step matrix.  ``u`` may be one real field of shape
+    (n,) or a Fortran-ordered block (n, k) of fields marched together.
     """
 
     # implicit-Euler half-step pairs that start a smoothed march, to damp
@@ -243,11 +215,6 @@ class Propagator:
     def _solve(self, rhs):
         """A^{-1} rhs, overwriting ``rhs`` when it is a contiguous float
         array of shape (n,) or a Fortran-ordered (n, k) block."""
-        if np.iscomplexobj(rhs):
-            cols = rhs.reshape(len(rhs), -1)
-            k = cols.shape[1]
-            x = self._solve(np.hstack([cols.real, cols.imag]))
-            return (x[:, :k] + 1j * x[:, k:]).reshape(rhs.shape)
         if self._tri is not None:
             return sla.lapack.dgttrs(*self._tri, rhs, overwrite_b=1)[0]
         return sla.lapack.dgbtrs(self._band, self._kl, self._ku, rhs, self._ipiv, overwrite_b=1)[0]
@@ -292,12 +259,12 @@ class Propagator:
         columns 1..k-1 as the corrector, bit for bit the full step.
         """
         n_steps = self.steps_in(t_end)
-        state = np.array(init, dtype=complex if np.iscomplexobj(init) else float, order="F")
+        state = np.array(init, dtype=float, order="F")
         if source_fn is not None:
             src0 = np.empty_like(state)
             src1 = np.empty_like(state)
         slot = {step: i for i, step in enumerate([n_steps] if store_steps is None else store_steps)}
-        stored = np.empty((state.shape[1], len(slot), state.shape[0]), dtype=state.dtype)
+        stored = np.empty((state.shape[1], len(slot), state.shape[0]))
         if 0 in slot:
             stored[:, slot[0]] = state.T
         n_smooth = self.rannacher if smooth_start else 0
@@ -355,16 +322,18 @@ def evolve_P(g, t, generator, dt_pde=0.01, smooth_start=False):
 
 
 def evolve_Q(g, t, model, dyn=None, grid=None, generator=None, dt_pde=0.01, smooth_start=False):
-    """Propagation with the killed potential -(b + d) instead of V."""
+    """Propagation with the killed potential -(b + d) instead of V.
+    Pending API: the Q-process checks of ROADMAP item 5 will call it."""
     if generator is None:
         generator = build_generator(model, dyn, grid)
     return evolve_P(g, t, q_generator(generator, model), dt_pde=dt_pde, smooth_start=smooth_start)
 
 
 def q_generator(generator, model):
-    """Generator with potential -(b + d) = V - 2b on the same grid."""
-    xs = generator.grid.nodes
-    return generator.with_potential(-(model.b(xs) + model.d(xs)))
+    """Generator with potential -(b + d) = V - 2b on the same grid.
+    Pending API: the Q-process checks of ROADMAP item 5 will call it."""
+    b = np.asarray(model.b(generator.grid.nodes), dtype=float)
+    return replace(generator, matrix=(generator.matrix - sp.diags(2.0 * b)).tocsr())
 
 
 # ----------------------------------------------------------------------
@@ -411,8 +380,14 @@ class SpectralData:
     def theta0_at(self, x):
         return np.interp(x, self.grid.nodes, self.theta0)
 
-    def regime(self, eps_factor=1e-4):
-        eps = eps_factor * max(self.gap, 1e-12)
+    @property
+    def criticality_eps(self):
+        """The criticality gate: |lambda0| <= 1e-4 of the gap reads as
+        critical."""
+        return 1e-4 * max(self.gap, 1e-12)
+
+    def regime(self):
+        eps = self.criticality_eps
         if self.lambda0 > eps:
             return "subcritical"
         if self.lambda0 < -eps:
@@ -432,21 +407,6 @@ class SpectralData:
             "H": self.H,
             "eigen_residual": self.eigen_residual,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            grid=Grid.from_config(d["grid"]),
-            lambda0=float(d["lambda0"]),
-            lambda1=float(d["lambda1"]),
-            theta0=np.asarray(d["theta0"], dtype=float),
-            mu0=np.asarray(d["mu0"], dtype=float),
-            A=float(d["A"]),
-            B=float(d["B"]),
-            H=None if d["H"] is None else float(d["H"]),
-            lambda1_complex=bool(d.get("lambda1_complex", False)),
-            eigen_residual=float(d.get("eigen_residual", 0.0)),
-        )
 
 
 class EigenSolverError(RuntimeError):
@@ -606,55 +566,6 @@ def fit_H(generator, spectral, dt_pde):
             dev = np.max(np.abs(np.exp(spectral.lambda0 * t) * u - pi_g))
             H = max(H, float(np.exp(spectral.gap * t) * dev / gn))
     return H
-
-
-def constants_AB(spectral, model):
-    """A = total mass of mu0; B = int Theta0^2 b dmu0."""
-    xs = spectral.grid.nodes
-    A = float(np.sum(spectral.mu0))
-    B = float(np.sum(spectral.theta0**2 * model.b(xs) * spectral.mu0))
-    if not (A > 0 and B > 0):
-        raise ValueError("A and B must be positive")
-    return A, B
-
-
-def girsanov_crosscheck(dyn, model, grid, n_eigs=3):
-    """Compare the spectrum of the drifted diffusion generator with the
-    conjugated Schroedinger form (1/2) u'' + (V + (a' - a^2)/2) u.
-
-    Returns a report dict with both eigenvalue lists and the max deviation.
-    """
-    if dyn.variant != DIFFUSION:
-        raise NotApplicableError("Girsanov cross-check applies to the pure diffusion variant")
-    gen = build_generator(model, dyn, grid, dt_report=np.inf)
-    xs = grid.nodes
-    a = dyn.a(xs)
-    a_prime = dyn.a.derivative(xs)
-    v_tilde = potential(model, xs) + 0.5 * (a_prime - a * a)
-
-    class _TildeModel:
-        b_star = model.b_star
-        hd_constants = model.hd_constants
-
-        @staticmethod
-        def b(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        @staticmethod
-        def d(x):
-            return -np.interp(np.asarray(x, dtype=float), xs, v_tilde)
-
-    dyn0 = model_mod.DynamicsSpec(variant=DIFFUSION, a=model_mod.curve_from_config(0.0))
-    gen_tilde = build_generator(_TildeModel, dyn0, grid, dt_report=np.inf)
-
-    eigs = _rightmost_eigs(gen.matrix, n_eigs, rho=gen.rho).real.tolist()
-    eigs_tilde = _rightmost_eigs(gen_tilde.matrix, n_eigs, rho=gen_tilde.rho).real.tolist()
-    dev = float(np.max(np.abs(np.asarray(eigs) - np.asarray(eigs_tilde))))
-    return {
-        "eigenvalues": eigs,
-        "eigenvalues_conjugated": eigs_tilde,
-        "max_deviation": dev,
-    }
 
 
 def hp4_edge_decay(generator, t, dt_pde=0.01, edge_fraction=0.05, threshold=1e-3):

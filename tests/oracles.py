@@ -1,12 +1,22 @@
 """Independent closed-form oracles for the linear birth-death process and
-related exact laws.  Kept separate from the package so the dual-route
-checks never share code with the paths they verify."""
+related exact laws, and second routes to the package's grid results (the
+Girsanov-conjugated spectrum, the mild form of the moment and survival
+equations, the extremal Hamburger sequence).  Kept out of the package: the
+closed forms share no code with the paths they verify, and the second
+routes reuse only its generator, propagator and eigenvalue primitives."""
 
 import math
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.special import comb
+
+from branchlab import DynamicsSpec
+from branchlab.curves import constant
+from branchlab.model import DIFFUSION, NotApplicableError, potential
+from branchlab.moments import _simpson_weights
+from branchlab.semigroup import _rightmost_eigs, build_generator, evolve_P
 
 
 def bd_survival(t, b, d):
@@ -80,7 +90,7 @@ def evolve_reference(prop, g, t, smooth_start=False):
     ``Propagator.march`` took its place, for t a whole number of steps:
     ``prop.rannacher`` pairs of implicit-Euler half steps when smoothing,
     then one Crank-Nicolson step at a time."""
-    g = np.asarray(g, dtype=complex if np.iscomplexobj(g) else float)
+    g = np.asarray(g, dtype=float)
     if t == 0:
         return g.copy()
     n_full = int(round(t / prop.dt))
@@ -115,3 +125,124 @@ def rightmost_eigs_dense(matrix, k, rho):
     else:
         vals = np.sort(np.linalg.eigvalsh(S))[-k:]
     return vals[::-1]
+
+
+def girsanov_crosscheck(dyn, model, grid, n_eigs=3):
+    """Compare the spectrum of the drifted diffusion generator with the
+    conjugated Schroedinger form (1/2) u'' + (V + (a' - a^2)/2) u.
+
+    Returns a report dict with both eigenvalue lists and the max deviation.
+    """
+    if dyn.variant != DIFFUSION:
+        raise NotApplicableError("Girsanov cross-check applies to the pure diffusion variant")
+    gen = build_generator(model, dyn, grid, dt_report=np.inf)
+    xs = grid.nodes
+    a = dyn.a(xs)
+    a_prime = dyn.a.derivative(xs)
+    v_tilde = potential(model, xs) + 0.5 * (a_prime - a * a)
+
+    class _TildeModel:
+        b_star = model.b_star
+        hd_constants = model.hd_constants
+
+        @staticmethod
+        def b(x):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        @staticmethod
+        def d(x):
+            return -np.interp(np.asarray(x, dtype=float), xs, v_tilde)
+
+    dyn0 = DynamicsSpec(variant=DIFFUSION, a=constant(0.0))
+    gen_tilde = build_generator(_TildeModel, dyn0, grid, dt_report=np.inf)
+
+    eigs = _rightmost_eigs(gen.matrix, n_eigs, rho=gen.rho).real.tolist()
+    eigs_tilde = _rightmost_eigs(gen_tilde.matrix, n_eigs, rho=gen_tilde.rho).real.tolist()
+    dev = float(np.max(np.abs(np.asarray(eigs) - np.asarray(eigs_tilde))))
+    return {
+        "eigenvalues": eigs,
+        "eigenvalues_conjugated": eigs_tilde,
+        "max_deviation": dev,
+    }
+
+
+def _duhamel_accumulate(generator, slices, dt_store, dt_pde, terminal=None):
+    """Evaluate int_0^T P_s q(T - s) ds + P_T(terminal) by backward Horner
+    accumulation over the stored slices with composite Simpson weights.
+
+    ``slices[j]`` must hold q at time j * dt_store, j = 0 .. J with J even
+    (the last interval falls back to trapezoid when J is odd).
+    """
+    J = len(slices) - 1
+    if J == 0:
+        return np.zeros_like(slices[0]) if terminal is None else np.asarray(terminal, dtype=float)
+    weights = _simpson_weights(J, dt_store)
+    # y accumulates sum_j P_{s_j} (w_j q(T - s_j)); s_J = T carries terminal
+    y = weights[J] * slices[0]
+    if terminal is not None:
+        y = y + terminal
+    for j in range(J - 1, -1, -1):
+        y = evolve_P(y, dt_store, generator, dt_pde=dt_pde)
+        y = y + weights[j] * slices[J - j]
+    return y
+
+
+def duhamel_residual(field, order, t_star, generator, model, dt_pde=None):
+    """Relative deviation of the stored order-``order`` field at ``t_star``
+    from the integral (mild) form, re-evaluated by quadrature over the
+    stored slices.  Independent of the march's source treatment."""
+    if order < 1:
+        raise ValueError("duhamel_residual applies to moment orders >= 1")
+    dt_pde = dt_pde or field.meta.get("dt_pde", 0.01)
+    xs = field.nodes
+    b_vals = np.asarray(model.b(xs), dtype=float)
+    k_star = int(round(t_star / field.dt_store))
+    if abs(k_star * field.dt_store - t_star) > 1e-9 * max(1.0, t_star):
+        raise KeyError("t_star must be a stored slice time")
+    f_vals = field.f_vals
+
+    if order == 1:
+        qs = [np.zeros_like(f_vals) for _ in range(k_star + 1)]
+    else:
+        qs = []
+        for j in range(k_star + 1):
+            s = np.zeros_like(field.fields[1][0])
+            for k in range(1, order):
+                s = s + comb(order, k) * field.fields[k][j] * field.fields[order - k][j]
+            qs.append(b_vals * s)
+    # the terminal data f^order is as nonsmooth as the march's initial data,
+    # so it gets the same damped startup; the q slices are already smooth
+    terminal = evolve_P(f_vals**order, t_star, generator, dt_pde=dt_pde, smooth_start=True)
+    rhs = terminal + _duhamel_accumulate(generator, qs, field.dt_store, dt_pde)
+    lhs = field.fields[order][k_star]
+    scale = max(float(np.max(np.abs(lhs))), 1e-12)
+    return float(np.max(np.abs(lhs - rhs)) / scale)
+
+
+def survival_semigroup_check(field, t, t0, generator, model, dt_pde=None):
+    """Max absolute deviation of u0(t) from the nonlinear semigroup
+    reconstruction started at u0(t0):
+
+        u0(t) = P_{t-t0} u0(t0) - int_0^{t-t0} P_s (b u0^2(t-s)) ds.
+    """
+    dt_pde = dt_pde or field.meta.get("dt_pde", 0.01)
+    b_vals = np.asarray(model.b(field.nodes), dtype=float)
+    k_t = int(round(t / field.dt_store))
+    k_t0 = int(round(t0 / field.dt_store))
+    if k_t0 >= k_t:
+        raise ValueError("need t0 < t on the stored grid")
+    # the accumulation takes q(tau) with tau measured from t0 upward:
+    # q(tau) = b u0^2(t0 + tau), so P_s gets b u0^2(t - s) as required
+    qs = [b_vals * field.fields[0][k_t0 + j] ** 2 for j in range(0, k_t - k_t0 + 1)]
+    rhs = _duhamel_accumulate(
+        generator, [-q for q in qs], field.dt_store, dt_pde, terminal=field.fields[0][k_t0]
+    )
+    return float(np.max(np.abs(field.fields[0][k_t] - rhs)))
+
+
+def hamburger_recursion_sequence(a1, eta, n_max):
+    """The extremal sequence a_n = a_1 + eta sum C(n,k) a_k a_{n-k}."""
+    a = {1: a1}
+    for n in range(2, n_max + 1):
+        a[n] = a1 + eta * sum(comb(n, k) * a[k] * a[n - k] for k in range(1, n))
+    return a

@@ -24,10 +24,10 @@ from branchlab.moments import (
     subcritical_limits,
     supercritical_limits,
 )
-from branchlab.semigroup import build_generator, girsanov_crosscheck, principal_eigentriple
+from branchlab.semigroup import build_generator, principal_eigentriple
 
 from .conftest import make_constant_model, make_oscillator_model
-from .oracles import bd_extinction_params, bd_sample, bd_survival
+from .oracles import bd_extinction_params, bd_sample, bd_survival, duhamel_residual, girsanov_crosscheck
 
 CUT = CutoffSpec(m=30.0)
 
@@ -175,8 +175,6 @@ def test_acceptance_5_spectral_engine(oscillator_setup):
 
 
 def test_acceptance_6_moment_recursion(oscillator_setup, jumps_setup, drifted_setup, box_grid, zero_drift):
-    from branchlab.moments import duhamel_residual
-
     worst_res = 0.0
     # the transport class carries a larger O(dt^2) constant in the
     # march-vs-quadrature comparison, so it gets a finer step

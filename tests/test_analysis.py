@@ -174,8 +174,9 @@ def critical_field(critical_setup):
 def test_decomposition_invariants(critical_field):
     model, gen, spec, u0f = critical_field
     dec = CriticalDecomposition.from_field(u0f, spec)
-    assert dec.orthogonality_defect() < 1e-10
-    assert dec.reconstruction_error(u0f) < 1e-14
+    assert np.max(np.abs(dec.psi @ spec.mu0)) < 1e-10  # mu0(Psi) = 0
+    rec = dec.r[:, None] * spec.theta0[None, :] + dec.psi
+    assert np.max(np.abs(u0f.fields[0] - rec)) < 1e-14
     assert np.all(np.diff(dec.r) <= 1e-12)
     assert np.all(dec.r > 0)
 
@@ -230,7 +231,7 @@ def test_ode_residual_detects_fault_injection(critical_field):
     rng = np.random.default_rng(3)
     noise = 0.02 * rng.normal(size=dec.psi.shape)
     noise -= np.outer(noise @ spec.mu0, spectral_ones(spec))  # keep mu0(psi) ~ 0
-    bad = CriticalDecomposition(times=dec.times, r=dec.r, psi=dec.psi + noise, spectral=spec)
+    bad = CriticalDecomposition(times=dec.times, r=dec.r, psi=dec.psi + noise)
     rep = critical_ode_residual(bad, spec, model)
     assert not rep.passed
 
@@ -580,7 +581,7 @@ def _starved_reports():
     crit = _fake_spec(0.0, B=2.0)
     sup = _fake_spec(-1.0)
     field = MomentField(times=np.linspace(0.0, 10.0, 11), nodes=crit.grid.nodes, fields={0: np.ones((11, 3))})
-    decomp = CriticalDecomposition(times=np.arange(6.0), r=np.full(6, 1e-7), psi=np.zeros((6, 3)), spectral=crit)
+    decomp = CriticalDecomposition(times=np.arange(6.0), r=np.full(6, 1e-7), psi=np.zeros((6, 3)))
     zeros = np.zeros(100)
     # log-uniform W: no density gap between the doomed and survivor scales
     w = 10.0 ** np.linspace(-6.0, 1.0, 2000)

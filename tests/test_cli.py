@@ -147,9 +147,25 @@ def test_flags_outside_their_commands_or_range_are_usage_errors(tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+def test_regime_auto_overrides_the_config_regime(tmp_path, monkeypatch, capsys):
+    """--regime auto takes the computed regime even where the config
+    declares another; without the flag the config's regime must match."""
+    path = small_critical_config(tmp_path, reps=100)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["verify"]["regime"] = "supercritical"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    monkeypatch.setattr(cli.analysis, "verify_suite", lambda cfg, gen, spec, threads: ([], {}))
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "a"), "--regime", "auto"]) == 0
+    assert json.loads((tmp_path / "a" / "verification.json").read_text())["regime"] == "critical"
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err.startswith("error: requested regime 'supercritical' but spectral data is critical")
+
+
 def test_regime_flag_expands_aliases():
     parser = cli.build_parser()
-    for flag, want in [("auto", None), ("sub", "subcritical"), ("super", "supercritical"),
+    for flag, want in [("auto", "auto"), ("sub", "subcritical"), ("super", "supercritical"),
                        ("critical", "critical"), ("supercritical", "supercritical")]:
         args = parser.parse_args(["verify", "--config", "c.json", "--regime", flag])
         assert args.regime == want
@@ -185,7 +201,7 @@ def test_ensemble_chunks_per_thread_on_at_most_one_worker_per_cpu(tmp_path, monk
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     res = branching.run_ensemble(cfg, [2.0], bank, threads=4)
     assert workers == [2] and sorted(chunks) == [0, 10, 20, 30]
-    for name in ("counts", "max_abs", "tm_first"):
+    for name in ("counts", "max_abs"):
         assert np.array_equal(getattr(res, name), getattr(ref, name)), name
     assert np.array_equal(res.functionals["one"], ref.functionals["one"])
     assert res.reps == ref.reps == 40

@@ -2,8 +2,7 @@
 
 ``_ReferenceEnsemble`` is the earlier, unblocked ensemble: mask the movers,
 move them (drawing a jump size for every mover), scatter back, rebuild the
-state with ``concatenate``, and scan the whole population for cutoff
-exceedances after the step.  Draws are pure functions of (key, step,
+state with ``concatenate``.  Draws are pure functions of (key, step,
 channel), so the blocked, in-place kernel must reproduce its outputs
 exactly, for every block size.
 """
@@ -78,10 +77,6 @@ class _ReferenceEnsemble:
         return cur
 
     def step(self, step, dt, model, dyn, cutoff):
-        self._step(step, dt, model, dyn, cutoff)
-        return self.rep[self.pmax > cutoff.m]  # every replica over the cutoff
-
-    def _step(self, step, dt, model, dyn, cutoff):
         if len(self.x) == 0:
             return
         x = self.x
@@ -157,7 +152,6 @@ def _assert_same(a, b):
     for name in a.functionals:
         assert np.array_equal(a.functionals[name], b.functionals[name]), name
     assert np.array_equal(a.max_abs, b.max_abs)
-    assert np.array_equal(a.tm_first, b.tm_first)
     assert a.traits_at.keys() == b.traits_at.keys()
     for t, (rep, traits) in a.traits_at.items():
         rep_b, traits_b = b.traits_at[t]
@@ -168,7 +162,7 @@ def _assert_same(a, b):
 def test_kernel_matches_unblocked_reference(monkeypatch, case):
     got = _run(case)
     assert got.counts[-1].sum() > got.reps  # births happened
-    assert np.isfinite(got.tm_first).any()  # so did cutoff exceedances
+    assert (got.max_abs[-1] > CASES[case]["m"]).any()  # so did cutoff exceedances
     _assert_same(got, _reference(monkeypatch, case))
 
 
@@ -209,7 +203,6 @@ def test_zero_horizon():
     assert np.array_equal(res.times, [0.0])
     assert np.all(res.counts == 1)
     assert np.all(res.max_abs == 0.0)
-    assert np.all(res.tm_first == np.inf)
 
 
 def test_extinction_mid_run(monkeypatch):

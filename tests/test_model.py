@@ -183,12 +183,12 @@ def test_gaussian_kernel_sampler_matches_density():
 
 
 def test_model_config_round_trip():
+    """A config mapping builds the model and dynamics the constructors build."""
     m = make_constant_model(1.5, 2.0)
-    m2 = RateModel.from_config(m.to_config())
+    m2 = RateModel.from_config({"b": 1.5, "d": 2.0, "b_star": m.b_star, "hd": {}})
     assert m2.b_star == m.b_star
-    assert m2.b(0.3) == m.b(0.3)
-    kern = JumpKernel("uniform-window", 1.0, width=2.0, density_floor=[1.0, 0.2], m4=4.2)
-    dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
-    dyn2 = DynamicsSpec.from_config(dyn.to_config())
-    assert dyn2.jump.width == 2.0
+    assert m2.b(0.3) == m.b(0.3) and m2.d(0.3) == m.d(0.3)
+    jump = {"family": "uniform-window", "rate": 1.0, "width": 2.0, "density_floor": [1.0, 0.2], "m4": 4.2}
+    dyn2 = DynamicsSpec.from_config({"variant": "drifted-jump", "jump": jump, "ha": {}})
+    assert dyn2.jump.width == 2.0 and dyn2.jump.density_floor == (1.0, 0.2) and dyn2.jump.m4_declared == 4.2
     assert dyn2.variant == "drifted-jump"

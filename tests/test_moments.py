@@ -8,24 +8,19 @@ from branchlab.curves import constant
 from branchlab.moments import (
     RegimeError,
     calibrate_criticality,
-    carleman_partial_sums,
-    criticality_epsilon,
     critical_limits,
-    duhamel_residual,
     hamburger_bound,
-    hamburger_recursion_sequence,
     laplace_functional,
     solve_h,
     solve_moments,
     solve_survival,
     subcritical_limits,
     supercritical_limits,
-    survival_semigroup_check,
 )
 from branchlab.semigroup import SpectralData, build_generator, evolve_P
 
 from .conftest import make_constant_model, make_oscillator_model
-from .oracles import bd_survival
+from .oracles import bd_survival, duhamel_residual, hamburger_recursion_sequence, survival_semigroup_check
 
 
 def test_critical_second_moment_closed_form(critical_setup):
@@ -309,7 +304,7 @@ def test_critical_v2_extrapolation_confirms_b_in_B(jumps_setup):
     # on a critical model with non-constant b, the long-time v_2 limit
     # distinguishes B = int Theta0^2 b dmu0 from the b-less variant
     model, dyn, grid, gen, spec = jumps_setup
-    assert abs(spec.lambda0) < criticality_epsilon(spec)
+    assert abs(spec.lambda0) < spec.criticality_eps
     t_end = 60.0
     mf = solve_moments(np.ones(grid.n_points), 2, t_end, gen, model, dt_pde=0.01, n_store=120)
     x0 = np.argmin(np.abs(grid.nodes))
@@ -433,11 +428,6 @@ def test_hamburger_recursion_stays_below_bound():
         assert seq[n] <= bound * (1 + 1e-12)
 
 
-def test_carleman_partial_sums_grow():
-    sums = carleman_partial_sums([2.0, 24.0, 720.0], scale=1.0)
-    assert all(b > a for a, b in zip(sums, sums[1:]))
-
-
 def test_calibrate_oscillator():
     dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
     # the discrete eigenvalue carries ~2.5e-5 bias at 801 nodes; 1601 nodes
@@ -502,18 +492,6 @@ def test_regime_gate_exclusivity(critical_setup, subcritical_setup, supercritica
     assert critical_setup[4].regime() == "critical"
     assert subcritical_setup[4].regime() == "subcritical"
     assert supercritical_setup[4].regime() == "supercritical"
-
-
-def test_laplace_complex_w_finite(critical_setup):
-    model, dyn, grid, gen, _ = critical_setup
-    w = 0.05 + 0.1j
-    field = laplace_functional(np.ones(grid.n_points), w, 1.0, gen, model, dt_pde=0.01)
-    vals = field.fields[0][-1]
-    assert np.iscomplexobj(vals)
-    assert np.all(np.isfinite(vals.real)) and np.all(np.isfinite(vals.imag))
-    # series check: H = -sum w^n u_n / n! with u_1 = 1, u_2 = 3 at t = 1
-    series = -(w * 1.0 + w**2 * 3.0 / 2.0 + w**3 * 13.0 / 6.0 + w**4 * 75.0 / 24.0)
-    assert abs(vals[50] - series) < 5e-3 * abs(series)
 
 
 def test_subcritical_limits_regime_gate(critical_setup):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,38 +13,34 @@ from branchlab import DynamicsSpec, Grid, JumpKernel, RateModel
 from branchlab import semigroup
 from branchlab.config import load_config
 from branchlab.curves import Curve, constant
-from branchlab.model import NotApplicableError
+from branchlab.model import NotApplicableError, ell_values
 from branchlab.semigroup import (
     GridTooNarrowError,
     Propagator,
-    SpectralData,
     build_generator,
-    constants_AB,
     evolve_P,
     evolve_Q,
     fit_H,
-    girsanov_crosscheck,
     hp4_edge_decay,
     principal_eigentriple,
-    q_generator,
 )
 
 from .conftest import make_constant_model, make_oscillator_model
-from .oracles import evolve_reference, oscillator_eigenvalue, rightmost_eigs_dense
+from .oracles import evolve_reference, girsanov_crosscheck, oscillator_eigenvalue, rightmost_eigs_dense
 
 
 def test_conservation_reflecting_rows(zero_drift):
     m = make_constant_model(1.0, 1.0)  # V = 0
     gen = build_generator(m, zero_drift, Grid(-3.0, 3.0, 61, boundary="reflecting"))
-    rows = np.asarray(gen.motion_jump.sum(axis=1)).ravel()
+    rows = np.asarray(gen.matrix.sum(axis=1)).ravel()
     assert np.max(np.abs(rows)) < 1e-12
 
 
 def test_conservation_with_jumps(jump_kernel, zero_drift):
-    m = make_constant_model(1.0, 1.0)
+    m = make_constant_model(1.0, 1.0)  # V = 0
     dyn = DynamicsSpec(variant="diffusion-jumps", a=constant(0.0), jump=jump_kernel)
     gen = build_generator(m, dyn, Grid(-3.0, 3.0, 61, boundary="reflecting"))
-    rows = np.asarray(gen.motion_jump.sum(axis=1)).ravel()
+    rows = np.asarray(gen.matrix.sum(axis=1)).ravel()
     assert np.max(np.abs(rows)) < 1e-10
     # jump block annihilates constants
     ones = np.ones(61)
@@ -55,7 +52,7 @@ def test_conservation_with_jumps(jump_kernel, zero_drift):
 def test_diagonal_shift_identity(oscillator_setup):
     model, dyn, grid, gen, spec = oscillator_setup
     c = 0.37
-    gen_shift = gen.with_potential(gen.potential_diag + c)
+    gen_shift = dataclasses.replace(gen, matrix=(gen.matrix + c * sp.identity(gen.n)).tocsr())
     spec_shift = principal_eigentriple(gen_shift, model)
     assert spec_shift.lambda0 == pytest.approx(spec.lambda0 - c, abs=1e-9)
     assert np.max(np.abs(spec_shift.theta0 - spec.theta0)) < 1e-8
@@ -78,11 +75,11 @@ def test_evolve_identity_at_zero(critical_setup):
 @pytest.mark.parametrize("smooth_start", [False, True])
 def test_evolve_p_equals_the_step_loop(setup, smooth_start, request):
     """evolve_P through Propagator.march gives the bits of the plain
-    fixed-step loop, for real and complex data and at t = 0."""
+    fixed-step loop, for nonsmooth and smooth data and at t = 0."""
     gen = request.getfixturevalue(setup)[3]
     xs = gen.grid.nodes
     prop = Propagator(gen, 0.01)
-    for g in ((np.abs(xs) < 1.0).astype(float), np.exp(-(xs**2)) + 1j * np.tanh(xs)):
+    for g in ((np.abs(xs) < 1.0).astype(float), np.exp(-(xs**2)) + np.tanh(xs)):
         for t in (0.0, 0.01, 0.03, 0.5):
             want = evolve_reference(prop, g, t, smooth_start=smooth_start)
             got = evolve_P(g, t, gen, dt_pde=0.01, smooth_start=smooth_start)
@@ -208,10 +205,9 @@ def test_mu0_identity_with_nonzero_drift():
 
 
 def test_constants_ab_toy(critical_setup):
-    model, _, _, _, spec = critical_setup
-    A, B = constants_AB(spec, model)
-    assert A == pytest.approx(1.0, abs=1e-5)
-    assert B == pytest.approx(1.0, abs=1e-5)
+    _model, _, _, _, spec = critical_setup
+    assert spec.A == pytest.approx(1.0, abs=1e-5)
+    assert spec.B == pytest.approx(1.0, abs=1e-5)
 
 
 def test_constants_ab_scaling(box_grid, zero_drift):
@@ -219,11 +215,10 @@ def test_constants_ab_scaling(box_grid, zero_drift):
     m1 = make_constant_model(1.0, 1.0)
     m2 = make_constant_model(kappa, kappa)  # b scaled; same V = 0, same spectrum
     gen = build_generator(m1, zero_drift, box_grid)
-    spec = principal_eigentriple(gen, m1)
-    A1, B1 = constants_AB(spec, m1)
-    A2, B2 = constants_AB(spec, m2)
-    assert A2 == pytest.approx(A1)
-    assert B2 == pytest.approx(kappa * B1)
+    spec1 = principal_eigentriple(gen, m1)
+    spec2 = principal_eigentriple(gen, m2)  # B reads the model's b
+    assert spec2.A == pytest.approx(spec1.A)
+    assert spec2.B == pytest.approx(kappa * spec1.B)
 
 
 def test_constants_ab_quadrature_oracle(zero_drift):
@@ -238,7 +233,7 @@ def test_constants_ab_quadrature_oracle(zero_drift):
     spec = principal_eigentriple(gen, m)
     # independent quadrature: mu0 ~ theta0 * rho normalized by int theta0^2 rho
     xs = grid.nodes
-    dens = spec.theta0 * np.exp(-2.0 * gen.ell)
+    dens = spec.theta0 * np.exp(-2.0 * ell_values(zero_drift, xs))
     norm = scipy.integrate.simpson(dens * spec.theta0, x=xs)
     A_quad = scipy.integrate.simpson(dens, x=xs) / norm
     B_quad = scipy.integrate.simpson(dens * spec.theta0**2 * m.b(xs), x=xs) / norm
@@ -395,16 +390,16 @@ def test_eigentriple_fits_no_H(oscillator_setup, monkeypatch):
 
 
 def test_spectral_data_round_trips_H(oscillator_setup):
+    """spectral.json's document carries H (None until fit_H) and the
+    eigentriple through JSON unchanged."""
     model, _dyn, _grid, gen, _spec = oscillator_setup
     spec = principal_eigentriple(gen, model)
     for H in (None, fit_H(gen, spec, 0.01)):
         spec.H = H
         doc = json.loads(json.dumps(spec.to_dict()))
-        assert "H" in doc
-        back = SpectralData.from_dict(doc)
-        assert back.H == H and type(back.H) is type(H)
-        assert back.lambda0 == spec.lambda0
-        assert np.array_equal(back.theta0, spec.theta0)
+        assert doc["H"] == H and type(doc["H"]) is type(H)
+        assert doc["lambda0"] == spec.lambda0
+        assert np.array_equal(doc["theta0"], spec.theta0)
 
 
 # ----------------------------------------------------------------------
@@ -474,19 +469,6 @@ def test_step_be_half_matches_dense_solve(kernel_generator, with_source):
     got = prop.step_be_half(u, s)
     assert _rel_err(got, want) < 1e-13
     assert np.array_equal(u, u_before)  # the input is not solved in place
-
-
-def test_complex_steps_match_dense_solve(jumps_setup):
-    gen = jumps_setup[3]
-    dt = 0.02
-    prop = Propagator(gen, dt)
-    left, right = _dense_cn(gen, dt)
-    rng = np.random.default_rng(5)
-    n = gen.n
-    u = rng.normal(size=n) + 1j * rng.normal(size=n)
-    s = rng.normal(size=n) - 0.5j * rng.normal(size=n)
-    assert _rel_err(prop.step_cn(u, s), np.linalg.solve(left, right @ u + dt * s)) < 1e-13
-    assert _rel_err(prop.step_be_half(u, s), np.linalg.solve(left, u + 0.5 * dt * s)) < 1e-13
 
 
 def test_block_steps_equal_column_steps(kernel_generator):
