@@ -281,9 +281,6 @@ class ValidationReport:
     def all_passed(self):
         return all(c.passed for c in self.checks)
 
-    def failed(self):
-        return [c for c in self.checks if not c.passed]
-
     def to_dict(self):
         return {
             "scan_radius": self.scan_radius,

@@ -98,12 +98,6 @@ class MomentField:
     def dt_store(self):
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    def at(self, n, t):
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} is not a stored slice")
-        return self.fields[n][k]
-
     def normalized(self, n, regime, lambda0):
         u = self.fields[n]
         t = self.times[:, None]
@@ -579,18 +573,93 @@ def hamburger_bound(a1, eta, n):
     return r_star, bound
 
 
+def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100, name="f"):
+    """Root of ``f`` on [xa, xb] by Brent's method, step for step the search
+    of scipy's ``brentq.c``: with the same defaults it evaluates ``f`` at the
+    same points and returns the same float as ``scipy.optimize.brentq``.
+    Importing ``scipy.optimize`` (or any of its submodules) runs the whole
+    package ``__init__``, ~12 MB and ~0.15 s for one scalar search.
+
+    An endpoint where f is exactly 0 is returned at once.  Raises ValueError
+    when f(xa) and f(xb) have the same sign bit or f is NaN, and
+    RuntimeError after ``maxiter`` iterations without convergence; the
+    messages call the function ``name``.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"{name} is NaN at {x!r}")
+        return fx
+
+    def same_sign(a, b):
+        return math.copysign(1.0, a) == math.copysign(1.0, b)
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if same_sign(fpre, fcur):
+        raise ValueError(f"{name} does not change sign on [{xpre}, {xcur}]: {fpre:.3g}, {fcur:.3g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and not same_sign(fpre, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"no root of {name} on [{float(xa)}, {float(xb)}] after {maxiter} iterations of Brent's method "
+        f"({maxiter + 2} evaluations, last at {xcur!r})"
+    )
+
+
 def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, max_iter=100, dt_report=1.0):
     """Brent's method on the principal eigenvalue over a scalar model knob.
 
     ``model_factory(theta)`` must return a RateModel.  The bracket must
     change the sign of lambda0; a knob with |lambda0| <= tol is a root.
-    Returns (theta*, lambda0*, history) with one (theta, lambda0) history
-    entry per eigentriple computed.
+    The search is ``_brentq``, scipy's ``brentq`` iterate for iterate
+    without importing ``scipy.optimize``; each evaluation builds the
+    generator and computes the dense principal eigentriple.  Returns
+    (theta*, lambda0*, history) with one (theta, lambda0) history entry per
+    eigentriple computed.  Raises ValueError when lambda0 does not change
+    sign on the bracket and RuntimeError when ``max_iter`` iterations do
+    not reach |lambda0| <= tol.
     """
-    # imported here: at module level scipy.optimize would add ~0.2 s to
-    # the start-up of every command, calibrating or not
-    from scipy.optimize import brentq
-
     from .semigroup import build_generator, principal_eigentriple
 
     history = []
@@ -600,19 +669,10 @@ def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, max_iter=
         gen = build_generator(mdl, dyn, grid, dt_report=dt_report)
         value = principal_eigentriple(gen, mdl).lambda0
         history.append((theta, value))
-        # brentq returns at once on an exact zero
+        # the search returns at once on an exact zero
         return 0.0 if abs(value) <= tol else value
 
-    lo, hi = float(bracket[0]), float(bracket[1])
-    try:
-        theta = brentq(lam0, lo, hi, maxiter=max_iter)
-    except ValueError:
-        if len(history) == 2 and history[0][1] * history[1][1] > 0:
-            raise ValueError(
-                f"lambda0 does not change sign on [{lo}, {hi}]: "
-                f"{history[0][1]:.3g}, {history[1][1]:.3g}"
-            ) from None
-        raise
+    theta = _brentq(lam0, bracket[0], bracket[1], maxiter=max_iter, name="lambda0")
     lam = dict(history)[theta]
     if abs(lam) > tol:
         raise RuntimeError(

@@ -3,7 +3,8 @@ related exact laws, and second routes to the package's grid results (the
 Girsanov-conjugated spectrum, the mild form of the moment and survival
 equations, the extremal Hamburger sequence).  Kept out of the package: the
 closed forms share no code with the paths they verify, and the second
-routes reuse only its generator, propagator and eigenvalue primitives."""
+routes reuse only its generator, propagator and eigenvalue primitives.
+``slice_at`` is how the tests read a stored time slice of a MomentField."""
 
 import math
 
@@ -17,6 +18,14 @@ from branchlab.curves import constant
 from branchlab.model import DIFFUSION, NotApplicableError, potential
 from branchlab.moments import _simpson_weights
 from branchlab.semigroup import _rightmost_eigs, build_generator, evolve_P
+
+
+def slice_at(field, n, t):
+    """The stored slice of order ``n`` of a MomentField at time ``t``."""
+    k = int(np.argmin(np.abs(field.times - t)))
+    if abs(field.times[k] - t) > 1e-9 * max(1.0, abs(t)):
+        raise KeyError(f"time {t} is not a stored slice")
+    return field.fields[n][k]
 
 
 def bd_survival(t, b, d):

@@ -399,15 +399,67 @@ def test_verify_bracket_without_sign_change_fails_cleanly(tmp_path, capsys):
     assert "does not change sign" in err and "Traceback" not in err
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+def test_calibration_that_reaches_max_iter_fails_cleanly(tmp_path, capsys, monkeypatch):
+    with open(os.path.join(CONFIG_DIR, "critical_oscillator.json")) as fh:
+        doc = json.load(fh)
+    # lambda0 bottoms out at ~1e-14 on this grid, so the search runs on
+    # until max_iter stops it
+    doc["calibrate"]["tol"] = 1e-16
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    calibrate = cli.mom.calibrate_criticality
+    monkeypatch.setattr(cli.mom, "calibrate_criticality", lambda *a, **k: calibrate(*a, **k, max_iter=2))
+    code = main(["spectrum", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no root of lambda0 on [0.5, 0.9] after 2 iterations") and "Traceback" not in err
+    assert "(4 evaluations, last at 0.70708" in err
+
+
+def test_calibrated_model_computes_one_eigentriple_per_history_entry_plus_one(monkeypatch):
+    """The contract perfbench's tracer counts by: calibrate_criticality
+    returns (theta, lambda0, history), and a calibrating command computes
+    one eigentriple per history entry plus the calibrated model's own."""
+    from branchlab import semigroup
+
+    calls, results = [], []
+    eigentriple = semigroup.principal_eigentriple
+
+    def counted(*a, **k):
+        calls.append(1)
+        return eigentriple(*a, **k)
+
+    calibrate = cli.mom.calibrate_criticality
+
+    def recorded(*a, **k):
+        results.append(calibrate(*a, **k))
+        return results[-1]
+
+    monkeypatch.setattr(semigroup, "principal_eigentriple", counted)
+    monkeypatch.setattr(cli, "principal_eigentriple", counted)
+    monkeypatch.setattr(cli.mom, "calibrate_criticality", recorded)
+    _, cal, _, _ = cli._calibrated_model(load_config(os.path.join(CONFIG_DIR, "critical_oscillator.json")))
+    (result,) = results
+    assert isinstance(result, tuple) and len(result) == 3
+    theta, lam0, history = result
+    assert len(calls) == len(history) + 1 == cal["evaluations"] + 1
+    assert (theta, lam0) in history and cal["theta"] == theta
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     """A fresh interpreter that imports the CLI loads neither scipy.stats,
-    scipy.interpolate nor scipy.optimize; a table curve still works."""
+    scipy.interpolate nor scipy.optimize, a calibrating command leaves
+    scipy.optimize unloaded, and a table curve still works."""
     code = textwrap.dedent(
-        """
+        f"""
         import sys
         import branchlab.cli
         heavy = [m for m in ("scipy.stats", "scipy.interpolate", "scipy.optimize") if m in sys.modules]
         assert not heavy, heavy
+        config = {os.path.join(CONFIG_DIR, "critical_oscillator.json")!r}
+        assert branchlab.cli.main(["spectrum", "--config", config, "--out", {str(tmp_path / "o")!r}]) == 0
+        assert "scipy.optimize" not in sys.modules
+        # scipy.interpolate loads scipy.optimize itself, so the table curve comes last
         from branchlab.curves import make_curve
         c = make_curve("table", xs=[0.0, 1.0, 2.0], ys=[0.0, 1.0, 4.0])
         assert c(1.0) == 1.0 and 1.0 < c(1.5) < 4.0 and c(3.0) == 4.0

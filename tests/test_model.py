@@ -14,6 +14,10 @@ from branchlab.model import (
 from .conftest import make_constant_model
 
 
+def _failed(report):
+    return [c for c in report.checks if not c.passed]
+
+
 def _grid():
     return Grid(-4.0, 4.0, 81)
 
@@ -112,7 +116,7 @@ def test_validate_all_pass():
         ha_constants={"C": 1.0, "beta": 5.0, "gamma": 0.1, "a3_bound": 1.1},
     )
     report = validate_hypotheses(m, dyn, Grid(-10.0, 10.0, 201))
-    assert report.all_passed, [c.name for c in report.failed()]
+    assert report.all_passed, [c.name for c in _failed(report)]
 
 
 def test_validate_unbounded_b_fails_hv2():
@@ -125,7 +129,7 @@ def test_validate_unbounded_b_fails_hv2():
     dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
     grid = _grid()
     report = validate_hypotheses(m, dyn, grid)
-    fails = {c.name: c for c in report.failed()}
+    fails = {c.name: c for c in _failed(report)}
     assert "HV2-b-bounded" in fails
     assert abs(fails["HV2-b-bounded"].witness) == pytest.approx(abs(grid.x_min))
 
@@ -139,7 +143,7 @@ def test_validate_constant_d_fails_hd():
     )
     dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
     report = validate_hypotheses(m, dyn, _grid())
-    assert any(c.name == "HD-linear-growth" for c in report.failed())
+    assert any(c.name == "HD-linear-growth" for c in _failed(report))
 
 
 def test_validate_deterministic_and_pure():
@@ -171,7 +175,7 @@ def test_jump_kernel_floor_fails_when_declared_too_high():
     m = make_constant_model(1.0, 1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
     report = validate_hypotheses(m, dyn, _grid())
-    assert any(c.name == "HJ4-density-floor" for c in report.failed())
+    assert any(c.name == "HJ4-density-floor" for c in _failed(report))
 
 
 def test_gaussian_kernel_sampler_matches_density():

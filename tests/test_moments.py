@@ -7,6 +7,7 @@ from branchlab import DynamicsSpec, Grid
 from branchlab.curves import constant
 from branchlab.moments import (
     RegimeError,
+    _brentq,
     calibrate_criticality,
     critical_limits,
     hamburger_bound,
@@ -20,13 +21,13 @@ from branchlab.moments import (
 from branchlab.semigroup import SpectralData, build_generator, evolve_P
 
 from .conftest import make_constant_model, make_oscillator_model
-from .oracles import bd_survival, duhamel_residual, hamburger_recursion_sequence, survival_semigroup_check
+from .oracles import bd_survival, duhamel_residual, hamburger_recursion_sequence, slice_at, survival_semigroup_check
 
 
 def test_critical_second_moment_closed_form(critical_setup):
     model, dyn, grid, gen, _ = critical_setup
     mf = solve_moments(np.ones(grid.n_points), 2, 1.0, gen, model, dt_pde=1e-3)
-    u2 = mf.at(2, 1.0)
+    u2 = slice_at(mf, 2, 1.0)
     assert np.max(np.abs(u2 - 3.0)) < 1e-6
 
 
@@ -43,7 +44,7 @@ def test_u1_matches_evolve_p(oscillator_setup):
     f = np.exp(-0.5 * xs**2)
     mf = solve_moments(f, 2, 1.0, gen, model, dt_pde=0.005)
     direct = evolve_P(f, 1.0, gen, dt_pde=0.005, smooth_start=True)
-    assert np.max(np.abs(mf.at(1, 1.0) - direct)) < 1e-8
+    assert np.max(np.abs(slice_at(mf, 1, 1.0) - direct)) < 1e-8
 
 
 def test_yule_second_moment(box_grid, zero_drift):
@@ -51,13 +52,13 @@ def test_yule_second_moment(box_grid, zero_drift):
     gen = build_generator(model, zero_drift, box_grid)
     mf = solve_moments(np.ones(box_grid.n_points), 2, 1.0, gen, model, dt_pde=1e-4)
     exact = 2.0 * math.e**2 - math.e
-    assert np.max(np.abs(mf.at(2, 1.0) - exact)) < 1e-5
+    assert np.max(np.abs(slice_at(mf, 2, 1.0) - exact)) < 1e-5
 
 
 def test_survival_riccati(critical_setup):
     model, dyn, grid, gen, _ = critical_setup
     u0 = solve_survival(9.0, gen, model, dt_pde=1e-3, ensure_times=[9.0])
-    assert np.max(np.abs(u0.at(0, 9.0) - 0.1)) < 1e-6
+    assert np.max(np.abs(slice_at(u0, 0, 9.0) - 0.1)) < 1e-6
 
 
 def test_survival_pure_death(box_grid, zero_drift):
@@ -66,7 +67,7 @@ def test_survival_pure_death(box_grid, zero_drift):
     model.b_star = 0.1
     gen = build_generator(model, zero_drift, box_grid)
     u0 = solve_survival(2.0, gen, model, dt_pde=1e-3, ensure_times=[2.0])
-    assert np.max(np.abs(u0.at(0, 2.0) - math.exp(-delta * 2.0))) < 1e-6
+    assert np.max(np.abs(slice_at(u0, 0, 2.0) - math.exp(-delta * 2.0))) < 1e-6
 
 
 def test_survival_no_deaths(box_grid, zero_drift):
@@ -243,7 +244,7 @@ def test_laplace_riccati_closed_form(critical_setup):
     # flat case: H' = -H^2, H(0) = 1 - e^w  ->  H(t) = H0/(1 + H0 t)
     h0 = 1.0 - math.exp(w)
     exact = h0 / (1.0 + h0 * 1.0)
-    assert np.max(np.abs(field.at(0, 1.0) - exact)) < 1e-6
+    assert np.max(np.abs(slice_at(field, 0, 1.0) - exact)) < 1e-6
 
 
 def test_laplace_radius_domain_error(critical_setup):
@@ -262,8 +263,8 @@ def test_laplace_derivative_reproduces_mean(oscillator_setup):
     delta = 1e-3
     h_plus = laplace_functional(f, +delta, t_end, gen, model, dt_pde=0.005, ensure_times=[t_end])
     h_minus = laplace_functional(f, -delta, t_end, gen, model, dt_pde=0.005, ensure_times=[t_end])
-    dw = (h_plus.at(0, t_end) - h_minus.at(0, t_end)) / (2.0 * delta)
-    u1 = mf.at(1, t_end)
+    dw = (slice_at(h_plus, 0, t_end) - slice_at(h_minus, 0, t_end)) / (2.0 * delta)
+    u1 = slice_at(mf, 1, t_end)
     assert np.max(np.abs(dw + u1)) < 1e-5 * max(1.0, np.max(np.abs(u1)))
 
 
@@ -276,9 +277,9 @@ def test_laplace_second_derivative_reproduces_u2(critical_setup):
     vals = {}
     for k in (-1, 0, 1):
         fld = laplace_functional(f, k * delta, t_end, gen, model, dt_pde=2e-3, ensure_times=[t_end])
-        vals[k] = fld.at(0, t_end)
+        vals[k] = slice_at(fld, 0, t_end)
     d2 = (vals[1] - 2 * vals[0] + vals[-1]) / delta**2
-    u2 = mf.at(2, t_end)
+    u2 = slice_at(mf, 2, t_end)
     assert np.max(np.abs(d2 + u2)) < 1e-4 * np.max(np.abs(u2))
 
 
@@ -426,6 +427,65 @@ def test_hamburger_recursion_stays_below_bound():
     for n in range(2, 13):
         _, bound = hamburger_bound(a1, eta, n)
         assert seq[n] <= bound * (1 + 1e-12)
+
+
+def _search(solver, f, a, b, **kw):
+    """(root or exception type, points evaluated) of one root search."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    try:
+        return solver(g, a, b, **kw), calls
+    except (ValueError, RuntimeError) as err:
+        return type(err), calls
+
+
+def test_brentq_matches_scipy_iterate_for_iterate():
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(20)
+    outcomes = set()
+    for _ in range(1000):
+        # half-widths from 1e-12 up: narrow brackets put the steps near the
+        # tolerance, where the bisection fallbacks decide
+        c = rng.uniform(-3.0, 3.0)
+        a, b = c - 10.0 ** rng.uniform(-12.0, 0.7), c + 10.0 ** rng.uniform(-12.0, 0.7)
+        if rng.random() < 0.5:
+            a, b = b, a
+        for name, f in (
+            ("smooth", lambda x: math.tanh(x - c) + 0.1 * (x - c)),
+            ("flat", lambda x: (x - c) ** 5),
+            ("step", lambda x: 1.0 if x > c else -1.0),
+            ("slope", lambda x: 1e-9 * (x - c)),
+        ):
+            ours, theirs = _search(_brentq, f, a, b), _search(brentq, f, a, b)
+            # == on floats: the same root after the same evaluations
+            assert ours == theirs, (name, a, b, c)
+            outcomes.add((name, ours[0] is RuntimeError))
+    # every function converged on some brackets; the flat one also runs out
+    # of iterations on some
+    assert {(n, False) for n in ("smooth", "flat", "step", "slope")} | {("flat", True)} <= outcomes
+
+
+def test_brentq_edge_cases_match_scipy():
+    from scipy.optimize import brentq
+
+    cases = [
+        (lambda x: x - 1.0, 1.0, 3.0, {}),  # exact zero at the left end
+        (lambda x: x - 3.0, 1.0, 3.0, {}),  # and at the right end
+        (lambda x: x * x + 1.0, -1.0, 2.0, {}),  # same sign: ValueError
+        (lambda x: 1e-200 * (x * x + 1.0), -1.0, 2.0, {}),  # same sign though f(a) f(b) underflows to 0
+        (lambda x: math.tanh(x - 0.3), -2.0, 5.0, {"maxiter": 3}),  # RuntimeError
+        (lambda x: math.nan, -1.0, 2.0, {}),  # NaN: ValueError at once
+    ]
+    expected = [(1.0, 2), (3.0, 2), (ValueError, 2), (ValueError, 2), (RuntimeError, 5), (ValueError, 1)]
+    for (f, a, b, kw), (want, evaluations) in zip(cases, expected):
+        ours = _search(_brentq, f, a, b, **kw)
+        assert ours == _search(brentq, f, a, b, **kw)
+        assert ours[0] == want and len(ours[1]) == evaluations
 
 
 def test_calibrate_oscillator():
