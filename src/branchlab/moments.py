@@ -573,23 +573,26 @@ def hamburger_bound(a1, eta, n):
     return r_star, bound
 
 
-def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100, name="f"):
+def _brentq(f, xa, xb, maxiter=100):
     """Root of ``f`` on [xa, xb] by Brent's method, step for step the search
-    of scipy's ``brentq.c``: with the same defaults it evaluates ``f`` at the
-    same points and returns the same float as ``scipy.optimize.brentq``.
+    of scipy's ``brentq.c`` with its default tolerances: it evaluates ``f``
+    at the same points and returns the same float as ``scipy.optimize.brentq``.
     Importing ``scipy.optimize`` (or any of its submodules) runs the whole
     package ``__init__``, ~12 MB and ~0.15 s for one scalar search.
 
     An endpoint where f is exactly 0 is returned at once.  Raises ValueError
     when f(xa) and f(xb) have the same sign bit or f is NaN, and
     RuntimeError after ``maxiter`` iterations without convergence; the
-    messages call the function ``name``.
+    messages call the function lambda0, as its one caller is the
+    calibration search.
     """
+    # scipy's brentq defaults
+    xtol, rtol = 2e-12, 4 * math.ulp(1.0)
 
     def call(x):
         fx = float(f(x))
         if math.isnan(fx):
-            raise ValueError(f"{name} is NaN at {x!r}")
+            raise ValueError(f"lambda0 is NaN at {x!r}")
         return fx
 
     def same_sign(a, b):
@@ -602,7 +605,7 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100, name="f"
     if fcur == 0:
         return xcur
     if same_sign(fpre, fcur):
-        raise ValueError(f"{name} does not change sign on [{xpre}, {xcur}]: {fpre:.3g}, {fcur:.3g}")
+        raise ValueError(f"lambda0 does not change sign on [{xpre}, {xcur}]: {fpre:.3g}, {fcur:.3g}")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and not same_sign(fpre, fcur):
@@ -642,7 +645,7 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100, name="f"
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(
-        f"no root of {name} on [{float(xa)}, {float(xb)}] after {maxiter} iterations of Brent's method "
+        f"no root of lambda0 on [{float(xa)}, {float(xb)}] after {maxiter} iterations of Brent's method "
         f"({maxiter + 2} evaluations, last at {xcur!r})"
     )
 
@@ -672,7 +675,7 @@ def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, max_iter=
         # the search returns at once on an exact zero
         return 0.0 if abs(value) <= tol else value
 
-    theta = _brentq(lam0, bracket[0], bracket[1], maxiter=max_iter, name="lambda0")
+    theta = _brentq(lam0, bracket[0], bracket[1], maxiter=max_iter)
     lam = dict(history)[theta]
     if abs(lam) > tol:
         raise RuntimeError(
