@@ -61,6 +61,8 @@ __all__ = [
     "null_calibration",
 ]
 
+_Z_EXACT, _Z_LIMIT = 3.0, 4.0  # the z pass lines of the conventions above
+
 
 @dataclass
 class TestReport:
@@ -220,11 +222,14 @@ class CriticalDecomposition:
         return cls(times=u0_field.times, r=r, psi=psi)
 
 
-def critical_survival_check(u0_field, spectral, tolerance=0.02):
+_SURVIVAL_TOLERANCE = 0.02  # pass line of sup |(1+t) u0 - Theta0/B| at t >= 50/B, in units of 1/B
+
+
+def critical_survival_check(u0_field, spectral):
     """Fit of the survival asymptotics (1+t) u0 -> Theta0 / B.
 
-    Checks sup_x |(1+t) u0(t,x) - Theta0(x)/B| against the declared
-    tolerance times 1/B at the final time, fits the deviation against
+    Checks sup_x |(1+t) u0(t,x) - Theta0(x)/B| against
+    ``_SURVIVAL_TOLERANCE`` / B at the final time, fits the deviation against
     c log(2+t)/(1+t), and requires the fitted c to be stable within 20%
     over the last doubling of t with decreasing residual.
     """
@@ -234,7 +239,7 @@ def critical_survival_check(u0_field, spectral, tolerance=0.02):
     t_end = float(times[-1])
     if t_end < 50.0 / B:
         return _inconclusive(
-            "critical-survival-asymptotic", "sup deviation", tolerance / B, len(times),
+            "critical-survival-asymptotic", "sup deviation", _SURVIVAL_TOLERANCE / B, len(times),
             f"horizon {t_end:.3g} below 50/B = {50 / B:.3g}",
         )
     u0 = u0_field.fields[0]
@@ -253,12 +258,12 @@ def critical_survival_check(u0_field, spectral, tolerance=0.02):
     c1, c2 = fitted_c(w1), fitted_c(w2)
     stable = abs(c2 - c1) <= 0.2 * max(abs(c1), abs(c2), 1e-300)
     decreasing = dev[np.argmin(np.abs(times - 0.5 * t_end))] >= final_dev
-    passed = final_dev <= tolerance / B and stable and decreasing
+    passed = final_dev <= _SURVIVAL_TOLERANCE / B and stable and decreasing
     return TestReport(
         name="critical-survival-asymptotic",
         statistic="sup_x |(1+t) u0 - Theta0/B| at t_end",
         value=final_dev,
-        threshold=tolerance / B,
+        threshold=_SURVIVAL_TOLERANCE / B,
         sample_size=len(times),
         passed=bool(passed),
         details={
@@ -272,7 +277,10 @@ def critical_survival_check(u0_field, spectral, tolerance=0.02):
     )
 
 
-def critical_ode_residual(decomp, spectral, model, rel_tol=1e-3):
+_ODE_REL_TOL = 1e-3  # pass line of the relative residual of the r(t) equation
+
+
+def critical_ode_residual(decomp, spectral, model):
     """Residual of dr/dt = -B r^2 - r mu0(2 Theta0 b Psi) - mu0(b Psi^2).
 
     Uses centered differences on the stored r(t); restricted to times where
@@ -296,10 +304,10 @@ def critical_ode_residual(decomp, spectral, model, rel_tol=1e-3):
     # side, and drown in rounding when r itself is tiny; keep the window
     # where both effects sit a decade below the tolerance
     trunc_rel = (spectral.B * r[mid] * dt) ** 2
-    use = (trunc_rel <= rel_tol / 10.0) & (r[mid] > 1e-6)
+    use = (trunc_rel <= _ODE_REL_TOL / 10.0) & (r[mid] > 1e-6)
     if not use.any():
         return _inconclusive(
-            "critical-ode-residual", "relative residual", rel_tol, 0, "differentiation noise dominates everywhere"
+            "critical-ode-residual", "relative residual", _ODE_REL_TOL, 0, "differentiation noise dominates everywhere"
         )
     kept = times[mid][use]
     rel = np.abs(drdt[use] - rhs[use]) / np.maximum(np.abs(rhs[use]), 1e-300)
@@ -312,9 +320,9 @@ def critical_ode_residual(decomp, spectral, model, rel_tol=1e-3):
         name="critical-ode-residual",
         statistic="max relative residual",
         value=worst,
-        threshold=rel_tol,
+        threshold=_ODE_REL_TOL,
         sample_size=int(use.sum()),
-        passed=bool(worst <= rel_tol),
+        passed=bool(worst <= _ODE_REL_TOL),
         details={
             "psi_over_r2_final": float(ratio[-1]),
             "psi_over_r2_max_late": float(np.max(ratio[lastq])),
@@ -322,7 +330,7 @@ def critical_ode_residual(decomp, spectral, model, rel_tol=1e-3):
             # the times the filter kept, and its cut on the truncation estimate
             "window_first_t": float(kept[0]),
             "window_last_t": float(kept[-1]),
-            "window_cut": rel_tol / 10.0,
+            "window_cut": _ODE_REL_TOL / 10.0,
         },
     )
 
@@ -365,17 +373,20 @@ def ks_slack(limit_cdf, t, B=1.0):
     return _slack_constant(limit_cdf) / (B * t)
 
 
-def yaglom_test_critical(n_samples, spectral, t, alpha=0.01, min_survivors=500):
+_MIN_SURVIVORS = 500  # fewest survivors a critical limit-law check decides on
+
+
+def yaglom_test_critical(n_samples, spectral, t, alpha=0.01):
     """KS test of N_t / ((t+1) A B) conditioned on survival against the
     unit-mean exponential, with finite-t slack; plus the first three
     conditional moments against n! within 4 SE."""
     require_regime(spectral, "critical", "yaglom_test_critical")
     n_samples = np.asarray(n_samples, dtype=float)
     survivors = n_samples[n_samples > 0]
-    if len(survivors) < min_survivors:
+    if len(survivors) < _MIN_SURVIVORS:
         return _inconclusive(
             "critical-yaglom-exponential", "KS distance", math.nan, len(survivors),
-            f"only {len(survivors)} survivors < {min_survivors}",
+            f"only {len(survivors)} survivors < {_MIN_SURVIVORS}",
         )
     scale = (t + 1.0) * spectral.A * spectral.B
     x = survivors / scale
@@ -384,7 +395,7 @@ def yaglom_test_critical(n_samples, spectral, t, alpha=0.01, min_survivors=500):
     threshold = ks_band(alpha, len(x)) + slack
     ks_pass = d <= threshold
 
-    mom = sample_moment_test(x, (1, 2, 3), [1.0, 2.0, 6.0], 4.0, name="yaglom moments")
+    mom = sample_moment_test(x, (1, 2, 3), [1.0, 2.0, 6.0], _Z_LIMIT, name="yaglom moments")
     return TestReport(
         name="critical-yaglom-exponential",
         statistic="KS distance",
@@ -402,11 +413,14 @@ def yaglom_test_critical(n_samples, spectral, t, alpha=0.01, min_survivors=500):
     )
 
 
-def lln_ratio_test(zf_samples, n_samples, spectral, nu_f, z_max=4.0, min_survivors=500, sys_tol=1e-4):
-    """Conditional <Z_t, f>/N_t concentrates at nu(f): mean within
-    ``z_max`` SE of nu(f); the sample SD is reported for shrinkage checks.
+_LLN_SYS_TOL = 1e-4  # relative grid tolerance of nu(f), a floor under the LLN ratio's SE
 
-    ``sys_tol`` absorbs the deterministic grid tolerance of nu(f) itself
+
+def lln_ratio_test(zf_samples, n_samples, spectral, nu_f):
+    """Conditional <Z_t, f>/N_t concentrates at nu(f): mean within
+    ``_Z_LIMIT`` SE of nu(f); the sample SD is reported for shrinkage checks.
+
+    ``_LLN_SYS_TOL`` absorbs the deterministic grid tolerance of nu(f) itself
     (relevant when the ratio is degenerate, e.g. f proportional to 1).
     Scaling f by a positive constant leaves the decision unchanged.
     """
@@ -414,25 +428,27 @@ def lln_ratio_test(zf_samples, n_samples, spectral, nu_f, z_max=4.0, min_survivo
     zf = np.asarray(zf_samples, dtype=float)
     ns = np.asarray(n_samples, dtype=float)
     alive = ns > 0
-    if alive.sum() < min_survivors:
-        return _inconclusive("critical-lln-ratio", "|mean - nu(f)| / SE", z_max, int(alive.sum()), "survivor starvation")
+    if alive.sum() < _MIN_SURVIVORS:
+        return _inconclusive(
+            "critical-lln-ratio", "|mean - nu(f)| / SE", _Z_LIMIT, int(alive.sum()), "survivor starvation"
+        )
     ratio = zf[alive] / ns[alive]
     scale = max(abs(nu_f), float(np.max(np.abs(ratio))), 1e-300)
     se = float(np.std(ratio, ddof=1) / math.sqrt(len(ratio)))
-    se_eff = max(se, sys_tol * scale / z_max)
+    se_eff = max(se, _LLN_SYS_TOL * scale / _Z_LIMIT)
     z = abs(float(np.mean(ratio)) - nu_f) / se_eff
     return TestReport(
         name="critical-lln-ratio",
         statistic="|mean - nu(f)| / SE",
         value=z,
-        threshold=z_max,
+        threshold=_Z_LIMIT,
         sample_size=len(ratio),
-        passed=bool(z <= z_max),
+        passed=bool(z <= _Z_LIMIT),
         details={
             "mean": float(np.mean(ratio)),
             "sd": float(np.std(ratio, ddof=1)),
             "nu_f": nu_f,
-            "systematic_slack": sys_tol * scale,
+            "systematic_slack": _LLN_SYS_TOL * scale,
         },
     )
 
@@ -468,13 +484,13 @@ def upsilon_samples(zf_samples, n_samples, t, spectral, nu_f):
     return num / den
 
 
-def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01, min_survivors=500):
+def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01):
     """KS test of the sampled centered ratio against 1 - e^{-h(y)}."""
     require_regime(spectral, "critical", "upsilon_test")
     if nu_f == 0:
         raise ValueError("upsilon_test needs nu(f) != 0")
     ups = upsilon_samples(zf_samples, n_samples, t, spectral, nu_f)
-    if len(ups) < min_survivors:
+    if len(ups) < _MIN_SURVIVORS:
         return _inconclusive("critical-upsilon-law", "KS distance", math.nan, len(ups), "survivor starvation")
     d, p = ks_test(ups, upsilon_law)
     slack = ks_slack(upsilon_law_of_mass, t, spectral.B)
@@ -495,26 +511,29 @@ def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01, min_survi
 # subcritical limit law
 
 
-def subcritical_yaglom_test(zf_samples, limits, z_max=4.0, n_orders=4, min_survivors=200, name_suffix=""):
+_SUBCRITICAL_MIN_SURVIVORS = 200  # fewest survivors the subcritical Yaglom check decides on
+
+
+def subcritical_yaglom_test(zf_samples, limits, n_orders=4):
     """Conditional moments of <Z_t, f> given survival against V_n^-/K^-."""
-    name = "subcritical-yaglom-moments" + name_suffix
+    name = "subcritical-yaglom-moments"
     zf = np.asarray(zf_samples, dtype=float)
-    alive = zf != 0.0
-    survivors = zf[alive]
-    if len(survivors) < min_survivors:
-        return _inconclusive(
-            name, "max |z|", z_max, len(survivors), "survivor starvation; push t down or reps up"
-        )
+    survivors = zf[zf != 0.0]
+    if len(survivors) < _SUBCRITICAL_MIN_SURVIVORS:
+        return _inconclusive(name, "max |z|", _Z_LIMIT, len(survivors), "survivor starvation; push t down or reps up")
     orders = range(1, n_orders + 1)
     targets = [limits["V"][n] / limits["K_minus"] for n in orders]
-    return sample_moment_test(survivors, orders, targets, z_max, name=name)
+    return sample_moment_test(survivors, orders, targets, _Z_LIMIT, name=name)
 
 
 # ----------------------------------------------------------------------
 # supercritical diagnostics
 
 
-def w_atom_threshold(w_samples, doomed_scale, bins=60):
+_ATOM_BINS = 60  # bins of the log10 histogram that w_atom_threshold searches for a gap
+
+
+def w_atom_threshold(w_samples, doomed_scale):
     """Data-driven separation of the extinction atom of W_T from its
     positive part: the minimum-density bin of the log-histogram between the
     doomed-trajectory scale and the survivor median.
@@ -535,7 +554,7 @@ def w_atom_threshold(w_samples, doomed_scale, bins=60):
     hi_scale = float(np.log10(np.quantile(pos, 0.9)))
     if hi_scale - lo_scale < 0.5:
         return None, {"reason": "doomed and survivor scales not separated; increase T"}
-    counts, edges = np.histogram(logs, bins=bins, range=(lo_scale - 1.0, float(logs.max())))
+    counts, edges = np.histogram(logs, bins=_ATOM_BINS, range=(lo_scale - 1.0, float(logs.max())))
     centers = 0.5 * (edges[:-1] + edges[1:])
     window = (centers >= lo_scale) & (centers <= hi_scale)
     if not window.any():
@@ -553,14 +572,14 @@ def w_atom_threshold(w_samples, doomed_scale, bins=60):
     return thr, {"bin_index": int(k), "gap_count": int(counts[k]), "histogram": counts.tolist()}
 
 
-def w_infty_diagnostics(w_samples, spectral, h_at_x0, x0, t_end, v_plus=None, z_mean=3.0, z_limit=4.0):
+def w_infty_diagnostics(w_samples, spectral, h_at_x0, x0, t_end, v_plus):
     """Terminal-value diagnostics of the martingale e^{lambda0 t}<Z_t, Theta0>.
 
-    (a) mean equals Theta0(x0) within ``z_mean`` SE (martingale property);
+    (a) mean equals Theta0(x0) within ``_Z_EXACT`` SE (martingale property);
     (b) the fraction above the fitted atom-separation threshold matches
-        h(x0) within ``z_limit`` SE;
-    (c) when ``v_plus`` (moments of the limit) is given, the first moments
-        match within ``z_limit`` SE.
+        h(x0) within ``_Z_LIMIT`` SE;
+    (c) the moments of W match ``v_plus`` ({order: moment of the limit})
+        within ``_Z_LIMIT`` SE.
 
     ``value`` is the largest |z|/limit over the checks, so the threshold is
     1; ``details["failed_checks"]`` names the checks that failed.
@@ -588,22 +607,19 @@ def w_infty_diagnostics(w_samples, spectral, h_at_x0, x0, t_end, v_plus=None, z_
     se_frac = math.sqrt(max(frac * (1 - frac), 1e-300) / n)
     z_atom = abs(frac - h_at_x0) / se_frac
 
-    checks = {"martingale_z": z_mart, "atom_z": z_atom, "threshold": thr, "survival_fraction": frac}
-    failed = [name for name, ok in (("martingale", z_mart <= z_mean), ("atom", z_atom <= z_limit)) if not ok]
+    rep = sample_moment_test(w, v_plus.keys(), v_plus.values(), _Z_LIMIT, name="W moments")
+    outcomes = (("martingale", z_mart <= _Z_EXACT), ("atom", z_atom <= _Z_LIMIT), ("moments", rep.passed))
+    failed = [name for name, ok in outcomes if not ok]
+    checks = {
+        "martingale_z": z_mart, "atom_z": z_atom, "threshold": thr, "survival_fraction": frac,
+        "moment_z": rep.details["z_scores"], "moments": rep.details["moments"],
+        "moment_targets": rep.details["targets"], "failed_checks": failed,
+    }
     # each check's |z| over its own limit, so 1.0 is the pass line for all
-    value = max(z_mart / z_mean, z_atom / z_limit)
-    if v_plus is not None:
-        rep = sample_moment_test(w, v_plus.keys(), v_plus.values(), z_limit, name="W moments")
-        checks["moment_z"] = rep.details["z_scores"]
-        checks["moments"] = rep.details["moments"]
-        checks["moment_targets"] = rep.details["targets"]
-        value = max(value, rep.value / z_limit)
-        if not rep.passed:
-            failed.append("moments")
-    checks["failed_checks"] = failed
+    value = max(z_mart / _Z_EXACT, z_atom / _Z_LIMIT, rep.value / _Z_LIMIT)
     return TestReport(
         name="supercritical-w-diagnostics",
-        statistic=f"max |z|/limit: martingale z over {z_mean:g}, atom and moment z over {z_limit:g}",
+        statistic=f"max |z|/limit: martingale z over {_Z_EXACT:g}, atom and moment z over {_Z_LIMIT:g}",
         value=float(value),
         threshold=1.0,
         sample_size=n,
@@ -696,9 +712,7 @@ def verify_suite(cfg, gen, spec, threads=1):
 
     if regime == "supercritical":
         h_tol = solver["h_tol"]
-        hres = solve_h(
-            model, cfg.dynamics, cfg.grid, tol=h_tol, generator=gen, spectral=spec, dt_pde=solver["dt_pde"]
-        )
+        hres = solve_h(model, gen, spec, tol=h_tol, dt_pde=solver["dt_pde"])
         reports.append(
             TestReport(
                 name="supercritical-h-routes",

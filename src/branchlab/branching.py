@@ -421,30 +421,25 @@ def _jackknife_se(values):
     return float(np.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2)))
 
 
-def mc_moments(result, n_max, f_name=None, f_sup=None, b_star=None):
-    """Empirical moments of <Z_t, f> with jackknife standard errors.
-
-    ``f_name`` selects a recorded functional; None means total mass.  When
-    ``f_sup`` and ``b_star`` are given the Yule ceiling is enforced.
-    Returns rows {time, order, estimate, se}.
+def mc_moments(result, n_max, b_star):
+    """Empirical moments of the total mass N_t with jackknife standard
+    errors, each checked against the Yule ceiling of birth-rate bound
+    ``b_star``.  Returns rows {time, order, estimate, se}.
     """
     if result.reps < 2:
         raise ValueError("moment estimation needs at least 2 replicas")
-    vals = result.counts.astype(float) if f_name is None else result.functionals[f_name]
     rows = []
-    for k, t in enumerate(result.times):
-        y = vals[k]
+    for t, y in zip(result.times, result.counts.astype(float)):
         for n in range(1, n_max + 1):
             yn = y**n
             est = float(yn.mean())
             se = _jackknife_se(yn)
-            if f_sup is not None and b_star is not None:
-                ceiling = (f_sup**n) * yule_moment_bound(n, t, b_star)
-                if est > ceiling * (1 + 1e-9):
-                    raise RuntimeError(
-                        f"moment estimate {est:.4g} exceeds the Yule ceiling "
-                        f"{ceiling:.4g} (order {n}, t = {t:g})"
-                    )
+            ceiling = yule_moment_bound(n, t, b_star)
+            if est > ceiling * (1 + 1e-9):
+                raise RuntimeError(
+                    f"moment estimate {est:.4g} exceeds the Yule ceiling "
+                    f"{ceiling:.4g} (order {n}, t = {t:g})"
+                )
             rows.append({"time": float(t), "order": n, "estimate": est, "se": se})
     return rows
 
@@ -487,19 +482,17 @@ def qprocess_weight(traits_at_s, s, x0, spectral, h_field=None):
     return float(math.exp(spectral.lambda0 * s) * np.sum(th) / spectral.theta0_at(x0))
 
 
-def cutoff_diagnostics(result, m_grid, times=None):
-    """P(T_m <= t) table over the m grid, from the running max |trait|.
+def cutoff_diagnostics(result, m_grid):
+    """P(T_m <= t) table over the m grid at the recorded times, from the running max |trait|.
 
     Estimates are monotone nonincreasing in m at fixed t by construction;
     report them alongside survival/moment estimates as the truncation-bias
     bound (the bias is at most twice the exceedance probability).
     """
-    times = result.times if times is None else times
     rows = []
-    for t in times:
-        k = int(np.argmin(np.abs(result.times - t)))
+    for k, t in enumerate(result.times):
         for m in m_grid:
             p = float((result.max_abs[k] > m).mean())
             se = math.sqrt(max(p * (1 - p), 1e-300) / result.reps)
-            rows.append({"time": float(result.times[k]), "m": float(m), "estimate": p, "se": se})
+            rows.append({"time": float(t), "m": float(m), "estimate": p, "se": se})
     return rows

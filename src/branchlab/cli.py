@@ -209,7 +209,7 @@ def cmd_moments(cfg, args, out):
     regime = spec.regime()
     limits = {"regime": regime, "lambda0": spec.lambda0, "A": spec.A, "B": spec.B}
     if regime == "critical":
-        V = mom.critical_limits(spec, cfg.model, n_orders)
+        V = mom.critical_limits(spec, n_orders)
         limits["V_critical_at_x0"] = {
             n: float(np.interp(cfg.mc["x0"], field.nodes, V[n])) for n in V
         }
@@ -243,16 +243,7 @@ def cmd_survive(cfg, args, out):
     )
 
     # the u0 route of h continues the survey march
-    hres = mom.solve_h(
-        cfg.model,
-        cfg.dynamics,
-        cfg.grid,
-        tol=cfg.solver["h_tol"],
-        generator=gen,
-        spectral=spec,
-        dt_pde=cfg.solver["dt_pde"],
-        survival=u0f,
-    )
+    hres = mom.solve_h(cfg.model, gen, spec, tol=cfg.solver["h_tol"], dt_pde=cfg.solver["dt_pde"], survival=u0f)
     _write_csv(os.path.join(out, "h.csv"), cfg, ["x", "h", "h_u0_route"], [(nodes, hres.h, hres.h_u0_route)])
     payload = {
         "regime": spec.regime(),
@@ -285,7 +276,7 @@ def cmd_simulate(cfg, args, out):
         ),
     )
     surv = branching.mc_survival(res)
-    moments_tbl = branching.mc_moments(res, 2, f_sup=1.0, b_star=cfg.model.b_star)
+    moments_tbl = branching.mc_moments(res, 2, cfg.model.b_star)
     cut = branching.cutoff_diagnostics(res, m_grid=[0.5 * res.cutoff_m, res.cutoff_m])
     _write_json(
         os.path.join(out, "simulation.json"),
@@ -449,11 +440,11 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = _out_dir(cfg, args.out)
-    start = time.time()
     try:
+        out = _out_dir(cfg, args.out)
+        start = time.time()
         code = _COMMANDS[args.command](cfg, args, out)
-    except (ConfigError, ValueError, RuntimeError, MemoryError) as err:
+    except (OSError, ConfigError, ValueError, RuntimeError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_HARD_FAIL
     _write_run_meta(out, args.command, time.time() - start)

@@ -201,7 +201,7 @@ def _gauss_panels(f, lo, hi, xg, wg):
     return half * (vals @ wg)
 
 
-def _gauss_adaptive(f, lo, hi, tol=1e-10, max_depth=12):
+def _gauss_adaptive(f, lo, hi, tol, max_depth=12):
     """Panel integrals of f over [lo_i, hi_i] with per-panel tolerance."""
     coarse = _gauss_panels(f, lo, hi, _GL_X8, _GL_W8)
     fine = _gauss_panels(f, lo, hi, _GL_X, _GL_W)
@@ -217,7 +217,10 @@ def _gauss_adaptive(f, lo, hi, tol=1e-10, max_depth=12):
     return out
 
 
-def ell_values(dyn, xs, tol=1e-10):
+_ELL_TOL = 1e-10  # per-interval tolerance of the drift antiderivative's quadrature
+
+
+def ell_values(dyn, xs):
     """Antiderivative l(x) = int_0^x a(z) dz at the points ``xs``.
 
     Composite Gauss quadrature per interval; anchored so l(0) = 0 exactly
@@ -227,7 +230,7 @@ def ell_values(dyn, xs, tol=1e-10):
         raise NotApplicableError("drifted-jump dynamics has no drift curve a")
     xs = np.asarray(xs, dtype=float)
     a = dyn.a
-    cell = _gauss_adaptive(a, xs[:-1], xs[1:], tol=tol)
+    cell = _gauss_adaptive(a, xs[:-1], xs[1:], _ELL_TOL)
     ell = np.concatenate([[0.0], np.cumsum(cell)])
     zero_idx = np.nonzero(np.abs(xs) < 1e-14)[0]
     if len(zero_idx):
@@ -236,18 +239,18 @@ def ell_values(dyn, xs, tol=1e-10):
         # 0 off the grid: integrate from 0 to the nearest node
         j = int(np.argmin(np.abs(xs)))
         lo, hi = (0.0, xs[j]) if xs[j] >= 0 else (xs[j], 0.0)
-        seg = float(_gauss_adaptive(a, np.array([lo]), np.array([hi]), tol=tol)[0])
+        seg = float(_gauss_adaptive(a, np.array([lo]), np.array([hi]), _ELL_TOL)[0])
         anchor = ell[j] - seg if xs[j] >= 0 else ell[j] + seg
     return ell - anchor
 
 
-def ell_and_rho(dyn, grid, tol=1e-10):
+def ell_and_rho(dyn, grid):
     """Drift antiderivative l on the grid and speed-measure weights.
 
     rho_i = exp(-2 l(x_i)) * dx are quadrature weights for the measure
     exp(-2 l(y)) dy; for zero drift they are all equal.
     """
-    ell = ell_values(dyn, grid.nodes, tol=tol)
+    ell = ell_values(dyn, grid.nodes)
     rho = np.exp(-2.0 * ell) * grid.dx
     return ell, rho
 

@@ -137,10 +137,13 @@ def _store_steps(t_end, dt, n_store, ensure_times=()):
     return list(range(0, n_steps + 1, every))
 
 
-def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=200, guard_factor=10.0, ensure_times=()):
+_GUARD_FACTOR = 10.0  # a moment this many times the pure-birth ceiling is a blow-up
+
+
+def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=200, ensure_times=()):
     """March all moment orders 1..n_max simultaneously.
 
-    The blow-up guard aborts when any order exceeds ``guard_factor`` times
+    The blow-up guard aborts when any order exceeds ``_GUARD_FACTOR`` times
     the pure-birth moment ceiling.  Returns a MomentField.
     """
     if n_max < 1:
@@ -164,7 +167,7 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
             s *= b_vals
 
     def ceilings(t):
-        bounds = [guard_factor * (f_sup**n) * yule_moment_bound(n, t, model.b_star) for n in range(1, n_max + 1)]
+        bounds = [_GUARD_FACTOR * (f_sup**n) * yule_moment_bound(n, t, model.b_star) for n in range(1, n_max + 1)]
         return np.array(bounds)
 
     # with b_star >= 0 the ceilings grow with t, so those of an earlier step
@@ -182,7 +185,7 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
             if peaks[n - 1] > known[n - 1]:
                 raise BlowupError(
                     f"order-{n} moment reached {peaks[n - 1]:.3g} at t = {t:.3g}, above "
-                    f"{guard_factor}x the pure-birth ceiling; check the model scale"
+                    f"{_GUARD_FACTOR}x the pure-birth ceiling; check the model scale"
                 )
 
     steps = _store_steps(t_end, dt_pde, n_store, ensure_times)
@@ -201,35 +204,32 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
     )
 
 
-def solve_survival(t_end, generator, model, dt_pde=0.01, n_store=200, positivity_tol=1e-10, ensure_times=()):
+_POSITIVITY_TOL = 1e-10  # rounding below zero that the survival march tolerates
+
+
+def solve_survival(t_end, generator, model, dt_pde=0.01, n_store=200, ensure_times=()):
     """March the survival probability u_0 (init 1, source -b u_0^2).
 
-    u_0 stays in [0, 1] and is nonincreasing in t; positivity loss beyond
-    the tolerance triggers one step-size halving, then an error.
+    u_0 stays in [0, 1] and is nonincreasing in t; a value below
+    -``_POSITIVITY_TOL`` triggers one step-size halving, then an error.
     """
     xs = generator.grid.nodes
     source = _survival_source(np.asarray(model.b(xs), dtype=float))
     attempt_dt = dt_pde
     last_err = None
+
+    def guard(state, t):
+        m = float(np.min(state))
+        if m < -_POSITIVITY_TOL:
+            raise BlowupError(f"survival went negative ({m:.3e}) at t = {t:.3g}")
+
     for _ in range(2):
-        worst = [0.0]
-
-        def guard(state, t, worst=worst):
-            m = float(np.min(state))
-            worst[0] = min(worst[0], m)
-            if m < -positivity_tol * 10:
-                raise BlowupError(f"survival went negative ({m:.3e}) at t = {t:.3g}")
-
         steps = _store_steps(t_end, attempt_dt, n_store, ensure_times)
         prop = _propagator(generator, attempt_dt)
         try:
             stored = prop.march(np.ones((len(xs), 1)), t_end, steps, source_fn=source, guard=guard, smooth_start=True)
         except BlowupError as err:
             last_err = err
-            attempt_dt /= 2.0
-            continue
-        if worst[0] < -positivity_tol:
-            last_err = BlowupError(f"survival positivity loss {worst[0]:.3e}")
             attempt_dt /= 2.0
             continue
         u0 = np.clip(stored[0], 0.0, 1.0)
@@ -308,7 +308,7 @@ def _newton_h(generator, b_vals, tol):
     )
 
 
-def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.005, survival=None):
+def solve_h(model, generator, spectral, tol=1e-6, dt_pde=0.005, survival=None):
     """Extinction-probability limit h, by Newton's method on the stationary
     equation L h - b h^2 = 0 and by the long-time survival march.
 
@@ -326,12 +326,6 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
     first contraction rates on the field's slices.  Without it the route
     first marches u0 from t = 0 over four segments at ``dt_pde``.
     """
-    from .semigroup import build_generator, principal_eigentriple
-
-    if generator is None:
-        generator = build_generator(model, dyn, grid)
-    if spectral is None:
-        spectral = principal_eigentriple(generator, model)
     regime = spectral.regime()
     xs = generator.grid.nodes
     b_vals = np.asarray(model.b(xs), dtype=float)
@@ -413,20 +407,10 @@ def solve_h(model, dyn, grid, tol=1e-6, generator=None, spectral=None, dt_pde=0.
 # regime limit constants
 
 
-def critical_limits(spectral, model, n_max, f_vals=None):
-    """Critical moment limits V_n(x) = n! Theta0(x) nu(f)^n A^n B^{n-1}."""
+def critical_limits(spectral, n_max):
+    """Critical limits of the total mass's moments, V_n(x) = n! Theta0(x) A^n B^{n-1}."""
     require_regime(spectral, "critical", "critical_limits")
-    nu_f = 1.0 if f_vals is None else spectral.nu(np.asarray(f_vals, dtype=float))
-    out = {}
-    for n in range(1, n_max + 1):
-        out[n] = (
-            math.factorial(n)
-            * spectral.theta0
-            * (nu_f**n)
-            * (spectral.A**n)
-            * (spectral.B ** (n - 1))
-        )
-    return out
+    return {n: math.factorial(n) * spectral.theta0 * spectral.A**n * spectral.B ** (n - 1) for n in range(1, n_max + 1)}
 
 
 def _simpson_weights(J, dt):
@@ -445,7 +429,10 @@ def _simpson_weights(J, dt):
     return w
 
 
-def _tail_completed_time_integral(times, integrand, min_decay=1e-12):
+_MIN_DECAY = 1e-12  # values at or below it count as decayed: the tail fit skips them
+
+
+def _tail_completed_time_integral(times, integrand):
     """Simpson quadrature of a decaying scalar time series on the uniform
     grid plus analytic exponential tail completion with the fitted rate.
 
@@ -458,7 +445,7 @@ def _tail_completed_time_integral(times, integrand, min_decay=1e-12):
     # fit the tail decay rate on the last quarter of the series
     k0 = max(J - max(J // 4, 2), 0)
     tail_y = y[k0:]
-    pos = tail_y > min_decay
+    pos = tail_y > _MIN_DECAY
     if pos.sum() >= 3:
         ts = times[k0:][pos]
         ln = np.log(tail_y[pos])
@@ -467,7 +454,7 @@ def _tail_completed_time_integral(times, integrand, min_decay=1e-12):
     else:
         rate = math.inf
     if not math.isfinite(rate) or rate <= 0:
-        tail = 0.0 if y[-1] <= min_decay else math.inf
+        tail = 0.0 if y[-1] <= _MIN_DECAY else math.inf
     else:
         tail = y[-1] / rate
     total = body + tail
@@ -573,7 +560,10 @@ def hamburger_bound(a1, eta, n):
     return r_star, bound
 
 
-def _brentq(f, xa, xb, maxiter=100):
+_BRENT_MAX_ITER = 100  # iterations of the calibration search, scipy's brentq default
+
+
+def _brentq(f, xa, xb):
     """Root of ``f`` on [xa, xb] by Brent's method, step for step the search
     of scipy's ``brentq.c`` with its default tolerances: it evaluates ``f``
     at the same points and returns the same float as ``scipy.optimize.brentq``.
@@ -582,7 +572,7 @@ def _brentq(f, xa, xb, maxiter=100):
 
     An endpoint where f is exactly 0 is returned at once.  Raises ValueError
     when f(xa) and f(xb) have the same sign bit or f is NaN, and
-    RuntimeError after ``maxiter`` iterations without convergence; the
+    RuntimeError after ``_BRENT_MAX_ITER`` iterations without convergence; the
     messages call the function lambda0, as its one caller is the
     calibration search.
     """
@@ -607,7 +597,7 @@ def _brentq(f, xa, xb, maxiter=100):
     if same_sign(fpre, fcur):
         raise ValueError(f"lambda0 does not change sign on [{xpre}, {xcur}]: {fpre:.3g}, {fcur:.3g}")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAX_ITER):
         if fpre != 0 and fcur != 0 and not same_sign(fpre, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -645,12 +635,12 @@ def _brentq(f, xa, xb, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(
-        f"no root of lambda0 on [{float(xa)}, {float(xb)}] after {maxiter} iterations of Brent's method "
-        f"({maxiter + 2} evaluations, last at {xcur!r})"
+        f"no root of lambda0 on [{float(xa)}, {float(xb)}] after {_BRENT_MAX_ITER} iterations of Brent's method "
+        f"({_BRENT_MAX_ITER + 2} evaluations, last at {xcur!r})"
     )
 
 
-def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, max_iter=100, dt_report=1.0):
+def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, dt_report=1.0):
     """Brent's method on the principal eigenvalue over a scalar model knob.
 
     ``model_factory(theta)`` must return a RateModel.  The bracket must
@@ -660,8 +650,8 @@ def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, max_iter=
     generator and computes the dense principal eigentriple.  Returns
     (theta*, lambda0*, history) with one (theta, lambda0) history entry per
     eigentriple computed.  Raises ValueError when lambda0 does not change
-    sign on the bracket and RuntimeError when ``max_iter`` iterations do
-    not reach |lambda0| <= tol.
+    sign on the bracket and RuntimeError when ``_BRENT_MAX_ITER`` iterations
+    do not reach |lambda0| <= tol.
     """
     from .semigroup import build_generator, principal_eigentriple
 
@@ -675,7 +665,7 @@ def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, max_iter=
         # the search returns at once on an exact zero
         return 0.0 if abs(value) <= tol else value
 
-    theta = _brentq(lam0, bracket[0], bracket[1], maxiter=max_iter)
+    theta = _brentq(lam0, bracket[0], bracket[1])
     lam = dict(history)[theta]
     if abs(lam) > tol:
         raise RuntimeError(

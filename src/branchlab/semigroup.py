@@ -108,7 +108,10 @@ def _unit_drift_block(grid):
     return sp.diags([diag, upper], [0, 1], format="csr")
 
 
-def _jump_block(grid, kernel, mass_tol=1e-6):
+_MASS_TOL = 1e-6  # largest relative row-mass error the jump block's mass correction may leave
+
+
+def _jump_block(grid, kernel):
     """Quadrature of L1 restricted to the grid, mass corrected per row."""
     xs = grid.nodes
     n = len(xs)
@@ -123,7 +126,7 @@ def _jump_block(grid, kernel, mass_tol=1e-6):
     scale = np.ones(n)
     scale[ok] = declared[ok] / row_mass[ok]
     w *= scale[:, None]
-    if np.max(np.abs(w.sum(axis=1) - declared)) > mass_tol * max(1.0, declared.max()):
+    if np.max(np.abs(w.sum(axis=1) - declared)) > _MASS_TOL * max(1.0, declared.max()):
         raise ValueError("jump-block mass correction failed to match declared total mass")
     block = w - np.diag(declared)
     return sp.csr_matrix(block)
@@ -445,7 +448,10 @@ def _rightmost_eigs(matrix, k, rho=None):
     raise EigenSolverError(f"could not isolate {k} eigenvalues")
 
 
-def _inverse_iteration(matrix, shift, v0, tol=1e-10, max_iter=200, transpose=False):
+_EIGEN_TOL, _EIGEN_MAX_STEPS = 1e-10, 200  # the eigenpair polish's Rayleigh-quotient tolerance and step limit
+
+
+def _inverse_iteration(matrix, shift, v0, transpose=False):
     """Shifted inverse power iteration; returns (eigenvalue, vector)."""
     A = matrix.T if transpose else matrix
     n = A.shape[0]
@@ -453,7 +459,7 @@ def _inverse_iteration(matrix, shift, v0, tol=1e-10, max_iter=200, transpose=Fal
     v = np.asarray(v0, dtype=float)
     v = v / np.linalg.norm(v)
     lam = shift
-    for _ in range(max_iter):
+    for _ in range(_EIGEN_MAX_STEPS):
         w = lu.solve(v)
         w_norm = np.linalg.norm(w)
         if not np.isfinite(w_norm) or w_norm == 0:
@@ -464,7 +470,7 @@ def _inverse_iteration(matrix, shift, v0, tol=1e-10, max_iter=200, transpose=Fal
         Av = A @ v_new
         lam_new = float(np.dot(v_new, Av))
         residual = np.linalg.norm(Av - lam_new * v_new)
-        converged = abs(lam_new - lam) < tol * max(1.0, abs(lam_new)) and residual < math.sqrt(tol)
+        converged = abs(lam_new - lam) < _EIGEN_TOL * max(1.0, abs(lam_new)) and residual < math.sqrt(_EIGEN_TOL)
         v, lam = v_new, lam_new
         if converged:
             break
@@ -473,14 +479,14 @@ def _inverse_iteration(matrix, shift, v0, tol=1e-10, max_iter=200, transpose=Fal
     return lam, v
 
 
-def principal_eigentriple(generator, model, tol=1e-10):
+def principal_eigentriple(generator, model):
     """Principal eigentriple (lambda0, Theta0, mu0), the gap lambda1 and
     the constants A, B.
 
     The two rightmost eigenvalues come from a symmetric tridiagonal solve
     on the generator's three diagonals (diffusion) or a dense solve of the
     full spectrum (the jump classes); the eigenpair is then polished by
-    shifted inverse power iteration to ``tol`` on the Rayleigh quotient,
+    shifted inverse power iteration to ``_EIGEN_TOL`` on the Rayleigh quotient,
     and mu0 comes from the matching left eigenvector.
     No propagation runs here: H is left ``None`` for ``fit_H``, which only
     the ``spectrum`` command calls.
@@ -501,7 +507,7 @@ def principal_eigentriple(generator, model, tol=1e-10):
     shift = top + 0.25 * gap
     xs = grid.nodes
     v0 = np.exp(-((xs - xs.mean()) ** 2))
-    lam_r, theta = _inverse_iteration(L, shift, v0, tol=tol)
+    lam_r, theta = _inverse_iteration(L, shift, v0)
     if np.sum(theta) < 0:
         theta = -theta
     if np.min(theta) < -1e-8 * np.max(np.abs(theta)):
@@ -509,7 +515,7 @@ def principal_eigentriple(generator, model, tol=1e-10):
     theta = np.clip(theta, 0.0, None)
     theta = theta / np.max(theta)
 
-    lam_l, left = _inverse_iteration(L, shift, v0, tol=tol, transpose=True)
+    lam_l, left = _inverse_iteration(L, shift, v0, transpose=True)
     if np.sum(left) < 0:
         left = -left
     if np.min(left) < -1e-8 * np.max(np.abs(left)):
@@ -568,25 +574,28 @@ def fit_H(generator, spectral, dt_pde):
     return H
 
 
-def hp4_edge_decay(generator, t, dt_pde=0.01, edge_fraction=0.05, threshold=1e-3):
+_EDGE_FRACTION, _EDGE_THRESHOLD = 0.05, 1e-3  # the edge-decay check's edge share and pass line
+
+
+def hp4_edge_decay(generator, t, dt_pde=0.01):
     """Check that P_t 1 decays at the grid edges (C_b -> C_0 behaviour).
 
-    Passes when the max of P_t 1 over the outer ``edge_fraction`` of nodes
-    is below ``threshold`` times the interior max.
+    Passes when the max of P_t 1 over the outer ``_EDGE_FRACTION`` of nodes
+    is below ``_EDGE_THRESHOLD`` times the interior max.
     """
     if t <= 0:
         raise ValueError("edge-decay check needs t > 0")
     n = generator.grid.n_points
-    k = max(1, int(edge_fraction * n))
+    k = max(1, int(_EDGE_FRACTION * n))
     u = evolve_P(np.ones(n), t, generator, dt_pde=dt_pde, smooth_start=True)
     interior = float(np.max(u[k:-k]))
     edge = float(max(np.max(u[:k]), np.max(u[-k:])))
-    passed = bool(edge <= threshold * interior)
+    passed = bool(edge <= _EDGE_THRESHOLD * interior)
     return {
         "t": t,
         "edge_max": edge,
         "interior_max": interior,
         "ratio": edge / interior if interior > 0 else math.inf,
-        "threshold": threshold,
+        "threshold": _EDGE_THRESHOLD,
         "passed": passed,
     }

@@ -70,7 +70,7 @@ def test_acceptance_2_oscillator_survival_asymptotic(oscillator_setup):
     B = spec.B
     t_end = math.ceil(200.0 / B)
     u0f = solve_survival(float(t_end), gen, model, dt_pde=0.01, n_store=400)
-    rep = analysis.critical_survival_check(u0f, spec, tolerance=0.02)
+    rep = analysis.critical_survival_check(u0f, spec)
     elapsed = time.time() - start
     _report(
         2,
@@ -253,7 +253,7 @@ def test_acceptance_7_subcritical(subcritical_setup):
 
 def test_acceptance_8_supercritical(supercritical_setup):
     model, dyn, grid, gen, spec = supercritical_setup
-    hres = solve_h(model, dyn, grid, tol=1e-6, generator=gen, spectral=spec)
+    hres = solve_h(model, gen, spec, tol=1e-6)
     h_err_newton = float(np.max(np.abs(hres.h - 0.5)))
     h_err_u0 = float(np.max(np.abs(hres.h_u0_route - 0.5)))
 

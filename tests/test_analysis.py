@@ -216,7 +216,7 @@ def test_ode_residual_reports_its_window(critical_field):
     cut on the truncation estimate (B r dt)^2."""
     model, gen, spec, u0f = critical_field
     dec = CriticalDecomposition.from_field(u0f, spec)
-    rep = critical_ode_residual(dec, spec, model, rel_tol=1e-3)
+    rep = critical_ode_residual(dec, spec, model)
     times, r = dec.times[1:-1], dec.r[1:-1]
     dt = dec.times[1] - dec.times[0]
     kept = times[((spec.B * r * dt) ** 2 <= 1e-4) & (r > 1e-6)]
@@ -409,13 +409,13 @@ def test_w_diagnostics_names_the_martingale_failure(supercritical_setup):
 def test_w_diagnostics_needs_large_t(supercritical_setup):
     spec = supercritical_setup[4]
     with pytest.raises(ValueError):
-        w_infty_diagnostics(np.ones(100), spec, 0.5, 0.0, 1.0)
+        w_infty_diagnostics(np.ones(100), spec, 0.5, 0.0, 1.0, v_plus={1: 1.0, 2: 4.0})
 
 
 def test_w_diagnostics_regime_gate(critical_setup):
     spec = critical_setup[4]
     with pytest.raises(RegimeError):
-        w_infty_diagnostics(np.ones(100), spec, 0.5, 0.0, 10.0)
+        w_infty_diagnostics(np.ones(100), spec, 0.5, 0.0, 10.0, v_plus={1: 1.0, 2: 4.0})
 
 
 # ----------------------------------------------------------------------
@@ -612,17 +612,17 @@ def _starved_reports():
             _inconclusive_dict("critical-upsilon-law", "KS distance", math.nan, 0, {"reason": "survivor starvation"}),
         ),
         (
-            subcritical_yaglom_test(zeros, {"K_minus": 1.0, "V": {1: 1.0}}, n_orders=1, name_suffix="-bump"),
-            _inconclusive_dict("subcritical-yaglom-moments-bump", "max |z|", 4.0, 0,
+            subcritical_yaglom_test(zeros, {"K_minus": 1.0, "V": {1: 1.0}}, n_orders=1),
+            _inconclusive_dict("subcritical-yaglom-moments", "max |z|", 4.0, 0,
                                {"reason": "survivor starvation; push t down or reps up"}),
         ),
         (
-            w_infty_diagnostics(np.zeros(30), sup, 0.5, 0.0, 10.0),
+            w_infty_diagnostics(np.zeros(30), sup, 0.5, 0.0, 10.0, v_plus={1: 1.0, 2: 4.0}),
             _inconclusive_dict("supercritical-w-diagnostics", "atom separation", math.nan, 30,
                                {"reason": "too few positive samples"}),
         ),
         (
-            w_infty_diagnostics(w, sup, 0.5, 0.0, 10.0),
+            w_infty_diagnostics(w, sup, 0.5, 0.0, 10.0, v_plus={1: 1.0, 2: 4.0}),
             _inconclusive_dict("supercritical-w-diagnostics", "atom separation", math.nan, 2000,
                                {"reason": "atom separation ambiguous", **shallow}),
         ),

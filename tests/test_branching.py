@@ -91,17 +91,15 @@ def test_yule_moment_bound_overflow_sentinel():
 
 def test_mc_moments_oracles(zero_drift):
     m = make_constant_model(1.0, 1.0)
-    res = simulate_ensemble(
-        0.0, 1.0, 0.005, m, zero_drift, CUT, seed=9, reps=40_000,
-        record_times=[1.0], functionals={"zero": lambda x: np.zeros_like(x)},
-    )
-    rows = mc_moments(res, 2, f_sup=1.0, b_star=1.0)
+    res = simulate_ensemble(0.0, 1.0, 0.005, m, zero_drift, CUT, seed=9, reps=40_000, record_times=[1.0])
+    rows = mc_moments(res, 2, 1.0)
     mean = next(r for r in rows if r["order"] == 1)
     second = next(r for r in rows if r["order"] == 2)
     assert abs(mean["estimate"] - 1.0) < 3.0 * mean["se"]  # critical mean is constant
     assert abs(second["estimate"] - 3.0) < 3.0 * second["se"]  # 1 + 2bt
-    zeros = mc_moments(res, 2, f_name="zero")
-    assert all(r["estimate"] == 0.0 for r in zeros)
+    # with b_star = 0 the Yule ceiling of order 2 is 2! = 2, below E N_1^2 = 3
+    with pytest.raises(RuntimeError, match="Yule ceiling"):
+        mc_moments(res, 2, 0.0)
 
 
 def test_mc_survival_oracles(zero_drift):
@@ -203,10 +201,9 @@ def test_cutoff_diagnostics_trivial_bounds(zero_drift):
     m.b_star = 0.1
     res = simulate_ensemble(2.0, 1.0, 0.01, m, zero_drift, CutoffSpec(m=1.0), seed=17, reps=100, record_times=[0.0, 1.0])
     assert np.all(res.max_abs >= 2.0)  # |x0| = 2 > m = 1 from the start
-    rows = cutoff_diagnostics(res, m_grid=[1.0, 100.0], times=[1.0])
-    by_m = {r["m"]: r["estimate"] for r in rows}
-    assert by_m[1.0] == 1.0
-    assert by_m[100.0] == 0.0
+    rows = cutoff_diagnostics(res, m_grid=[1.0, 100.0])
+    assert [(r["time"], r["m"]) for r in rows] == [(0.0, 1.0), (0.0, 100.0), (1.0, 1.0), (1.0, 100.0)]
+    assert [r["estimate"] for r in rows] == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_cutoff_monotone_in_m_and_single_particle_oracle(zero_drift):
@@ -216,7 +213,7 @@ def test_cutoff_monotone_in_m_and_single_particle_oracle(zero_drift):
     m.b_star = 0.1
     res = simulate_ensemble(0.0, 1.0, 0.005, m, zero_drift, CutoffSpec(m=10.0), seed=18, reps=20_000, record_times=[1.0])
     grid_m = [0.5, 1.0, 1.5, 2.0]
-    rows = cutoff_diagnostics(res, m_grid=grid_m, times=[1.0])
+    rows = cutoff_diagnostics(res, m_grid=grid_m)
     est = [r["estimate"] for r in rows]
     assert all(a >= b for a, b in zip(est, est[1:]))
     from branchlab import rng as _rng

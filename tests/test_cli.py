@@ -58,6 +58,26 @@ def test_missing_config_key_names_path(tmp_path):
         load_config(str(p2))
 
 
+def test_output_dir_under_a_file_is_an_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = os.path.join(CONFIG_DIR, "critical_constant.json")
+    assert main(["validate", "--config", cfg, "--out", str(blocker / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err and "Traceback" not in err
+    # an unreadable config stays a config error
+    assert main(["validate", "--config", str(blocker / "cfg.json"), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_missing_artifacts_dir_is_an_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = os.path.join(CONFIG_DIR, "critical_constant.json")
+    assert main(["report", "--config", cfg, "--out", str(out), "--artifacts", str(tmp_path / "missing")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err and "Traceback" not in err
+    assert not (out / "run_meta.json").exists()
+
+
 def test_spectrum_outputs(tmp_path):
     cfg = small_critical_config(tmp_path)
     code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -403,12 +423,11 @@ def test_calibration_that_reaches_max_iter_fails_cleanly(tmp_path, capsys, monke
     with open(os.path.join(CONFIG_DIR, "critical_oscillator.json")) as fh:
         doc = json.load(fh)
     # lambda0 bottoms out at ~1e-14 on this grid, so the search runs on
-    # until max_iter stops it
+    # until the iteration limit stops it
     doc["calibrate"]["tol"] = 1e-16
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
-    calibrate = cli.mom.calibrate_criticality
-    monkeypatch.setattr(cli.mom, "calibrate_criticality", lambda *a, **k: calibrate(*a, **k, max_iter=2))
+    monkeypatch.setattr(cli.mom, "_BRENT_MAX_ITER", 2)
     code = main(["spectrum", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
@@ -528,10 +547,7 @@ def test_survive_marches_u0_once(tmp_path, monkeypatch):
     calls.clear()
     cfg = load_config(cfg_path)
     _cfg, _cal, gen, spec = cli._calibrated_model(cfg)
-    fresh = moments.solve_h(
-        cfg.model, cfg.dynamics, cfg.grid, tol=float(cfg.solver["h_tol"]), generator=gen, spectral=spec,
-        dt_pde=cfg.solver["dt_pde"],
-    )
+    fresh = moments.solve_h(cfg.model, gen, spec, tol=float(cfg.solver["h_tol"]), dt_pde=cfg.solver["dt_pde"])
     assert calls[("route", "survival")] == 1 and calls[("survey", "be")] > 0
     assert calls[("survey", "cn")] + calls.get(("route", "cn"), 0) > continuation
     h_csv = np.loadtxt(tmp_path / "o" / "h.csv", delimiter=",", skiprows=2)

@@ -141,7 +141,7 @@ def test_yule_ceiling(critical_setup):
 
 def test_h_zero_in_critical_regime(critical_setup):
     model, dyn, grid, gen, spec = critical_setup
-    res = solve_h(model, dyn, grid, tol=1e-6, generator=gen, spectral=spec)
+    res = solve_h(model, gen, spec, tol=1e-6)
     assert np.all(res.h == 0.0)
     assert res.regime == "critical"
     # the Newton diagnostic ran: its steps shrink toward the zero solution,
@@ -153,13 +153,13 @@ def test_h_zero_in_critical_regime(critical_setup):
 
 def test_h_zero_in_subcritical_regime(subcritical_setup):
     model, dyn, grid, gen, spec = subcritical_setup
-    res = solve_h(model, dyn, grid, tol=1e-6, generator=gen, spectral=spec)
+    res = solve_h(model, gen, spec, tol=1e-6)
     assert np.all(res.h == 0.0)
 
 
 def test_h_supercritical_constant(supercritical_setup):
     model, dyn, grid, gen, spec = supercritical_setup
-    res = solve_h(model, dyn, grid, tol=1e-6, generator=gen, spectral=spec)
+    res = solve_h(model, gen, spec, tol=1e-6)
     assert np.max(np.abs(res.h - 0.5)) < 1e-6
     assert np.max(np.abs(res.h_u0_route - 0.5)) < 1e-6
     assert res.agreement < 3e-6
@@ -168,7 +168,7 @@ def test_h_supercritical_constant(supercritical_setup):
 def test_h_newton_matches_u0_route_on_oscillator(supercritical_oscillator_setup):
     model, dyn, grid, gen, spec = supercritical_oscillator_setup
     tol = 1e-6
-    res = solve_h(model, dyn, grid, tol=tol, generator=gen, spectral=spec, dt_pde=0.01)
+    res = solve_h(model, gen, spec, tol=tol, dt_pde=0.01)
     assert res.regime == "supercritical"
     assert np.max(np.abs(res.h - res.h_u0_route)) <= 3.0 * tol
     assert res.agreement <= 3.0 * tol
@@ -194,13 +194,13 @@ def test_h_route_continues_a_survey_march(setup, dt_pde, t_end, n_store, request
 
     model, dyn, grid, gen, spec = request.getfixturevalue(setup)
     tol = 1e-6
-    fresh = solve_h(model, dyn, grid, tol=tol, generator=gen, spectral=spec, dt_pde=dt_pde)
+    fresh = solve_h(model, gen, spec, tol=tol, dt_pde=dt_pde)
     survey = solve_survival(t_end, gen, model, dt_pde=dt_pde, n_store=n_store)
     started = []
     monkeypatch.setattr(mom, "solve_survival", lambda *a, **k: started.append(a))
     half_step = semigroup.Propagator.step_be_half
     monkeypatch.setattr(semigroup.Propagator, "step_be_half", lambda *a: started.append(a) or half_step(*a))
-    cont = solve_h(model, dyn, grid, tol=tol, generator=gen, spectral=spec, dt_pde=dt_pde, survival=survey)
+    cont = solve_h(model, gen, spec, tol=tol, dt_pde=dt_pde, survival=survey)
     assert not started
     assert np.array_equal(cont.h, fresh.h)
     assert np.max(np.abs(cont.h_u0_route - fresh.h_u0_route)) <= 3.0 * tol
@@ -213,7 +213,7 @@ def test_h_newton_nonconvergence_raises(supercritical_oscillator_setup, monkeypa
     model, dyn, grid, gen, spec = supercritical_oscillator_setup
     monkeypatch.setattr(mom, "_NEWTON_MAX_STEPS", 2)
     with pytest.raises(RuntimeError, match="Newton"):
-        solve_h(model, dyn, grid, tol=1e-6, generator=gen, spectral=spec)
+        solve_h(model, gen, spec, tol=1e-6)
 
 
 def test_h_deathless_degenerate(box_grid, zero_drift):
@@ -222,7 +222,7 @@ def test_h_deathless_degenerate(box_grid, zero_drift):
     from branchlab.semigroup import principal_eigentriple
 
     spec = principal_eigentriple(gen, model)
-    res = solve_h(model, zero_drift, box_grid, tol=1e-6, generator=gen, spectral=spec)
+    res = solve_h(model, gen, spec, tol=1e-6)
     assert np.max(np.abs(res.h_u0_route - 1.0)) < 1e-9
     assert res.degenerate  # sup h = 1 violates the strict theorem bound; flagged
 
@@ -289,7 +289,7 @@ def test_laplace_second_derivative_reproduces_u2(critical_setup):
 
 def test_critical_limits_formulas(critical_setup):
     model, dyn, grid, gen, spec = critical_setup
-    V = critical_limits(spec, model, 3)
+    V = critical_limits(spec, 3)
     assert np.allclose(V[1], spec.theta0 * spec.A, rtol=1e-12)
     for n in (1, 2, 3):
         assert V[n][50] == pytest.approx(math.factorial(n), abs=2e-4)
@@ -298,7 +298,7 @@ def test_critical_limits_formulas(critical_setup):
 def test_critical_limits_regime_gate(subcritical_setup):
     model, dyn, grid, gen, spec = subcritical_setup
     with pytest.raises(RegimeError):
-        critical_limits(spec, model, 2)
+        critical_limits(spec, 2)
 
 
 def test_critical_v2_extrapolation_confirms_b_in_B(jumps_setup):
@@ -470,21 +470,23 @@ def test_brentq_matches_scipy_iterate_for_iterate():
     assert {(n, False) for n in ("smooth", "flat", "step", "slope")} | {("flat", True)} <= outcomes
 
 
-def test_brentq_edge_cases_match_scipy():
+def test_brentq_edge_cases_match_scipy(monkeypatch):
+    import branchlab.moments as mom
     from scipy.optimize import brentq
 
     cases = [
-        (lambda x: x - 1.0, 1.0, 3.0, {}),  # exact zero at the left end
-        (lambda x: x - 3.0, 1.0, 3.0, {}),  # and at the right end
-        (lambda x: x * x + 1.0, -1.0, 2.0, {}),  # same sign: ValueError
-        (lambda x: 1e-200 * (x * x + 1.0), -1.0, 2.0, {}),  # same sign though f(a) f(b) underflows to 0
-        (lambda x: math.tanh(x - 0.3), -2.0, 5.0, {"maxiter": 3}),  # RuntimeError
-        (lambda x: math.nan, -1.0, 2.0, {}),  # NaN: ValueError at once
+        (lambda x: x - 1.0, 1.0, 3.0, 100),  # exact zero at the left end
+        (lambda x: x - 3.0, 1.0, 3.0, 100),  # and at the right end
+        (lambda x: x * x + 1.0, -1.0, 2.0, 100),  # same sign: ValueError
+        (lambda x: 1e-200 * (x * x + 1.0), -1.0, 2.0, 100),  # same sign though f(a) f(b) underflows to 0
+        (lambda x: math.tanh(x - 0.3), -2.0, 5.0, 3),  # RuntimeError
+        (lambda x: math.nan, -1.0, 2.0, 100),  # NaN: ValueError at once
     ]
     expected = [(1.0, 2), (3.0, 2), (ValueError, 2), (ValueError, 2), (RuntimeError, 5), (ValueError, 1)]
-    for (f, a, b, kw), (want, evaluations) in zip(cases, expected):
-        ours = _search(_brentq, f, a, b, **kw)
-        assert ours == _search(brentq, f, a, b, **kw)
+    for (f, a, b, maxiter), (want, evaluations) in zip(cases, expected):
+        monkeypatch.setattr(mom, "_BRENT_MAX_ITER", maxiter)
+        ours = _search(_brentq, f, a, b)
+        assert ours == _search(brentq, f, a, b, maxiter=maxiter)
         assert ours[0] == want and len(ours[1]) == evaluations
 
 
@@ -567,7 +569,7 @@ def test_critical_limit_residual_fit(critical_setup):
     # residual (v_n - V_n)(t+1) must stay bounded over the horizon
     model, dyn, grid, gen, spec = critical_setup
     mf = solve_moments(np.ones(grid.n_points), 3, 30.0, gen, model, dt_pde=0.005, n_store=120)
-    V = critical_limits(spec, model, 3)
+    V = critical_limits(spec, 3)
     for n in (2, 3):
         v_n = mf.normalized(n, "critical", spec.lambda0)
         scaled = np.max(np.abs(v_n - V[n][None, :]), axis=1) * (1.0 + mf.times)
