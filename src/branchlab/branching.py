@@ -23,11 +23,15 @@ arrays and is compacted in place, block by block, while the block is in
 cache: a block's survivors move down to a running write offset that never
 passes the block's start, its children are staged past the live rows, and
 at the end of the step the children move down behind the last survivor.
+Each state column is an anonymous memory mapping of its own, so a growth
+returns the old column's pages to the OS instead of leaving them resident
+in the allocator's heap.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -67,12 +71,16 @@ BLOCK = 1 << 15
 GROWTH = 1.5
 
 # Bytes per capacity row at the peak, a growth: the four 8-byte state
-# arrays (x, keys, rep, pmax) at the new capacity, plus the one old array
-# being copied, at most 8 bytes per new row.  There is no second compacted
+# columns (x, keys, rep, pmax) at the new capacity, plus the one old column
+# being copied, at most 8 bytes per new row.  The columns grow one at a
+# time, and each old column is unmapped before the next one grows, so no
+# more than one old copy is ever mapped.  There is no second compacted
 # copy of the state, and the block masks and temporaries are a fixed few
 # MB, left out.
 BYTES_PER_PARTICLE = 4 * 8 + 8
-MEMORY_BUDGET = 2 * 1024**3  # bytes of particle state a run may hold
+# bytes of particle state one ensemble chunk (one simulate_ensemble call)
+# may hold; ``--threads T`` runs T chunks, which may hold T times this
+MEMORY_BUDGET = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -127,17 +135,31 @@ def _check_budget(n_particles):
         raise MemoryError(
             f"population of {n_particles} particles needs {need} bytes of state "
             f"({BYTES_PER_PARTICLE} per particle), over the {MEMORY_BUDGET}-byte "
-            f"budget; lower t_end or reps"
+            f"budget per ensemble chunk; lower t_end or reps"
         )
 
 
+def _mapped(n, dtype):
+    """An array of ``n`` elements of ``dtype`` in an anonymous memory
+    mapping of its own, unmapped when the last view of it goes.  A column
+    freed through numpy's allocator can stay resident: glibc raises its mmap
+    threshold to the size of each mapped block it frees (up to 32 MiB), so
+    later columns come from its arenas, which keep freed pages."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize), dtype, count=n)
+
+
 class _Rows:
-    """Parallel per-particle arrays in capacity-backed buffers: rows
-    ``[:n]`` are live, the rest is room to grow into."""
+    """Parallel per-particle arrays in capacity-backed buffers, each in a
+    mapping of its own (``_mapped``): rows ``[:n]`` are live, the rest is
+    room to grow into."""
 
     def __init__(self, **columns):
-        self.cols = columns
         self.n = len(next(iter(columns.values())))
+        self.cols = {}
+        for name, values in columns.items():
+            self.cols[name] = _mapped(self.n, values.dtype)
+            self.cols[name][:] = values
 
     def __getitem__(self, name):
         return self.cols[name][: self.n]
@@ -152,10 +174,10 @@ class _Rows:
             new_cap = max(at + k, min(int(cap * GROWTH), MEMORY_BUDGET // BYTES_PER_PARTICLE))
             _check_budget(new_cap)
             for name, old in self.cols.items():
-                new = np.empty(new_cap, dtype=old.dtype)
+                new = _mapped(new_cap, old.dtype)
                 new[:at] = old[:at]
                 self.cols[name] = new
-                del old  # free it before the next column grows
+                del old  # unmap it before the next column grows
         for name, values in rows.items():
             self.cols[name][at : at + k] = values
 

@@ -6,8 +6,9 @@ directory once; each model command calibrates the config (if it has a
 calibrate block) and builds the eigentriple, calls the library and writes
 what it reports.  ``verify`` runs ``analysis.verify_suite``.  Every data
 output carries the config hash, seed and tool version in its header;
-wall-clock timing goes to a sidecar run_meta.json so data files stay
-byte-identical across reruns with the same config and seed.
+wall-clock timing and the process's peak RSS go to a sidecar run_meta.json,
+which ``report`` leaves out, so data files stay byte-identical across reruns
+with the same config and seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from itertools import repeat
@@ -101,9 +103,12 @@ def _status(passed, inconclusive=False):
 
 
 def _write_run_meta(out, command, elapsed):
+    # ru_maxrss is in KiB on Linux: the peak a parent's wait4 would report
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with open(os.path.join(out, "run_meta.json"), "w") as fh:
         json.dump(
-            {"command": command, "wall_clock_s": elapsed, "finished_unix": time.time()},
+            {"command": command, "wall_clock_s": elapsed, "finished_unix": time.time(),
+             "peak_rss_mb": peak_rss_mb},
             fh,
             indent=2,
         )
@@ -325,7 +330,7 @@ def cmd_report(cfg, args, out):
     artifact_dir = args.artifacts or out
     collected = {}
     for name in sorted(os.listdir(artifact_dir)):
-        if name.endswith(".json") and name != "report.json":
+        if name.endswith(".json") and name not in ("report.json", "run_meta.json"):
             with open(os.path.join(artifact_dir, name)) as fh:
                 collected[name] = json.load(fh)
     lines = [f"# branchlab report: {cfg.name}", "", f"- config hash: `{cfg.hash}`", f"- version: {__version__}", ""]

@@ -78,6 +78,19 @@ def test_missing_artifacts_dir_is_an_error(tmp_path, capsys):
     assert not (out / "run_meta.json").exists()
 
 
+def test_run_meta_records_peak_rss_of_successful_commands(tmp_path):
+    cfg = os.path.join(CONFIG_DIR, "critical_constant.json")
+    out = tmp_path / "ok"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["command"] == "validate" and meta["peak_rss_mb"] > 0
+    # the report collates data files, not the sidecar
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+    assert "run_meta.json" not in (out / "report.md").read_text()
+    assert json.loads((out / "report.json").read_text())["artifacts"] == ["validation.json"]
+    # a failed command writes no sidecar: test_missing_artifacts_dir_is_an_error
+
+
 def test_spectrum_outputs(tmp_path):
     cfg = small_critical_config(tmp_path)
     code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -8,6 +8,8 @@ exactly, for every block size.
 """
 
 import math
+import mmap
+import weakref
 
 import numpy as np
 import pytest
@@ -318,6 +320,33 @@ def test_state_is_anonymous(monkeypatch):
     _run("diffusion")
     assert set(ensembles[-1].state.cols) == {"x", "keys", "rep", "pmax"}
     assert branching.BYTES_PER_PARTICLE == 8 * len(ensembles[-1].state.cols) + 8
+
+
+def _mapping(col):
+    """The ``mmap.mmap`` a state column is a view of (None if it is not)."""
+    base = col.base
+    return base.obj if isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap) else None
+
+
+def test_growth_unmaps_the_old_columns():
+    rows = branching._Rows(x=np.arange(4.0), rep=np.arange(4, dtype=np.int64))
+    assert all(_mapping(col) is not None for col in rows.cols.values())
+    old = {name: weakref.ref(_mapping(col)) for name, col in rows.cols.items()}
+    rows.put(4, dict(x=np.array([4.0, 5.0]), rep=np.array([4, 5])))
+    assert len(rows.cols["x"]) >= 6
+    for name, col in rows.cols.items():
+        assert _mapping(col) is not None, name
+        assert old[name]() is None, name  # the pre-growth mapping is gone
+    rows.n = 6
+    assert np.array_equal(rows["x"], np.arange(6.0)) and np.array_equal(rows["rep"], np.arange(6))
+
+
+def test_results_own_their_data():
+    res = _run("diffusion-jumps", record_traits_at=[1.0, 2.0])
+    arrays = [res.counts, res.max_abs, *res.functionals.values()]
+    arrays += [a for pair in res.traits_at.values() for a in pair]
+    assert len(arrays) == 2 + len(FUNCTIONALS) + 4
+    assert all(a.flags.owndata for a in arrays)
 
 
 def test_ensemble_respects_memory_budget(monkeypatch, zero_drift):

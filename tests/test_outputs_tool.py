@@ -1,5 +1,6 @@
-"""The differ of tools/outputs.py on small fixture directories (the full
-``run`` over every config and command stays out of the test suite)."""
+"""The differ of tools/outputs.py on small fixture directories, and ``run``
+on a stand-in tree (the full ``run`` over every config and command stays
+out of the test suite)."""
 
 import importlib.util
 import io
@@ -74,3 +75,57 @@ def test_thread_mismatch_missing_file_and_command_change_fail(tmp_path):
     assert res["only_b"] == ["c/main/extra.txt"]
     assert res["commands"] == [("c", "validate -> main", "exit"), ("c", "validate -> main", "stderr")]
     assert outputs.diff(a, b, stream=io.StringIO()) == 1
+
+
+# a stand-in CLI: every command writes one data file and a sidecar whose
+# peak_rss_mb is the command name's length, except simulate, which fails
+FAKE_CLI = """
+import json, os, sys, time
+command, out = sys.argv[1], sys.argv[sys.argv.index("--out") + 1]
+os.makedirs(out, exist_ok=True)
+if command == "simulate":
+    sys.exit(1)
+with open(os.path.join(out, command + ".json"), "w") as fh:
+    json.dump({"command": command}, fh)
+with open(os.path.join(out, "run_meta.json"), "w") as fh:
+    json.dump({"finished_unix": time.time(), "peak_rss_mb": float(len(command))}, fh)
+"""
+
+
+def test_run_copies_each_commands_peak_rss(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "configs").mkdir(parents=True)
+    (tree / "configs" / "c.json").write_text("{}")
+    (tree / "src" / "branchlab").mkdir(parents=True)
+    (tree / "src" / "branchlab" / "__init__.py").write_text("")
+    (tree / "src" / "branchlab" / "cli.py").write_text(FAKE_CLI)
+    manifest = outputs.run(str(tree), str(tmp_path / "out"))
+    got = {(" ".join(c["argv"]), c["exit"], c["peak_rss_mb"]) for c in manifest["commands"]}
+    assert got == {
+        ("validate -> main", 0, 8.0), ("spectrum -> main", 0, 8.0), ("moments -> main", 0, 7.0),
+        ("survive -> main", 0, 7.0), ("verify --threads 1 -> main", 0, 6.0),
+        ("verify --threads 2 -> threads2", 0, 6.0), ("report -> main", 0, 6.0),
+        ("simulate -> main", 1, None),  # not the sidecar survive left behind
+    }
+    assert (tmp_path / "out" / "c" / "main" / "run_meta.json").exists()  # run removes nothing
+    assert "c/main/run_meta.json" not in manifest["files"] and "c/main/verify.json" in manifest["files"]
+
+
+def _commands(*peaks):
+    return [
+        {"config": "c", "argv": [f"cmd{i}", "-> main"], "exit": 0, "stdout": "", "stderr": "", "peak_rss_mb": mb}
+        for i, mb in enumerate(peaks)
+    ]
+
+
+def test_peak_rss_moves_are_listed_but_do_not_fail(tmp_path):
+    a = _fixture(tmp_path / "a", VERIFY, commands=_commands(100.0, 80.0, 70.0, None))
+    b = _fixture(tmp_path / "b", VERIFY, commands=_commands(100.0, 86.0, 73.0, 50.0))
+    res = outputs.compare(a, b)
+    # 80 -> 86 MB moved 7.5%, 70 -> 73 MB only 4.3%, and a missing side is not compared
+    assert res["rss_compared"] == 3 and res["rss_moved"] == [("c", "cmd1 -> main", 80.0, 86.0)]
+    out = io.StringIO()
+    assert outputs.diff(a, b, stream=out) == 0
+    text = out.getvalue()
+    assert "peak RSS in both runs: 3 command(s), 1 moved by more than 5%" in text
+    assert "peak RSS moved: c cmd1 -> main: 80.0 -> 86.0 MB (+7.5%)" in text

@@ -10,13 +10,17 @@ and ``report`` (one output directory per config, ``main/``), plus
 ``verify --threads 2`` into ``threads2/``, with the package of
 ``TREE/src``.  It writes ``OUT/manifest.json``: the sha256 of every data
 file (``run_meta.json`` holds wall-clock times and is left out) and each
-command's exit code, stdout and stderr, with OUT shown as ``<OUT>``.
+command's exit code, stdout and stderr, with OUT shown as ``<OUT>``, and
+the ``peak_rss_mb`` of the ``run_meta.json`` it wrote (null when it wrote
+none, or a tree whose commands do not record it).
 
 ``diff`` counts the identical files, lists each changed JSON key or CSV
 column (grouped by file name over the configs) with its maximum absolute
 and relative deviation, lists commands whose exit code or text changed,
 and checks in each run that ``verify --threads 2`` wrote the bytes of
-``--threads 1``.  It exits 0 only when nothing differs.
+``--threads 1``.  It exits 0 only when nothing differs.  It also lists the
+commands whose peak RSS moved by more than 5%, as information: memory
+does not enter the exit code.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 COMMANDS = (
     ("main", ["validate"]),
@@ -72,6 +77,7 @@ def run(tree, out):
         for sub, argv in COMMANDS:
             target = os.path.join(out, name, sub)
             full = [argv[0], "--config", os.path.join("configs", f"{name}.json"), "--out", target, *argv[1:]]
+            start = time.time()
             proc = subprocess.run(
                 [sys.executable, "-m", "branchlab.cli", *full], cwd=tree, env=env, capture_output=True, text=True
             )
@@ -82,6 +88,7 @@ def run(tree, out):
                     "exit": proc.returncode,
                     "stdout": proc.stdout.replace(out, "<OUT>"),
                     "stderr": proc.stderr.replace(out, "<OUT>"),
+                    "peak_rss_mb": peak_rss_mb(os.path.join(target, "run_meta.json"), start),
                 }
             )
             print(f"{name} {' '.join(argv)}: exit {proc.returncode}", flush=True)
@@ -90,6 +97,19 @@ def run(tree, out):
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     return manifest
+
+
+def peak_rss_mb(meta, since):
+    """The ``peak_rss_mb`` of the run_meta.json at ``meta`` if a command
+    finished it at or after unix time ``since``; None when there is no such
+    file or field, or when it is an earlier command's (a failing command
+    writes none, and the directory is the command's own input, left as is)."""
+    try:
+        with open(meta) as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        return None
+    return doc.get("peak_rss_mb") if doc["finished_unix"] >= since else None
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +215,11 @@ def compare(a_dir, b_dir):
     ]
     if len(a["commands"]) != len(b["commands"]):
         commands.append(("*", "command list", "length"))
+    rss = [
+        (ca["config"], " ".join(ca["argv"]), ca.get("peak_rss_mb"), cb.get("peak_rss_mb"))
+        for ca, cb in zip(a["commands"], b["commands"])
+    ]
+    rss = [r for r in rss if r[2] and r[3]]
     return {
         "identical": len(identical),
         "changed": changed,
@@ -203,6 +228,8 @@ def compare(a_dir, b_dir):
         "deviations": deviations,
         "commands": commands,
         "threads": {"a": threads_mismatch(fa), "b": threads_mismatch(fb)},
+        "rss_compared": len(rss),
+        "rss_moved": [r for r in rss if abs(r[3] / r[2] - 1) > 0.05],
     }
 
 
@@ -245,6 +272,10 @@ def diff(a_dir, b_dir, stream=sys.stdout):
         bad = res["threads"][side]
         status = "same bytes" if not bad else f"{len(bad)} file(s) differ: {', '.join(bad)}"
         print(f"--threads 1 vs 2 in {side.upper()}: {status}", file=stream)
+    print(f"peak RSS in both runs: {res['rss_compared']} command(s), "
+          f"{len(res['rss_moved'])} moved by more than 5% (not part of the exit code)", file=stream)
+    for config, argv, mb_a, mb_b in res["rss_moved"]:
+        print(f"peak RSS moved: {config} {argv}: {mb_a:.1f} -> {mb_b:.1f} MB ({mb_b / mb_a - 1:+.1%})", file=stream)
     clean = total == res["identical"] and not res["commands"] and not any(res["threads"].values())
     return 0 if clean else 1
 
