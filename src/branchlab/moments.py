@@ -647,7 +647,7 @@ def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, dt_report
     change the sign of lambda0; a knob with |lambda0| <= tol is a root.
     The search is ``_brentq``, scipy's ``brentq`` iterate for iterate
     without importing ``scipy.optimize``; each evaluation builds the
-    generator and computes the dense principal eigentriple.  Returns
+    generator and computes its principal eigentriple.  Returns
     (theta*, lambda0*, history) with one (theta, lambda0) history entry per
     eigentriple computed.  Raises ValueError when lambda0 does not change
     sign on the bracket and RuntimeError when ``_BRENT_MAX_ITER`` iterations

@@ -416,11 +416,27 @@ class EigenSolverError(RuntimeError):
     pass
 
 
+# Ritz values asked of ARPACK beyond the k kept: shift-invert returns the
+# eigenvalues nearest the shift, and a complex pair can sit nearer to it
+# than the next eigenvalue by real part, or take a second slot as the
+# partner of one already kept
+_EXTRA_EIGS = 2
+# the shift's distance beyond the Gershgorin bound on the real parts: at
+# the bound itself A - sigma I could be singular (an eigenvalue on the
+# bound); one unit keeps it strictly diagonally dominant
+_SHIFT_MARGIN = 1.0
+
+
 def _rightmost_eigs(matrix, k, rho=None):
     """The k rightmost eigenvalues of the generator by decreasing real part,
     one of each complex-conjugate pair: by a symmetric tridiagonal solve on
     the three diagonals when the matrix is tridiagonal and rho-symmetric
-    (real values), else by a dense solve."""
+    (real values), else by ARPACK's shift-invert Arnoldi on the sparse
+    matrix.  Its real shift sigma lies right of the Gershgorin bound, so
+    the values nearest sigma are the rightmost ones; its start vector is
+    fixed, so the values depend on the matrix alone.  No n x n array is
+    formed.  Raises EigenSolverError, naming n and sigma, when ARPACK does
+    not converge or fewer than k distinct values come back."""
     n = matrix.shape[0]
     if rho is not None and max(_band(matrix)[1:]) <= 1:
         # the diagonals of S = D L D^{-1}, D = diag(sqrt(rho)), each entry
@@ -435,7 +451,20 @@ def _rightmost_eigs(matrix, k, rho=None):
             off = 0.5 * (upper + lower)
             vals = sla.eigh_tridiagonal(main, off, select="i", select_range=(n - k, n - 1))[0]
             return vals[::-1]
-    vals = sla.eigvals(matrix.toarray())
+    diag = matrix.diagonal()
+    # Gershgorin: every eigenvalue has real part <= max_i a_ii + sum_{j != i} |a_ij|
+    sigma = float(np.max(diag + np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag))) + _SHIFT_MARGIN
+    # ARPACK finds fewer than n - 1 values: on a grid of 3 nodes, one
+    n_eigs = min(k + _EXTRA_EIGS, n - 2)
+    # a positive start vector, so it has a Perron component, and a ramp, so
+    # it is not reflection-symmetric: the Krylov space of an even vector
+    # misses every odd eigenvector of a symmetric generator.  rng seeds the
+    # fresh vector ARPACK asks for after a breakdown.
+    v0 = np.linspace(1.0, 2.0, n)
+    try:
+        vals = spla.eigs(matrix, n_eigs, sigma=sigma, v0=v0, rng=0, return_eigenvectors=False)
+    except spla.ArpackError as err:  # ArpackNoConvergence included
+        raise EigenSolverError(f"shift-invert Arnoldi failed on n = {n}, sigma = {sigma:.6g}: {err}") from None
     out = []
     for idx in np.argsort(vals.real)[::-1]:
         # skip the conjugate partner of a complex value just taken
@@ -445,7 +474,7 @@ def _rightmost_eigs(matrix, k, rho=None):
         out.append(vals[idx])
         if len(out) == k:
             return np.array(out)
-    raise EigenSolverError(f"could not isolate {k} eigenvalues")
+    raise EigenSolverError(f"could not isolate {k} eigenvalues of n = {n} by shift-invert at sigma = {sigma:.6g}")
 
 
 _EIGEN_TOL, _EIGEN_MAX_STEPS = 1e-10, 200  # the eigenpair polish's Rayleigh-quotient tolerance and step limit
@@ -484,8 +513,9 @@ def principal_eigentriple(generator, model):
     the constants A, B.
 
     The two rightmost eigenvalues come from a symmetric tridiagonal solve
-    on the generator's three diagonals (diffusion) or a dense solve of the
-    full spectrum (the jump classes); the eigenpair is then polished by
+    on the generator's three diagonals (diffusion) or a sparse shift-invert
+    Arnoldi solve (the jump classes), so no n x n array is formed; an
+    ARPACK failure raises EigenSolverError.  The eigenpair is then polished by
     shifted inverse power iteration to ``_EIGEN_TOL`` on the Rayleigh quotient,
     and mu0 comes from the matching left eigenvector.
     No propagation runs here: H is left ``None`` for ``fit_H``, which only

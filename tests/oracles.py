@@ -17,7 +17,7 @@ from branchlab import DynamicsSpec
 from branchlab.curves import constant
 from branchlab.model import DIFFUSION, NotApplicableError, potential
 from branchlab.moments import _simpson_weights
-from branchlab.semigroup import _rightmost_eigs, build_generator, evolve_P
+from branchlab.semigroup import EigenSolverError, _rightmost_eigs, build_generator, evolve_P
 
 
 def slice_at(field, n, t):
@@ -134,6 +134,24 @@ def rightmost_eigs_dense(matrix, k, rho):
     else:
         vals = np.sort(np.linalg.eigvalsh(S))[-k:]
     return vals[::-1]
+
+
+def rightmost_eigs_general_dense(matrix, k):
+    """The k rightmost eigenvalues of a sparse generator by decreasing real
+    part, one of each complex-conjugate pair, from the full dense spectrum:
+    the route ``semigroup._rightmost_eigs`` took for every generator that
+    is not a rho-symmetric tridiagonal before it used shift-invert Arnoldi."""
+    vals = sla.eigvals(matrix.toarray())
+    out = []
+    for idx in np.argsort(vals.real)[::-1]:
+        # skip the conjugate partner of a complex value just taken
+        prev = out[-1] if out else None
+        if prev is not None and abs(prev.imag) > 0 and abs(vals[idx] - np.conj(prev)) < 1e-10 * max(1.0, abs(prev)):
+            continue
+        out.append(vals[idx])
+        if len(out) == k:
+            return np.array(out)
+    raise EigenSolverError(f"could not isolate {k} eigenvalues")
 
 
 def girsanov_crosscheck(dyn, model, grid, n_eigs=3):

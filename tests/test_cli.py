@@ -8,6 +8,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from branchlab import cli
 from branchlab.cli import main
@@ -76,6 +77,17 @@ def test_missing_artifacts_dir_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing" in err and "Traceback" not in err
     assert not (out / "run_meta.json").exists()
+
+
+def test_eigensolver_failure_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    def no_convergence(A, k, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+    monkeypatch.setattr(spla, "eigs", no_convergence)
+    cfg = os.path.join(CONFIG_DIR, "critical_driftedjump.json")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: shift-invert Arnoldi failed on n = 441, sigma = ") and "Traceback" not in err
 
 
 def test_run_meta_records_peak_rss_of_successful_commands(tmp_path):

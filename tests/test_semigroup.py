@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from branchlab import DynamicsSpec, Grid, JumpKernel, RateModel
-from branchlab import semigroup
+from branchlab import cli, semigroup
 from branchlab.config import load_config
 from branchlab.curves import Curve, constant
 from branchlab.model import NotApplicableError, ell_values
@@ -26,7 +27,13 @@ from branchlab.semigroup import (
 )
 
 from .conftest import make_constant_model, make_oscillator_model
-from .oracles import evolve_reference, girsanov_crosscheck, oscillator_eigenvalue, rightmost_eigs_dense
+from .oracles import (
+    evolve_reference,
+    girsanov_crosscheck,
+    oscillator_eigenvalue,
+    rightmost_eigs_dense,
+    rightmost_eigs_general_dense,
+)
 
 
 def test_conservation_reflecting_rows(zero_drift):
@@ -548,3 +555,115 @@ def test_diffusion_eigentriple_memory_is_linear_in_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 512 * n, peak / n
+
+
+# ----------------------------------------------------------------------
+# the jump classes' shift-invert eigensolve against the dense spectrum
+
+JUMP_CONFIGS = [f"{regime}_{rates}" for rates in ("jumps", "driftedjump")
+                for regime in ("critical", "subcritical", "supercritical")]
+
+
+def _dense_general(matrix, k, rho=None):
+    return rightmost_eigs_general_dense(matrix, k)
+
+
+@pytest.mark.parametrize(
+    "name, knob",
+    [(name, "shipped") for name in JUMP_CONFIGS]
+    + [(name, knob) for name in JUMP_CONFIGS if name.startswith("critical") for knob in ("low", "high", "root")],
+)
+def test_jump_eigentriple_matches_the_dense_spectrum(name, knob, monkeypatch):
+    """Every jump config at its shipped knob, and each critical one at both
+    bracket ends and at its calibrated root: lambda0 and lambda1 within
+    1e-10 of the dense full spectrum, the same complex flag."""
+    cfg = load_config(os.path.join(CONFIG_DIR, name + ".json"))
+    if knob == "root":
+        cfg = cli._calibrated_model(cfg)[0]
+    elif knob != "shipped":
+        cfg = cfg.apply_knob(cfg.calibrate["knob"], cfg.calibrate["bracket"][0 if knob == "low" else 1])
+    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid, dt_report=cfg.solver["dt_report"])
+    assert gen.variant != "diffusion"
+    spec = principal_eigentriple(gen, cfg.model)
+    monkeypatch.setattr(semigroup, "_rightmost_eigs", _dense_general)
+    ref = principal_eigentriple(gen, cfg.model)
+    assert abs(spec.lambda0 - ref.lambda0) < 1e-10
+    assert abs(spec.lambda1 - ref.lambda1) < 1e-10
+    assert spec.lambda1_complex == ref.lambda1_complex
+
+
+def test_a_complex_second_eigenvalue_is_found_and_flagged(monkeypatch):
+    """A one-way jump around a ring (rate 2, a small random potential): the
+    eigenvalue after the Perron one is a complex pair."""
+    n = 40
+    rng = np.random.default_rng(3)
+    ring = sp.diags([np.ones(n - 1), [1.0]], [1, -(n - 1)])  # i -> i + 1 mod n
+    matrix = (2.0 * (ring - sp.identity(n)) + sp.diags(rng.uniform(-0.05, 0.05, n))).tocsr()
+    got = semigroup._rightmost_eigs(matrix, 2)
+    want = rightmost_eigs_general_dense(matrix, 2)
+    assert abs(want[1].imag) > 0.1
+    assert np.max(np.abs(got.real - want.real)) < 1e-10
+    assert abs(abs(got[1].imag) - abs(want[1].imag)) < 1e-10
+
+    gen = semigroup.GeneratorMatrix(grid=Grid(-1.0, 1.0, n, boundary="reflecting"), variant="drifted-jump", matrix=matrix)
+    model = make_constant_model(1.0, 1.0)
+    spec = principal_eigentriple(gen, model)
+    monkeypatch.setattr(semigroup, "_rightmost_eigs", _dense_general)
+    ref = principal_eigentriple(gen, model)
+    assert spec.lambda1_complex and ref.lambda1_complex
+    assert abs(spec.lambda0 - ref.lambda0) < 1e-10 and abs(spec.lambda1 - ref.lambda1) < 1e-10
+
+
+def test_shift_invert_eigenvalues_do_not_depend_on_earlier_arpack_calls():
+    """The start vector is fixed, so an unrelated ARPACK call between two
+    solves leaves every bit of the result as it was."""
+    _, gen = _config_generator("critical_driftedjump")
+    first = semigroup._rightmost_eigs(gen.matrix, 2)
+    other = sp.random(50, 50, density=0.2, random_state=1, format="csr") + sp.identity(50)
+    spla.eigs(other, 3)
+    spla.eigs(other, 2, sigma=5.0)
+    assert np.array_equal(semigroup._rightmost_eigs(gen.matrix, 2), first)
+
+
+@pytest.mark.parametrize("failure", ["no-convergence", "error", "one-pair"])
+def test_shift_invert_failure_is_a_named_error(failure, monkeypatch):
+    """ARPACK's failures and a result with fewer than k distinct values
+    raise EigenSolverError naming n and the shift."""
+
+    def fake_eigs(A, k, **kwargs):
+        if failure == "no-convergence":
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0)))
+        if failure == "error":
+            raise spla.ArpackError(-9)
+        return np.array([-1.0 + 2.0j, -1.0 - 2.0j])  # one conjugate pair: one distinct value
+
+    model, gen = _config_generator("subcritical_driftedjump")
+    monkeypatch.setattr(semigroup.spla, "eigs", fake_eigs)
+    with pytest.raises(semigroup.EigenSolverError, match=rf"n = {gen.n}\b.* sigma = \d"):
+        principal_eigentriple(gen, model)
+
+
+def test_a_three_node_jump_grid_is_a_named_error():
+    """ARPACK finds fewer than n - 1 eigenvalues, so 3 nodes give one."""
+    model, gen = _config_generator("subcritical_driftedjump", 3)
+    with pytest.raises(semigroup.EigenSolverError, match="could not isolate 2 eigenvalues of n = 3 "):
+        principal_eigentriple(gen, model)
+
+
+def test_driftedjump_eigentriple_memory_is_linear_in_the_nonzeros():
+    """At 1761 nodes one dense copy of the drifted-jump generator takes
+    8 n^2 = 24.8 MB, and the eigentriple through the dense oracle
+    ``rightmost_eigs_general_dense`` peaks at 50.2 MB.  The eigentriple's
+    peak is two copies of the sparse generator (12.9 MB, 536457 nonzeros;
+    the inverse-iteration polish holds as much as the shift-invert solve);
+    the bound is 2.5 copies, 16.1 MB."""
+    n = 1761
+    model, gen = _config_generator("critical_driftedjump", n)
+    csr_bytes = gen.matrix.data.nbytes + gen.matrix.indices.nbytes + gen.matrix.indptr.nbytes
+    tracemalloc.start()
+    try:
+        principal_eigentriple(gen, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * csr_bytes < 8 * n * n, (peak, csr_bytes)
