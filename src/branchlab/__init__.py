@@ -9,7 +9,7 @@ supercritical long-time limits at desk scale.
 
 __version__ = "0.1.0"
 
-from .curves import Curve, curve_from_config, make_curve
+from .curves import Curve, curve_from_config
 from .grid import Grid
 from .model import (
     DIFFUSION,
@@ -26,7 +26,6 @@ from .model import (
 __all__ = [
     "Curve",
     "curve_from_config",
-    "make_curve",
     "Grid",
     "RateModel",
     "DynamicsSpec",

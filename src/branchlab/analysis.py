@@ -25,6 +25,7 @@ from scipy import special
 
 from .branching import run_ensemble
 from .moments import (
+    _H_TOL,
     hamburger_bound,
     require_regime,
     solve_h,
@@ -153,7 +154,7 @@ def ks_band(alpha, n):
     return float(special.kolmogi(1.0 - (1.0 - alpha)) / math.sqrt(n))
 
 
-def moment_z_test(sample_moments, targets, ses, z_max, name="moment-z"):
+def moment_z_test(sample_moments, targets, ses, z_max, name):
     """z-scores of sample moments against targets; passes when all |z| are
     within ``z_max``."""
     sample_moments = np.asarray(sample_moments, dtype=float)
@@ -363,7 +364,7 @@ def _slack_constant(limit_cdf):
     return 1.5 * t_cal * geometric_ks_distance(limit_cdf, t_cal)
 
 
-def ks_slack(limit_cdf, t, B=1.0):
+def ks_slack(limit_cdf, t, B):
     """Finite-t KS slack delta(t) = c / (B t) of a limit law with CDF
     ``limit_cdf`` of the normalized mass u.  c = 1.5 t_cal d(t_cal) is
     calibrated once on the constant-rate model (where B = 1; 50% safety
@@ -376,7 +377,7 @@ def ks_slack(limit_cdf, t, B=1.0):
 _MIN_SURVIVORS = 500  # fewest survivors a critical limit-law check decides on
 
 
-def yaglom_test_critical(n_samples, spectral, t, alpha=0.01):
+def yaglom_test_critical(n_samples, spectral, t, alpha):
     """KS test of N_t / ((t+1) A B) conditioned on survival against the
     unit-mean exponential, with finite-t slack; plus the first three
     conditional moments against n! within 4 SE."""
@@ -484,7 +485,7 @@ def upsilon_samples(zf_samples, n_samples, t, spectral, nu_f):
     return num / den
 
 
-def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01):
+def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha):
     """KS test of the sampled centered ratio against 1 - e^{-h(y)}."""
     require_regime(spectral, "critical", "upsilon_test")
     if nu_f == 0:
@@ -514,7 +515,7 @@ def upsilon_test(zf_samples, n_samples, t, spectral, nu_f, alpha=0.01):
 _SUBCRITICAL_MIN_SURVIVORS = 200  # fewest survivors the subcritical Yaglom check decides on
 
 
-def subcritical_yaglom_test(zf_samples, limits, n_orders=4):
+def subcritical_yaglom_test(zf_samples, limits, n_orders):
     """Conditional moments of <Z_t, f> given survival against V_n^-/K^-."""
     name = "subcritical-yaglom-moments"
     zf = np.asarray(zf_samples, dtype=float)
@@ -696,31 +697,30 @@ def functional_bank(cfg, spec):
     }
 
 
-def verify_suite(cfg, gen, spec, threads=1):
+def verify_suite(cfg, gen, spec, threads):
     """The verification battery of the regime of ``spec``.
 
     The grid checks run first, then one particle ensemble (``threads``
-    chunks) to ``verify.t_mc`` feeds the limit-law tests.  Returns
+    chunks) to the last of ``mc.times`` feeds the limit-law tests.  Returns
     ``(reports, tables)``: the TestReports in battery order, and plot data
     as {file name: (header, columns)}.
     """
     regime = spec.regime()
     solver, model, xs = cfg.solver, cfg.model, cfg.grid.nodes
-    x0, t_mc = cfg.mc["x0"], cfg.verify["t_mc"]
+    x0, t_mc = cfg.mc["x0"], max(cfg.mc["times"])
     bank = functional_bank(cfg, spec)
     reports, tables = [], {}
 
     if regime == "supercritical":
-        h_tol = solver["h_tol"]
-        hres = solve_h(model, gen, spec, tol=h_tol, dt_pde=solver["dt_pde"])
+        hres = solve_h(model, gen, spec, dt_pde=solver["dt_pde"])
         reports.append(
             TestReport(
                 name="supercritical-h-routes",
                 statistic="sup |h_Newton - h_u0|",
                 value=hres.agreement,
-                threshold=3.0 * h_tol,
+                threshold=3.0 * _H_TOL,
                 sample_size=cfg.grid.n_points,
-                passed=bool(hres.agreement <= 3.0 * h_tol),
+                passed=bool(hres.agreement <= 3.0 * _H_TOL),
             )
         )
         sup_t = supercritical_limits(spec, model, gen, 3, spec.theta0)

@@ -197,7 +197,7 @@ class _Ensemble:
     """Flat-array state of all replicas during a stepped simulation: per
     particle its trait, stream key, replica and running max |trait|."""
 
-    def __init__(self, x0, seed, reps, rep_offset=0, reflect_at=None):
+    def __init__(self, x0, seed, reps, rep_offset, reflect_at):
         _check_budget(reps)
         self.reflect_at = reflect_at
         x = np.full(reps, float(x0))
@@ -369,7 +369,7 @@ def simulate_ensemble(
     )
 
 
-def run_ensemble(cfg, record_times, fields, threads=1):
+def run_ensemble(cfg, record_times, fields, threads):
     """The Monte Carlo ensemble of an experiment config: ``mc.reps``
     replicas from ``mc.x0`` with the config's dt, seed and cutoff,
     reflecting at the grid ends when the solver grid reflects, recording

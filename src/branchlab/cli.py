@@ -131,12 +131,11 @@ def _calibrated_model(cfg):
             return cfg.apply_knob(knob, theta).model
 
         theta, lam0, history = mom.calibrate_criticality(
-            factory, cfg.calibrate["bracket"], cfg.dynamics, cfg.grid,
-            tol=cfg.calibrate["tol"], dt_report=cfg.solver["dt_report"],
+            factory, cfg.calibrate["bracket"], cfg.dynamics, cfg.grid, tol=cfg.calibrate["tol"]
         )
         cfg = cfg.apply_knob(knob, theta)
         cal = {"knob": knob, "theta": theta, "lambda0": lam0, "evaluations": len(history)}
-    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid, dt_report=cfg.solver["dt_report"])
+    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid)
     return cfg, cal, gen, principal_eigentriple(gen, cfg.model)
 
 
@@ -248,7 +247,7 @@ def cmd_survive(cfg, args, out):
     )
 
     # the u0 route of h continues the survey march
-    hres = mom.solve_h(cfg.model, gen, spec, tol=cfg.solver["h_tol"], dt_pde=cfg.solver["dt_pde"], survival=u0f)
+    hres = mom.solve_h(cfg.model, gen, spec, dt_pde=cfg.solver["dt_pde"], survival=u0f)
     _write_csv(os.path.join(out, "h.csv"), cfg, ["x", "h", "h_u0_route"], [(nodes, hres.h, hres.h_u0_route)])
     payload = {
         "regime": spec.regime(),

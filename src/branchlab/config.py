@@ -6,7 +6,11 @@ bounds and default (the README's "Config reference" lists the same rows).
 mistyped or out-of-range key raises a ``ConfigError`` naming its path,
 absent keys take their defaults (checked as given values are), and the
 checked values go to the model, dynamics and grid constructors, which
-keep the checks that involve more than one key.  A sha256 hash of the raw mapping is embedded in every output.
+keep the checks that involve more than one key.  A curve is converted to a
+``Curve`` once, here.  Every key, every choice of a string key and every
+curve family is one that a shipped config under ``configs/`` uses, or a
+test names the reason it stays.  A sha256 hash of the raw mapping is
+embedded in every output.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ def _within(text, v):
 class Key:
     """One config key.  ``bounds`` applies to a number, to each number of a
     list, or to a string (as its choices).  ``default`` is REQUIRED (the key
-    must be present when its block is), None (absent means undeclared), a
-    value, or a function of the checked config so far.  ``steps_of`` names
-    the step key whose whole multiple the value (or a list's largest) must be."""
+    must be present when its block is), None (absent means undeclared) or a
+    value.  ``steps_of`` names the step key whose whole multiple the value
+    (or a list's largest) must be."""
 
     path: str
     kind: str
@@ -123,10 +127,9 @@ SCHEMA = (
     Key("model.hd.radius", "number", default=None),
     Key("dynamics.variant", "string", "{diffusion, diffusion-jumps, drifted-jump}"),
     Key("dynamics.a", "curve", default=None),
-    Key("dynamics.jump.family", "string", "{uniform-window, gaussian}"),
+    Key("dynamics.jump.family", "string", "{uniform-window}"),
     Key("dynamics.jump.rate", "curve"),
     Key("dynamics.jump.width", "number", "> 0", default=None),
-    Key("dynamics.jump.sigma", "number", "> 0", default=None),
     Key("dynamics.jump.density_floor", "pair", default=None),
     Key("dynamics.jump.m4", "number", default=None),
     Key("dynamics.ha.C", "number", default=None),
@@ -141,8 +144,6 @@ SCHEMA = (
     Key("solver.t_end", "number", "> 0", default=10.0),
     Key("solver.n_store", "integer", ">= 1", default=200),
     Key("solver.n_orders", "integer", ">= 1", default=2),
-    Key("solver.h_tol", "number", "> 0", default=1e-6),
-    Key("solver.dt_report", "number", "> 0", default=1.0),
     Key("mc.reps", "integer", ">= 2", default=10_000),
     Key("mc.dt", "number", "> 0", default=0.01),
     # the replica streams are keyed by the seed as an unsigned 64-bit word
@@ -152,7 +153,6 @@ SCHEMA = (
     Key("mc.x0", "number", default=0.0),
     Key("verify.regime", "string", "{auto, critical, subcritical, supercritical}", default="auto"),
     Key("verify.alpha", "number", "(0, 0.5]", default=0.01),
-    Key("verify.t_mc", "number", "> 0", default=lambda doc: max(doc["mc"]["times"]), steps_of="mc.dt"),
     # the subcritical battery computes V_n^- up to order 4
     Key("verify.n_orders_mc", "integer", "[1, 4]", default=3),
     Key("output.dir", "string", default="out"),
@@ -188,7 +188,7 @@ def _walk(raw, path, doc, out):
         elif child.default == REQUIRED:
             raise ConfigError(f"missing config key: {child.path}")
         elif child.default is not None:
-            out[name] = child.check(child.default(doc) if callable(child.default) else child.default, doc)
+            out[name] = child.check(child.default, doc)
 
 
 def _knob_target(raw, knob):

@@ -3,9 +3,10 @@
 This module is the single source of truth the solvers and the simulator
 read: birth/death rate curves with their declared supremum, the dynamics
 variant (pure diffusion, diffusion with jumps, or unit-drift jump process)
-with its drift and jump kernel, and numerical validation of the standing
-hypotheses as grid scans.  Hypothesis failures are data (a report), not
-exceptions.
+with its drift and its uniform-window jump kernel, and numerical validation
+of the standing hypotheses as grid scans.  The ``from_config`` constructors
+take the blocks that ``config`` checked, whose curves are already
+``Curve``s.  Hypothesis failures are data (a report), not exceptions.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
-from .curves import Curve, curve_from_config
+from .curves import Curve
 from .grid import Grid
 
 __all__ = [
@@ -63,40 +63,27 @@ class RateModel:
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(
-            b=curve_from_config(cfg["b"]),
-            d=curve_from_config(cfg["d"]),
-            b_star=cfg["b_star"],
-            hd_constants=dict(cfg["hd"]),
-        )
+        """The model of a checked ``model`` block, whose curves are Curves."""
+        return cls(b=cfg["b"], d=cfg["d"], b_star=cfg["b_star"], hd_constants=dict(cfg["hd"]))
 
 
 class JumpKernel:
-    """Jump measure R(y, dz) as a parametric family.
+    """Jump measure R(y, dz) = rate(y) * Unif(y - width, y + width)(dz), the
+    ``uniform-window`` family.
 
-    Families:
-
-    - ``uniform-window``: R(y, dz) = rate(y) * Unif(y - width, y + width)(dz)
-    - ``gaussian``:       R(y, dz) = rate(y) * N(y, sigma^2)(dz)
-
-    ``rate`` is the total mass curve; ``density_floor`` optionally declares
+    ``rate`` is the total mass Curve; ``density_floor`` optionally declares
     (epsilon, k0) for the check R(x, dz) >= k0 on (x - epsilon, x + epsilon).
     """
 
-    def __init__(self, family, rate, *, width=None, sigma=None, density_floor=None, m4=None):
-        self.family = family
-        self.rate = curve_from_config(rate)
-        self.width = None if width is None else float(width)
-        self.sigma = None if sigma is None else float(sigma)
-        self.density_floor = None if density_floor is None else tuple(density_floor)
-        if family == "uniform-window":
-            if not self.width or self.width <= 0:
-                raise ValueError("uniform-window kernel needs width > 0")
-        elif family == "gaussian":
-            if not self.sigma or self.sigma <= 0:
-                raise ValueError("gaussian kernel needs sigma > 0")
-        else:
+    def __init__(self, family, rate, *, width=None, density_floor=None, m4=None):
+        if family != "uniform-window":
             raise ValueError(f"unknown jump kernel family {family!r}")
+        self.family = family
+        self.rate = rate
+        self.width = None if width is None else float(width)
+        self.density_floor = None if density_floor is None else tuple(density_floor)
+        if not self.width or self.width <= 0:
+            raise ValueError("uniform-window kernel needs width > 0")
         self.m4_declared = m4
 
     def total_mass(self, y):
@@ -105,9 +92,7 @@ class JumpKernel:
     def density_profile(self, u):
         """Unit-mass displacement density evaluated at displacements ``u``."""
         u = np.asarray(u, dtype=float)
-        if self.family == "uniform-window":
-            return np.where(np.abs(u) < self.width, 1.0 / (2.0 * self.width), 0.0)
-        return np.exp(-(u * u) / (2.0 * self.sigma**2)) / (self.sigma * math.sqrt(2.0 * math.pi))
+        return np.where(np.abs(u) < self.width, 1.0 / (2.0 * self.width), 0.0)
 
     def density(self, y, z):
         """R(y, z) density values; broadcasts y against z."""
@@ -118,15 +103,11 @@ class JumpKernel:
     def sample_displacement(self, u):
         """Displacement draw from the unit-mass profile given uniforms ``u``."""
         u = np.asarray(u, dtype=float)
-        if self.family == "uniform-window":
-            return self.width * (2.0 * u - 1.0)
-        return self.sigma * ndtri(u)
+        return self.width * (2.0 * u - 1.0)
 
     def m4_profile(self):
         """sup_y of the fourth-moment integrand per unit rate."""
-        if self.family == "uniform-window":
-            return 1.0 + self.width**4 / 5.0
-        return 1.0 + 3.0 * self.sigma**4
+        return 1.0 + self.width**4 / 5.0
 
     @classmethod
     def from_config(cls, cfg):
@@ -171,7 +152,7 @@ class DynamicsSpec:
     def from_config(cls, cfg):
         return cls(
             variant=cfg["variant"],
-            a=curve_from_config(cfg["a"]) if "a" in cfg else None,
+            a=cfg.get("a"),
             jump=JumpKernel.from_config(cfg["jump"]) if "jump" in cfg else None,
             ha_constants=dict(cfg["ha"]),
         )

@@ -121,7 +121,7 @@ def _survival_source(b_vals):
     return source
 
 
-def _store_steps(t_end, dt, n_store, ensure_times=()):
+def _store_steps(t_end, dt, n_store, ensure_times):
     n_steps = int(round(t_end / dt))
     anchors = [n_steps]
     for t in ensure_times:
@@ -140,7 +140,7 @@ def _store_steps(t_end, dt, n_store, ensure_times=()):
 _GUARD_FACTOR = 10.0  # a moment this many times the pure-birth ceiling is a blow-up
 
 
-def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=200, ensure_times=()):
+def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde, n_store, ensure_times=()):
     """March all moment orders 1..n_max simultaneously.
 
     The blow-up guard aborts when any order exceeds ``_GUARD_FACTOR`` times
@@ -207,7 +207,7 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde=0.01, n_store=2
 _POSITIVITY_TOL = 1e-10  # rounding below zero that the survival march tolerates
 
 
-def solve_survival(t_end, generator, model, dt_pde=0.01, n_store=200, ensure_times=()):
+def solve_survival(t_end, generator, model, dt_pde, n_store, ensure_times=()):
     """March the survival probability u_0 (init 1, source -b u_0^2).
 
     u_0 stays in [0, 1] and is nonincreasing in t; a value below
@@ -285,12 +285,18 @@ class HResult:
 _NEWTON_MAX_STEPS = 60
 
 
-def _newton_h(generator, b_vals, tol):
+# sup-norm tolerance of h: Newton stops on a step below a fifth of it, the
+# survival route on an extrapolated remainder below half of it, and the two
+# routes must agree to 3 times it
+_H_TOL = 1e-6
+
+
+def _newton_h(generator, b_vals):
     """Newton's method on L h - b h^2 = 0 from h = 1.
 
     h = 1 is a supersolution and -(L - 2 b h) is an M-matrix, so the
     iterates decrease monotonically to the largest nonnegative solution.
-    Stops on a step below tol / 5; returns (h, step sizes)."""
+    Stops on a step below ``_H_TOL`` / 5; returns (h, step sizes)."""
     L = generator.matrix.tocsc()
     h = np.ones(L.shape[0])
     steps = []
@@ -301,14 +307,14 @@ def _newton_h(generator, b_vals, tol):
             raise RuntimeError("Newton solve for h: non-finite step (singular Jacobian L - 2 b h)")
         h = np.clip(h - step, 0.0, 1.0)
         steps.append(float(np.max(np.abs(step))))
-        if steps[-1] < 0.2 * tol:
+        if steps[-1] < 0.2 * _H_TOL:
             return h, steps
     raise RuntimeError(
         f"Newton solve for h: no convergence in {_NEWTON_MAX_STEPS} steps (last step {steps[-1]:.3g})"
     )
 
 
-def solve_h(model, generator, spectral, tol=1e-6, dt_pde=0.005, survival=None):
+def solve_h(model, generator, spectral, dt_pde, survival=None):
     """Extinction-probability limit h, by Newton's method on the stationary
     equation L h - b h^2 = 0 and by the long-time survival march.
 
@@ -316,10 +322,11 @@ def solve_h(model, generator, spectral, tol=1e-6, dt_pde=0.005, survival=None):
     Newton solve still runs as a consistency diagnostic (a positive
     stationary solution there is an error) and the zero field is returned.
     In the supercritical regime both routes are computed and must agree to
-    3 * tol, else a hard failure is raised.
+    3 * ``_H_TOL``, else a hard failure is raised.
 
     The survival route marches u0 on in segments of about 1 / beta, beta =
-    min(|lambda0|, gap), until the extrapolated remainder drops below tol.
+    min(|lambda0|, gap), until the extrapolated remainder drops below
+    ``_H_TOL``.
     ``survival`` is an optional u0 field from ``solve_survival`` (the survey
     march of ``survive``): the route continues from its last slice, at its
     ``meta["dt_pde"]``, in segments of whole stored slices, and measures its
@@ -329,7 +336,7 @@ def solve_h(model, generator, spectral, tol=1e-6, dt_pde=0.005, survival=None):
     regime = spectral.regime()
     xs = generator.grid.nodes
     b_vals = np.asarray(model.b(xs), dtype=float)
-    h, residuals = _newton_h(generator, b_vals, tol)
+    h, residuals = _newton_h(generator, b_vals)
 
     if regime != "supercritical":
         if float(np.max(h)) > 0.2:
@@ -345,7 +352,7 @@ def solve_h(model, generator, spectral, tol=1e-6, dt_pde=0.005, survival=None):
         )
 
     # survival route: march u0 on in segments of about 1 / beta until the
-    # geometrically extrapolated remainder drops below tol
+    # geometrically extrapolated remainder drops below _H_TOL
     beta = min(abs(spectral.lambda0), spectral.gap)
     t_probe = max(4.0 / beta, 2.0)
     if survival is None or len(survival.times) < 2:
@@ -372,7 +379,7 @@ def solve_h(model, generator, spectral, tol=1e-6, dt_pde=0.005, survival=None):
             if inc_prev > 0 and inc > 0:
                 q = min(max(inc / inc_prev, q), 0.98)
             remaining = inc * q / max(1.0 - q, 1e-12)
-            if remaining < 0.5 * tol or t_total > 400.0:
+            if remaining < 0.5 * _H_TOL or t_total > 400.0:
                 break
         out = prop.march(marks[0][:, None], dt_seg, None, source_fn=src)
         marks = [np.clip(out[0, -1], 0.0, 1.0), *marks[:2]]
@@ -380,7 +387,7 @@ def solve_h(model, generator, spectral, tol=1e-6, dt_pde=0.005, survival=None):
     h_u0 = marks[0]
 
     agreement = float(np.max(np.abs(h - h_u0)))
-    if agreement > 3.0 * tol:
+    if agreement > 3.0 * _H_TOL:
         raise RuntimeError(
             f"h routes disagree by {agreement:.3g} > 3 tol; boundary bias suspected"
         )
@@ -391,7 +398,7 @@ def solve_h(model, generator, spectral, tol=1e-6, dt_pde=0.005, survival=None):
         raise RuntimeError("supercritical h must be positive on the carrying region")
     # sup h = 1 happens only for deathless models, which break the standing
     # growth hypothesis on d; flag rather than fail
-    degenerate = bool(float(np.max(h)) >= 1.0 - 10.0 * tol)
+    degenerate = bool(float(np.max(h)) >= 1.0 - 10.0 * _H_TOL)
     return HResult(
         h=h,
         h_u0_route=h_u0,
@@ -640,7 +647,7 @@ def _brentq(f, xa, xb):
     )
 
 
-def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, dt_report=1.0):
+def calibrate_criticality(model_factory, bracket, dyn, grid, tol):
     """Brent's method on the principal eigenvalue over a scalar model knob.
 
     ``model_factory(theta)`` must return a RateModel.  The bracket must
@@ -659,7 +666,7 @@ def calibrate_criticality(model_factory, bracket, dyn, grid, tol=1e-6, dt_report
 
     def lam0(theta):
         mdl = model_factory(theta)
-        gen = build_generator(mdl, dyn, grid, dt_report=dt_report)
+        gen = build_generator(mdl, dyn, grid)
         value = principal_eigentriple(gen, mdl).lambda0
         history.append((theta, value))
         # the search returns at once on an exact zero

@@ -132,24 +132,28 @@ def _jump_block(grid, kernel):
     return sp.csr_matrix(block)
 
 
-def build_generator(model, dyn, grid, dt_report=1.0):
+# the largest potential an absorbing grid edge may have: the edges sit deep
+# in the killing region, where P_t 1 falls by e^-5 or more per unit time
+_EDGE_KILLING = -5.0
+
+
+def build_generator(model, dyn, grid):
     """Assemble the generator matrix for (model, dynamics) on the grid.
 
     For absorbing boundaries the grid must be wide enough that the edges
-    sit deep in the killing region: V(x_edge) <= -5 / dt_report.
+    sit deep in the killing region: V(x_edge) <= ``_EDGE_KILLING``.
     """
     xs = grid.nodes
     v = potential(model, xs)
     if grid.boundary == "absorbing":
         v_edge = max(v[0], v[-1])
-        need = -5.0 / dt_report
-        if v_edge > need:
+        if v_edge > _EDGE_KILLING:
             # rough widening suggestion from the declared HD constants
             c = float(model.hd_constants.get("c", 1.0)) or 1.0
             cp = float(model.hd_constants.get("c_prime", 0.0))
-            suggestion = (abs(need) + model.b_star + cp) / c
+            suggestion = (abs(_EDGE_KILLING) + model.b_star + cp) / c
             raise GridTooNarrowError(
-                f"V at the grid edge is {v_edge:.3g} > {need:.3g}; "
+                f"V at the grid edge is {v_edge:.3g} > {_EDGE_KILLING:.3g}; "
                 f"widen the grid to roughly |x| >= {suggestion:.3g}"
             )
 
@@ -316,7 +320,7 @@ def _propagator(generator, dt):
     return prop
 
 
-def evolve_P(g, t, generator, dt_pde=0.01, smooth_start=False):
+def evolve_P(g, t, generator, dt_pde, smooth_start):
     """Feynman-Kac propagation P_t g on the grid of one field, or of an
     (n, k) block of fields; t must be a whole number of steps ``dt_pde``."""
     g = np.asarray(g)
@@ -427,7 +431,7 @@ _EXTRA_EIGS = 2
 _SHIFT_MARGIN = 1.0
 
 
-def _rightmost_eigs(matrix, k, rho=None):
+def _rightmost_eigs(matrix, k, rho):
     """The k rightmost eigenvalues of the generator by decreasing real part,
     one of each complex-conjugate pair: by a symmetric tridiagonal solve on
     the three diagonals when the matrix is tridiagonal and rho-symmetric
@@ -607,7 +611,7 @@ def fit_H(generator, spectral, dt_pde):
 _EDGE_FRACTION, _EDGE_THRESHOLD = 0.05, 1e-3  # the edge-decay check's edge share and pass line
 
 
-def hp4_edge_decay(generator, t, dt_pde=0.01):
+def hp4_edge_decay(generator, t, dt_pde):
     """Check that P_t 1 decays at the grid edges (C_b -> C_0 behaviour).
 
     Passes when the max of P_t 1 over the outer ``_EDGE_FRACTION`` of nodes

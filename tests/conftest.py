@@ -101,7 +101,7 @@ def supercritical_oscillator_setup(zero_drift, oscillator_grid):
 
 @pytest.fixture(scope="session")
 def jump_kernel():
-    return JumpKernel("uniform-window", 0.5, width=1.0, density_floor=[0.5, 0.25], m4=0.6)
+    return JumpKernel("uniform-window", constant(0.5), width=1.0, density_floor=[0.5, 0.25], m4=0.6)
 
 
 @pytest.fixture(scope="session")
@@ -128,7 +128,7 @@ def jumps_setup(jump_kernel):
 @pytest.fixture(scope="session")
 def drifted_setup():
     grid = Grid(-10.0, 12.0, 441, boundary="absorbing")
-    kern = JumpKernel("uniform-window", 1.0, width=2.0, density_floor=[1.0, 0.2], m4=4.2)
+    kern = JumpKernel("uniform-window", constant(1.0), width=2.0, density_floor=[1.0, 0.2], m4=4.2)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
     model = RateModel(
         b=Curve("gaussian-bump", {"amplitude": 1.3896805346012115, "width": 2.0}),

@@ -15,9 +15,9 @@ from scipy.special import comb
 
 from branchlab import DynamicsSpec
 from branchlab.curves import constant
-from branchlab.model import DIFFUSION, NotApplicableError, potential
+from branchlab.model import DIFFUSION, NotApplicableError, ell_and_rho, potential
 from branchlab.moments import _simpson_weights
-from branchlab.semigroup import EigenSolverError, _rightmost_eigs, build_generator, evolve_P
+from branchlab.semigroup import EigenSolverError, _diffusion_block, _rightmost_eigs, evolve_P
 
 
 def slice_at(field, n, t):
@@ -154,37 +154,30 @@ def rightmost_eigs_general_dense(matrix, k):
     raise EigenSolverError(f"could not isolate {k} eigenvalues")
 
 
+def _diffusion_eigenvalues(dyn, grid, v, k):
+    """The k rightmost eigenvalues of (1/2) f'' - a f' + v f, with potential
+    values ``v`` at the nodes, assembled from the blocks of
+    ``build_generator`` without its edge-killing check."""
+    matrix = (_diffusion_block(grid, dyn) + sp.diags(v)).tocsr()
+    return _rightmost_eigs(matrix, k, rho=ell_and_rho(dyn, grid)[1]).real.tolist()
+
+
 def girsanov_crosscheck(dyn, model, grid, n_eigs=3):
     """Compare the spectrum of the drifted diffusion generator with the
-    conjugated Schroedinger form (1/2) u'' + (V + (a' - a^2)/2) u.
+    conjugated Schroedinger form (1/2) u'' + (V + (a' - a^2)/2) u; the
+    conjugated potential need not kill at the grid edges.
 
     Returns a report dict with both eigenvalue lists and the max deviation.
     """
     if dyn.variant != DIFFUSION:
         raise NotApplicableError("Girsanov cross-check applies to the pure diffusion variant")
-    gen = build_generator(model, dyn, grid, dt_report=np.inf)
     xs = grid.nodes
     a = dyn.a(xs)
     a_prime = dyn.a.derivative(xs)
-    v_tilde = potential(model, xs) + 0.5 * (a_prime - a * a)
-
-    class _TildeModel:
-        b_star = model.b_star
-        hd_constants = model.hd_constants
-
-        @staticmethod
-        def b(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        @staticmethod
-        def d(x):
-            return -np.interp(np.asarray(x, dtype=float), xs, v_tilde)
-
-    dyn0 = DynamicsSpec(variant=DIFFUSION, a=constant(0.0))
-    gen_tilde = build_generator(_TildeModel, dyn0, grid, dt_report=np.inf)
-
-    eigs = _rightmost_eigs(gen.matrix, n_eigs, rho=gen.rho).real.tolist()
-    eigs_tilde = _rightmost_eigs(gen_tilde.matrix, n_eigs, rho=gen_tilde.rho).real.tolist()
+    v = potential(model, xs)
+    v_tilde = v + 0.5 * (a_prime - a * a)
+    eigs = _diffusion_eigenvalues(dyn, grid, v, n_eigs)
+    eigs_tilde = _diffusion_eigenvalues(DynamicsSpec(variant=DIFFUSION, a=constant(0.0)), grid, v_tilde, n_eigs)
     dev = float(np.max(np.abs(np.asarray(eigs) - np.asarray(eigs_tilde))))
     return {
         "eigenvalues": eigs,
@@ -209,7 +202,7 @@ def _duhamel_accumulate(generator, slices, dt_store, dt_pde, terminal=None):
     if terminal is not None:
         y = y + terminal
     for j in range(J - 1, -1, -1):
-        y = evolve_P(y, dt_store, generator, dt_pde=dt_pde)
+        y = evolve_P(y, dt_store, generator, dt_pde=dt_pde, smooth_start=False)
         y = y + weights[j] * slices[J - j]
     return y
 

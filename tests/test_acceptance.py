@@ -192,7 +192,7 @@ def test_acceptance_6_moment_recursion(oscillator_setup, jumps_setup, drifted_se
 
     yule = make_constant_model(1.0, 0.0)
     gen_y = build_generator(yule, zero_drift, box_grid)
-    mf_y = solve_moments(np.ones(box_grid.n_points), 2, 1.0, gen_y, yule, dt_pde=1e-4)
+    mf_y = solve_moments(np.ones(box_grid.n_points), 2, 1.0, gen_y, yule, dt_pde=1e-4, n_store=200)
     yule_err = float(np.max(np.abs(slice_at(mf_y, 2, 1.0) - (2.0 * math.e**2 - math.e))))
 
     crit = make_constant_model(1.0, 1.0)
@@ -253,7 +253,7 @@ def test_acceptance_7_subcritical(subcritical_setup):
 
 def test_acceptance_8_supercritical(supercritical_setup):
     model, dyn, grid, gen, spec = supercritical_setup
-    hres = solve_h(model, gen, spec, tol=1e-6)
+    hres = solve_h(model, gen, spec, dt_pde=0.005)
     h_err_newton = float(np.max(np.abs(hres.h - 0.5)))
     h_err_u0 = float(np.max(np.abs(hres.h_u0_route - 0.5)))
 
@@ -380,11 +380,11 @@ def test_acceptance_10_reproducibility(tmp_path, critical_setup, supercritical_s
 
     rates = {}
     rates["yaglom"] = analysis.null_calibration(
-        lambda seed: analysis.yaglom_test_critical(geometric_null(seed), spec, t), reps=100, seed=20
+        lambda seed: analysis.yaglom_test_critical(geometric_null(seed), spec, t, alpha=0.01), reps=100, seed=20
     )
     rates["upsilon"] = analysis.null_calibration(
         lambda seed: analysis.upsilon_test(
-            (n := geometric_null(seed + 7000)).astype(float), n, t, spec, 1.0 / spec.A
+            (n := geometric_null(seed + 7000)).astype(float), n, t, spec, 1.0 / spec.A, alpha=0.01
         ),
         reps=100,
         seed=21,
@@ -403,7 +403,7 @@ def test_acceptance_10_reproducibility(tmp_path, critical_setup, supercritical_s
         x = g.normal(size=2000)
         m = [x.mean(), (x**2).mean()]
         se = [x.std(ddof=1) / math.sqrt(2000), (x**2).std(ddof=1) / math.sqrt(2000)]
-        return analysis.moment_z_test(m, [0.0, 1.0], se, z_max=4.0)
+        return analysis.moment_z_test(m, [0.0, 1.0], se, z_max=4.0, name="moment-z")
 
     rates["moment-z"] = analysis.null_calibration(momentz_null, reps=100, seed=23)
 

@@ -110,9 +110,9 @@ def test_ks_helpers_leave_scipy_stats_unloaded():
 
 
 def test_moment_z_test():
-    rep = moment_z_test([1.0, 2.1], [1.0, 2.0], [0.1, 0.1], z_max=4.0)
+    rep = moment_z_test([1.0, 2.1], [1.0, 2.0], [0.1, 0.1], z_max=4.0, name="moment-z")
     assert rep.passed
-    rep2 = moment_z_test([1.0, 3.0], [1.0, 2.0], [0.1, 0.1], z_max=4.0)
+    rep2 = moment_z_test([1.0, 3.0], [1.0, 2.0], [0.1, 0.1], z_max=4.0, name="moment-z")
     assert not rep2.passed
 
 
@@ -191,14 +191,14 @@ def test_critical_survival_check_constant(critical_field):
 
 def test_critical_survival_check_regime_gate(subcritical_setup):
     model, dyn, grid, gen, spec = subcritical_setup
-    u0f = solve_survival(5.0, gen, model, dt_pde=0.01)
+    u0f = solve_survival(5.0, gen, model, dt_pde=0.01, n_store=200)
     with pytest.raises(RegimeError):
         critical_survival_check(u0f, spec)
 
 
 def test_critical_survival_check_short_horizon_inconclusive(critical_setup):
     model, dyn, grid, gen, spec = critical_setup
-    u0f = solve_survival(10.0, gen, model, dt_pde=0.01)
+    u0f = solve_survival(10.0, gen, model, dt_pde=0.01, n_store=200)
     rep = critical_survival_check(u0f, spec)
     assert rep.inconclusive
 
@@ -269,7 +269,7 @@ def test_yaglom_critical_own_null_calibration(critical_setup):
 
     def run_once(seed):
         rng = np.random.default_rng(seed)
-        return yaglom_test_critical(geometric_conditional_sample(rng, t, 30_000), spec, t)
+        return yaglom_test_critical(geometric_conditional_sample(rng, t, 30_000), spec, t, alpha=0.01)
 
     rate = null_calibration(run_once, reps=100, seed=100)
     assert rate >= 0.98
@@ -277,7 +277,7 @@ def test_yaglom_critical_own_null_calibration(critical_setup):
 
 def test_yaglom_starved_inconclusive(critical_setup):
     spec = critical_setup[4]
-    rep = yaglom_test_critical(np.zeros(100), spec, 30.0)
+    rep = yaglom_test_critical(np.zeros(100), spec, 30.0, alpha=0.01)
     assert rep.inconclusive
 
 
@@ -308,7 +308,7 @@ def test_upsilon_own_null_calibration(critical_setup):
     def run_once(seed):
         rng = np.random.default_rng(seed)
         n = geometric_conditional_sample(rng, t, 30_000)
-        return upsilon_test(n.astype(float), n, t, spec, spec.nu(np.ones(len(spec.theta0))))
+        return upsilon_test(n.astype(float), n, t, spec, spec.nu(np.ones(len(spec.theta0))), alpha=0.01)
 
     rate = null_calibration(run_once, reps=100, seed=300)
     assert rate >= 0.98
@@ -316,7 +316,7 @@ def test_upsilon_own_null_calibration(critical_setup):
 
 def test_upsilon_requires_nonzero_nu():
     with pytest.raises(ValueError):
-        upsilon_test(np.ones(100), np.ones(100), 10.0, _fake_critical_spec(), 0.0)
+        upsilon_test(np.ones(100), np.ones(100), 10.0, _fake_critical_spec(), 0.0, alpha=0.01)
 
 
 def _fake_critical_spec():
@@ -350,7 +350,7 @@ def test_subcritical_yaglom_synthetic(subcritical_setup):
         "K_minus": 0.5,
         "V": {1: 1.0, 2: 3.0, 3: 13.0, 4: 75.0},  # V_n^- for this model
     }
-    rep = subcritical_yaglom_test(sizes, limits)
+    rep = subcritical_yaglom_test(sizes, limits, n_orders=4)
     assert rep.passed
 
 
@@ -442,8 +442,8 @@ def test_ks_slack_calibration_scales():
     c60 = geometric_ks_distance(exponential_law, 60.0)
     assert c30 == pytest.approx(1.0 / 31.0, rel=0.05)
     assert c60 < c30
-    assert ks_slack(exponential_law, 30.0) >= c30  # the margin covers the exact distance
-    assert ks_slack(exponential_law, 30.0, B=2.0) == pytest.approx(ks_slack(exponential_law, 60.0), rel=1e-12)
+    assert ks_slack(exponential_law, 30.0, 1.0) >= c30  # the margin covers the exact distance
+    assert ks_slack(exponential_law, 30.0, B=2.0) == pytest.approx(ks_slack(exponential_law, 60.0, 1.0), rel=1e-12)
 
 
 def _geometric_ks_reference(t, limit_cdf_of_u):
@@ -599,7 +599,7 @@ def _starved_reports():
                                {"reason": "differentiation noise dominates everywhere"}),
         ),
         (
-            yaglom_test_critical(zeros, crit, 30.0),
+            yaglom_test_critical(zeros, crit, 30.0, alpha=0.01),
             _inconclusive_dict("critical-yaglom-exponential", "KS distance", math.nan, 0,
                                {"reason": "only 0 survivors < 500"}),
         ),
@@ -608,7 +608,7 @@ def _starved_reports():
             _inconclusive_dict("critical-lln-ratio", "|mean - nu(f)| / SE", 4.0, 0, {"reason": "survivor starvation"}),
         ),
         (
-            upsilon_test(zeros, zeros, 30.0, crit, 1.0),
+            upsilon_test(zeros, zeros, 30.0, crit, 1.0, alpha=0.01),
             _inconclusive_dict("critical-upsilon-law", "KS distance", math.nan, 0, {"reason": "survivor starvation"}),
         ),
         (

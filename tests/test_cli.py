@@ -400,7 +400,9 @@ def test_bad_mc_value_is_a_config_error(tmp_path, capsys, key, value):
     [
         ("dt_pde", 0), ("dt_pde", -0.01), ("dt_pde", "0.01"), ("dt_pde", None), ("dt_pde", float("inf")),
         ("t_end", 0), ("t_end", -1.0), ("t_end", True), ("t_end", float("nan")),
-        ("h_tol", 0), ("h_tol", -1e-6), ("h_tol", "1e-6"),
+        # h_tol and dt_report are no keys: their values are moments._H_TOL
+        # and semigroup._EDGE_KILLING
+        ("h_tol", 0), ("h_tol", -1e-6), ("h_tol", "1e-6"), ("h_tol", 1e-6), ("dt_report", 1.0),
         ("n_store", 0), ("n_store", 2.5), ("n_store", True), ("n_store", "200"),
         ("n_orders", 0), ("n_orders", -1), ("n_orders", 3.0), ("n_orders", False),
     ],
@@ -492,8 +494,8 @@ def test_calibrated_model_computes_one_eigentriple_per_history_entry_plus_one(mo
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     """A fresh interpreter that imports the CLI loads neither scipy.stats,
-    scipy.interpolate nor scipy.optimize, a calibrating command leaves
-    scipy.optimize unloaded, and a table curve still works."""
+    scipy.interpolate nor scipy.optimize, and a calibrating command leaves
+    them unloaded."""
     code = textwrap.dedent(
         f"""
         import sys
@@ -502,13 +504,8 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
         assert not heavy, heavy
         config = {os.path.join(CONFIG_DIR, "critical_oscillator.json")!r}
         assert branchlab.cli.main(["spectrum", "--config", config, "--out", {str(tmp_path / "o")!r}]) == 0
-        assert "scipy.optimize" not in sys.modules
-        # scipy.interpolate loads scipy.optimize itself, so the table curve comes last
-        from branchlab.curves import make_curve
-        c = make_curve("table", xs=[0.0, 1.0, 2.0], ys=[0.0, 1.0, 4.0])
-        assert c(1.0) == 1.0 and 1.0 < c(1.5) < 4.0 and c(3.0) == 4.0
-        assert c.derivative(1.5) > 0
-        assert "scipy.interpolate" in sys.modules
+        heavy = [m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules]
+        assert not heavy, heavy
         """
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -524,7 +521,7 @@ def test_spectrum_writes_the_fitted_H(tmp_path):
     assert main(["spectrum", "--config", path, "--out", str(tmp_path / "o")]) == 0
     doc = json.loads((tmp_path / "o" / "spectral.json").read_text())
     cfg = load_config(path)
-    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid, dt_report=cfg.solver["dt_report"])
+    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid)
     spec = principal_eigentriple(gen, cfg.model)
     assert spec.H is None
     assert doc["H"] == fit_H(gen, spec, cfg.solver["dt_pde"])
@@ -572,12 +569,12 @@ def test_survive_marches_u0_once(tmp_path, monkeypatch):
     calls.clear()
     cfg = load_config(cfg_path)
     _cfg, _cal, gen, spec = cli._calibrated_model(cfg)
-    fresh = moments.solve_h(cfg.model, gen, spec, tol=float(cfg.solver["h_tol"]), dt_pde=cfg.solver["dt_pde"])
+    fresh = moments.solve_h(cfg.model, gen, spec, dt_pde=cfg.solver["dt_pde"])
     assert calls[("route", "survival")] == 1 and calls[("survey", "be")] > 0
     assert calls[("survey", "cn")] + calls.get(("route", "cn"), 0) > continuation
     h_csv = np.loadtxt(tmp_path / "o" / "h.csv", delimiter=",", skiprows=2)
     assert np.array_equal(h_csv[:, 1], fresh.h)
-    assert np.max(np.abs(h_csv[:, 2] - fresh.h_u0_route)) <= 3.0 * float(cfg.solver["h_tol"])
+    assert np.max(np.abs(h_csv[:, 2] - fresh.h_u0_route)) <= 3.0 * moments._H_TOL
 
 
 def _reference_csv(path, cfg, header, rows):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from branchlab.cli import main
 from branchlab.config import SCHEMA, ConfigError, ExperimentConfig
+from branchlab.curves import FAMILIES
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -44,7 +45,6 @@ def test_shipped_configs_load():
     for name, raw in SHIPPED.items():
         cfg = ExperimentConfig.from_dict(copy.deepcopy(raw))
         assert cfg.raw == raw and cfg.name == name
-        assert cfg.verify["t_mc"] == max(raw["mc"]["times"])
 
 
 # (path, value, the path its error names): malformed inputs that exit 2
@@ -52,6 +52,7 @@ MALFORMED = [
     ("verify.alpha", 0, "verify.alpha"),
     ("verify.alpha", 2, "verify.alpha"),
     ("verify.alpha", "x", "verify.alpha"),
+    # verify.t_mc is no key: verify's ensemble runs to the largest of mc.times
     ("verify.t_mc", -1, "verify.t_mc"),
     ("verify.t_mc", 20.01, "verify.t_mc"),
     ("verify.n_orders_mc", 0, "verify.n_orders_mc"),
@@ -68,6 +69,14 @@ MALFORMED = [
     ("mc.times", [14.01], "mc.times"),
     ("mc.times", [14.0, 14.01], "mc.times"),
     ("mc.dt", 0.03, "mc.times"),
+    # removed families and keys: no shipped config used them
+    ("model.b", {"family": "rational-bump", "params": {"amplitude": 1.0}}, "model.b"),
+    ("model.d", {"family": "table", "params": {"xs": [0.0, 1.0], "ys": [1.0, 2.0]}}, "model.d"),
+    ("dynamics.jump", {"family": "gaussian", "rate": 1.0}, "dynamics.jump.family"),
+    ("dynamics.jump", {"family": "uniform-window", "rate": 1.0, "width": 1.0, "sigma": 1.0}, "dynamics.jump.sigma"),
+    ("solver.h_tol", 1e-6, "solver.h_tol"),
+    ("solver.dt_report", 1.0, "solver.dt_report"),
+    ("verify.t_mc", 20.0, "verify.t_mc"),
 ]
 
 
@@ -113,8 +122,8 @@ def test_defaults_fill_absent_blocks_and_keep_raw():
     snapshot = copy.deepcopy(raw)
     cfg = ExperimentConfig.from_dict(raw)
     assert raw == snapshot
-    assert cfg.verify == {"regime": "auto", "alpha": 0.01, "t_mc": 3.0, "n_orders_mc": 3}
-    assert cfg.solver["dt_report"] == 1.0 and cfg.mc["reps"] == 10_000
+    assert cfg.verify == {"regime": "auto", "alpha": 0.01, "n_orders_mc": 3}
+    assert cfg.solver["n_store"] == 200 and cfg.mc["reps"] == 10_000
     assert cfg.calibrate is None and cfg.dynamics.jump is None and cfg.model.hd_constants == {}
     assert cfg.grid.boundary == "absorbing" and isinstance(cfg.grid.x_min, float)
     assert isinstance(cfg.model.b_star, float)
@@ -131,6 +140,31 @@ def test_defaults_meet_the_schema():
     }
     with pytest.raises(ConfigError, match=re.escape("config key mc.times") + ".*got \\[1.0, 5.0\\]"):
         ExperimentConfig.from_dict(raw)
+
+
+# what the shipped configs do not name, and why it stays
+UNSHIPPED = {
+    "verify.regime = auto": "the default, and what the CLI's --regime auto sets to override a config's regime",
+}
+
+
+def test_every_key_choice_and_curve_family_is_shipped():
+    """Each schema key, each choice of a string key and each curve family
+    is named by some shipped config, or UNSHIPPED says why it stays."""
+    choices = {key.path: [c.strip() for c in key.bounds[1:-1].split(",")] for key in SCHEMA if key.bounds[:1] == "{"}
+    wanted = {f"key {key.path}" for key in SCHEMA} | {f"curve family {f}" for f in FAMILIES}
+    wanted |= {f"{path} = {c}" for path, values in choices.items() for c in values}
+    named = set()
+    for raw in SHIPPED.values():
+        for key in (key for key in SCHEMA if _has(raw, key.path)):
+            parent, last = _parent(raw, key.path)
+            value = parent[last]
+            named.add(f"key {key.path}")
+            if key.kind == "curve":
+                named.add(f"curve family {value['family'] if isinstance(value, dict) else 'constant'}")
+            elif key.path in choices:
+                named.add(f"{key.path} = {value}")
+    assert wanted - named == set(UNSHIPPED), sorted((wanted - named) ^ set(UNSHIPPED))
 
 
 def test_readme_reference_lists_the_schema():

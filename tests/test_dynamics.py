@@ -69,7 +69,7 @@ def test_weak_error_halves_with_dt():
 
 
 def test_jumpless_kernel_reduces_to_continuous():
-    kern = JumpKernel("uniform-window", 0.0, width=1.0)
+    kern = JumpKernel("uniform-window", constant(0.0), width=1.0)
     dyn = DynamicsSpec(variant="diffusion-jumps", a=OU, jump=kern)
     keys = rng.root_key(3, np.arange(50))
     x = np.linspace(-1, 1, 50)
@@ -81,7 +81,7 @@ def test_jumpless_kernel_reduces_to_continuous():
 
 def test_poisson_jump_count_oracle():
     lam, t, dt, n = 2.0, 5.0, 0.01, 10_000
-    kern = JumpKernel("uniform-window", lam, width=1.0)
+    kern = JumpKernel("uniform-window", constant(lam), width=1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
     keys = rng.root_key(8, np.arange(n))
     x = np.zeros(n)
@@ -95,7 +95,7 @@ def test_poisson_jump_count_oracle():
 
 
 def test_drifted_translation_without_jump():
-    kern = JumpKernel("uniform-window", 0.0, width=1.0)
+    kern = JumpKernel("uniform-window", constant(0.0), width=1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
     out, jumped = move(np.array([0.0]), rng.root_key(1, np.arange(1)), 0, 0.25, dyn)
     assert not jumped[0]
@@ -104,7 +104,7 @@ def test_drifted_translation_without_jump():
 
 def test_thinning_cap_enforced():
     # sup Rbar dt = 0.25 > 0.1 while (b_star + d) dt = 0.05 is within the cap
-    kern = JumpKernel("uniform-window", 5.0, width=1.0)
+    kern = JumpKernel("uniform-window", constant(5.0), width=1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
     with pytest.raises(ConfigurationError, match="Rbar"):
         simulate_ensemble(0.0, 1.0, 0.05, make_constant_model(0.5, 0.5), dyn, CutoffSpec(m=30.0),
@@ -123,7 +123,7 @@ def test_brownian_variance_oracle():
 
 
 def test_drifted_jump_between_jump_increments_exact():
-    kern = JumpKernel("uniform-window", 0.3, width=1.0)
+    kern = JumpKernel("uniform-window", constant(0.3), width=1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
     keys = rng.root_key(11, np.arange(20))
     x = np.zeros(20)

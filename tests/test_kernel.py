@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from branchlab import DynamicsSpec, JumpKernel, RateModel, branching, rng
 from branchlab.branching import CutoffSpec, simulate_ensemble
-from branchlab.curves import Curve
+from branchlab.curves import Curve, constant
 from branchlab.model import DRIFTED_JUMP
 
 from .conftest import make_constant_model
@@ -29,9 +29,9 @@ QUAD_D = Curve("polynomial", {"coeffs": [0.1, 0.0, 0.5]})
 
 DIFFUSION = DynamicsSpec(variant="diffusion", a=OU)
 JUMPS = DynamicsSpec(
-    variant="diffusion-jumps", a=OU, jump=JumpKernel("uniform-window", 0.5, width=1.0)
+    variant="diffusion-jumps", a=OU, jump=JumpKernel("uniform-window", constant(0.5), width=1.0)
 )
-DRIFTED = DynamicsSpec(variant="drifted-jump", jump=JumpKernel("uniform-window", 1.0, width=2.0))
+DRIFTED = DynamicsSpec(variant="drifted-jump", jump=JumpKernel("uniform-window", constant(1.0), width=2.0))
 SUPER = RateModel(b=BUMP_B, d=QUAD_D, b_star=1.2)
 DRIFTED_MODEL = RateModel(
     b=Curve("gaussian-bump", {"amplitude": 1.6, "width": 2.0}),

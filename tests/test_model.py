@@ -22,9 +22,9 @@ def _grid():
     return Grid(-4.0, 4.0, 81)
 
 
-def test_potential_rational_abs():
+def test_potential_bump_minus_abs_linear():
     m = RateModel(
-        b=Curve("rational-bump", {"amplitude": 1.0}),
+        b=Curve("gaussian-bump", {"amplitude": 1.0, "width": 1.0}),
         d=Curve("abs-linear", {"offset": 0.1, "slope": 1.0}),
         b_star=1.0,
         hd_constants={"c": 0.5, "c_prime": 1.0, "radius": 1.0},
@@ -96,7 +96,7 @@ def test_ell_sin_drift_vs_quadrature_oracle():
 
 
 def test_ell_not_applicable_for_drifted_jump():
-    kern = JumpKernel("uniform-window", 1.0, width=1.0)
+    kern = JumpKernel("uniform-window", constant(1.0), width=1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
     with pytest.raises(NotApplicableError):
         ell_and_rho(dyn, _grid())
@@ -157,7 +157,7 @@ def test_validate_deterministic_and_pure():
 
 
 def test_jump_kernel_m4_and_floor():
-    kern = JumpKernel("uniform-window", 2.0, width=1.0, density_floor=[0.5, 0.9], m4=2.5)
+    kern = JumpKernel("uniform-window", constant(2.0), width=1.0, density_floor=[0.5, 0.9], m4=2.5)
     assert kern.m4_profile() == pytest.approx(1.0 + 1.0 / 5.0)
     xs = np.linspace(-1, 1, 5)
     dens = kern.density(0.0, xs)
@@ -171,28 +171,22 @@ def test_jump_kernel_m4_and_floor():
 
 
 def test_jump_kernel_floor_fails_when_declared_too_high():
-    kern = JumpKernel("uniform-window", 2.0, width=1.0, density_floor=[0.5, 1.5])
+    kern = JumpKernel("uniform-window", constant(2.0), width=1.0, density_floor=[0.5, 1.5])
     m = make_constant_model(1.0, 1.0)
     dyn = DynamicsSpec(variant="drifted-jump", jump=kern)
     report = validate_hypotheses(m, dyn, _grid())
     assert any(c.name == "HJ4-density-floor" for c in _failed(report))
 
 
-def test_gaussian_kernel_sampler_matches_density():
-    kern = JumpKernel("gaussian", 1.0, sigma=0.7)
-    assert kern.m4_profile() == pytest.approx(1.0 + 3.0 * 0.7**4)
-    u = (np.arange(1, 20000) - 0.5) / 19999.0
-    disp = kern.sample_displacement(u)
-    assert np.std(disp) == pytest.approx(0.7, rel=0.02)
-
-
 def test_model_config_round_trip():
-    """A config mapping builds the model and dynamics the constructors build."""
+    """A checked config block builds the model and dynamics the constructors build."""
     m = make_constant_model(1.5, 2.0)
-    m2 = RateModel.from_config({"b": 1.5, "d": 2.0, "b_star": m.b_star, "hd": {}})
+    m2 = RateModel.from_config({"b": constant(1.5), "d": constant(2.0), "b_star": m.b_star, "hd": {}})
     assert m2.b_star == m.b_star
     assert m2.b(0.3) == m.b(0.3) and m2.d(0.3) == m.d(0.3)
-    jump = {"family": "uniform-window", "rate": 1.0, "width": 2.0, "density_floor": [1.0, 0.2], "m4": 4.2}
+    jump = {"family": "uniform-window", "rate": constant(1.0), "width": 2.0, "density_floor": [1.0, 0.2], "m4": 4.2}
     dyn2 = DynamicsSpec.from_config({"variant": "drifted-jump", "jump": jump, "ha": {}})
     assert dyn2.jump.width == 2.0 and dyn2.jump.density_floor == (1.0, 0.2) and dyn2.jump.m4_declared == 4.2
     assert dyn2.variant == "drifted-jump"
+    with pytest.raises(ValueError, match="unknown jump kernel family 'gaussian'"):
+        JumpKernel("gaussian", constant(1.0), width=1.0)

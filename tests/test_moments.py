@@ -26,14 +26,14 @@ from .oracles import bd_survival, duhamel_residual, hamburger_recursion_sequence
 
 def test_critical_second_moment_closed_form(critical_setup):
     model, dyn, grid, gen, _ = critical_setup
-    mf = solve_moments(np.ones(grid.n_points), 2, 1.0, gen, model, dt_pde=1e-3)
+    mf = solve_moments(np.ones(grid.n_points), 2, 1.0, gen, model, dt_pde=1e-3, n_store=200)
     u2 = slice_at(mf, 2, 1.0)
     assert np.max(np.abs(u2 - 3.0)) < 1e-6
 
 
 def test_zero_function_stays_zero(critical_setup):
     model, dyn, grid, gen, _ = critical_setup
-    mf = solve_moments(np.zeros(grid.n_points), 3, 1.0, gen, model, dt_pde=0.01)
+    mf = solve_moments(np.zeros(grid.n_points), 3, 1.0, gen, model, dt_pde=0.01, n_store=200)
     for n in (1, 2, 3):
         assert np.max(np.abs(mf.fields[n])) == 0.0
 
@@ -42,7 +42,7 @@ def test_u1_matches_evolve_p(oscillator_setup):
     model, dyn, grid, gen, _ = oscillator_setup
     xs = grid.nodes
     f = np.exp(-0.5 * xs**2)
-    mf = solve_moments(f, 2, 1.0, gen, model, dt_pde=0.005)
+    mf = solve_moments(f, 2, 1.0, gen, model, dt_pde=0.005, n_store=200)
     direct = evolve_P(f, 1.0, gen, dt_pde=0.005, smooth_start=True)
     assert np.max(np.abs(slice_at(mf, 1, 1.0) - direct)) < 1e-8
 
@@ -50,14 +50,14 @@ def test_u1_matches_evolve_p(oscillator_setup):
 def test_yule_second_moment(box_grid, zero_drift):
     model = make_constant_model(1.0, 0.0)
     gen = build_generator(model, zero_drift, box_grid)
-    mf = solve_moments(np.ones(box_grid.n_points), 2, 1.0, gen, model, dt_pde=1e-4)
+    mf = solve_moments(np.ones(box_grid.n_points), 2, 1.0, gen, model, dt_pde=1e-4, n_store=200)
     exact = 2.0 * math.e**2 - math.e
     assert np.max(np.abs(slice_at(mf, 2, 1.0) - exact)) < 1e-5
 
 
 def test_survival_riccati(critical_setup):
     model, dyn, grid, gen, _ = critical_setup
-    u0 = solve_survival(9.0, gen, model, dt_pde=1e-3, ensure_times=[9.0])
+    u0 = solve_survival(9.0, gen, model, dt_pde=1e-3, n_store=200, ensure_times=[9.0])
     assert np.max(np.abs(slice_at(u0, 0, 9.0) - 0.1)) < 1e-6
 
 
@@ -66,20 +66,20 @@ def test_survival_pure_death(box_grid, zero_drift):
     model = make_constant_model(0.0, delta)
     model.b_star = 0.1
     gen = build_generator(model, zero_drift, box_grid)
-    u0 = solve_survival(2.0, gen, model, dt_pde=1e-3, ensure_times=[2.0])
+    u0 = solve_survival(2.0, gen, model, dt_pde=1e-3, n_store=200, ensure_times=[2.0])
     assert np.max(np.abs(slice_at(u0, 0, 2.0) - math.exp(-delta * 2.0))) < 1e-6
 
 
 def test_survival_no_deaths(box_grid, zero_drift):
     model = make_constant_model(0.8, 0.0)
     gen = build_generator(model, zero_drift, box_grid)
-    u0 = solve_survival(2.0, gen, model, dt_pde=1e-3)
+    u0 = solve_survival(2.0, gen, model, dt_pde=1e-3, n_store=200)
     assert np.max(np.abs(u0.fields[0] - 1.0)) < 1e-9
 
 
 def test_survival_bounds_and_monotone(oscillator_setup):
     model, dyn, grid, gen, _ = oscillator_setup
-    u0f = solve_survival(5.0, gen, model, dt_pde=0.005)
+    u0f = solve_survival(5.0, gen, model, dt_pde=0.005, n_store=200)
     u0 = u0f.fields[0]
     assert np.min(u0) >= 0.0
     assert np.max(u0) <= 1.0
@@ -111,7 +111,7 @@ def test_blowup_guard():
     from branchlab.moments import BlowupError
 
     with pytest.raises(BlowupError):
-        solve_moments(np.ones(101), 2, 3.0, gen, model, dt_pde=0.01)
+        solve_moments(np.ones(101), 2, 3.0, gen, model, dt_pde=0.01, n_store=200)
 
 
 def test_jensen_and_cauchy_schwarz(oscillator_setup):
@@ -141,7 +141,7 @@ def test_yule_ceiling(critical_setup):
 
 def test_h_zero_in_critical_regime(critical_setup):
     model, dyn, grid, gen, spec = critical_setup
-    res = solve_h(model, gen, spec, tol=1e-6)
+    res = solve_h(model, gen, spec, dt_pde=0.005)
     assert np.all(res.h == 0.0)
     assert res.regime == "critical"
     # the Newton diagnostic ran: its steps shrink toward the zero solution,
@@ -153,13 +153,13 @@ def test_h_zero_in_critical_regime(critical_setup):
 
 def test_h_zero_in_subcritical_regime(subcritical_setup):
     model, dyn, grid, gen, spec = subcritical_setup
-    res = solve_h(model, gen, spec, tol=1e-6)
+    res = solve_h(model, gen, spec, dt_pde=0.005)
     assert np.all(res.h == 0.0)
 
 
 def test_h_supercritical_constant(supercritical_setup):
     model, dyn, grid, gen, spec = supercritical_setup
-    res = solve_h(model, gen, spec, tol=1e-6)
+    res = solve_h(model, gen, spec, dt_pde=0.005)
     assert np.max(np.abs(res.h - 0.5)) < 1e-6
     assert np.max(np.abs(res.h_u0_route - 0.5)) < 1e-6
     assert res.agreement < 3e-6
@@ -168,7 +168,7 @@ def test_h_supercritical_constant(supercritical_setup):
 def test_h_newton_matches_u0_route_on_oscillator(supercritical_oscillator_setup):
     model, dyn, grid, gen, spec = supercritical_oscillator_setup
     tol = 1e-6
-    res = solve_h(model, gen, spec, tol=tol, dt_pde=0.01)
+    res = solve_h(model, gen, spec, dt_pde=0.01)
     assert res.regime == "supercritical"
     assert np.max(np.abs(res.h - res.h_u0_route)) <= 3.0 * tol
     assert res.agreement <= 3.0 * tol
@@ -194,13 +194,13 @@ def test_h_route_continues_a_survey_march(setup, dt_pde, t_end, n_store, request
 
     model, dyn, grid, gen, spec = request.getfixturevalue(setup)
     tol = 1e-6
-    fresh = solve_h(model, gen, spec, tol=tol, dt_pde=dt_pde)
+    fresh = solve_h(model, gen, spec, dt_pde=dt_pde)
     survey = solve_survival(t_end, gen, model, dt_pde=dt_pde, n_store=n_store)
     started = []
     monkeypatch.setattr(mom, "solve_survival", lambda *a, **k: started.append(a))
     half_step = semigroup.Propagator.step_be_half
     monkeypatch.setattr(semigroup.Propagator, "step_be_half", lambda *a: started.append(a) or half_step(*a))
-    cont = solve_h(model, gen, spec, tol=tol, dt_pde=dt_pde, survival=survey)
+    cont = solve_h(model, gen, spec, dt_pde=dt_pde, survival=survey)
     assert not started
     assert np.array_equal(cont.h, fresh.h)
     assert np.max(np.abs(cont.h_u0_route - fresh.h_u0_route)) <= 3.0 * tol
@@ -213,7 +213,7 @@ def test_h_newton_nonconvergence_raises(supercritical_oscillator_setup, monkeypa
     model, dyn, grid, gen, spec = supercritical_oscillator_setup
     monkeypatch.setattr(mom, "_NEWTON_MAX_STEPS", 2)
     with pytest.raises(RuntimeError, match="Newton"):
-        solve_h(model, gen, spec, tol=1e-6)
+        solve_h(model, gen, spec, dt_pde=0.005)
 
 
 def test_h_deathless_degenerate(box_grid, zero_drift):
@@ -222,7 +222,7 @@ def test_h_deathless_degenerate(box_grid, zero_drift):
     from branchlab.semigroup import principal_eigentriple
 
     spec = principal_eigentriple(gen, model)
-    res = solve_h(model, gen, spec, tol=1e-6)
+    res = solve_h(model, gen, spec, dt_pde=0.005)
     assert np.max(np.abs(res.h_u0_route - 1.0)) < 1e-9
     assert res.degenerate  # sup h = 1 violates the strict theorem bound; flagged
 
@@ -259,7 +259,7 @@ def test_laplace_derivative_reproduces_mean(oscillator_setup):
     xs = grid.nodes
     f = np.exp(-0.5 * xs**2)
     t_end = 1.0
-    mf = solve_moments(f, 1, t_end, gen, model, dt_pde=0.005, ensure_times=[t_end])
+    mf = solve_moments(f, 1, t_end, gen, model, dt_pde=0.005, n_store=200, ensure_times=[t_end])
     delta = 1e-3
     h_plus = laplace_functional(f, +delta, t_end, gen, model, dt_pde=0.005, ensure_times=[t_end])
     h_minus = laplace_functional(f, -delta, t_end, gen, model, dt_pde=0.005, ensure_times=[t_end])
@@ -272,7 +272,7 @@ def test_laplace_second_derivative_reproduces_u2(critical_setup):
     model, dyn, grid, gen, _ = critical_setup
     f = np.ones(grid.n_points)
     t_end = 1.0
-    mf = solve_moments(f, 2, t_end, gen, model, dt_pde=2e-3, ensure_times=[t_end])
+    mf = solve_moments(f, 2, t_end, gen, model, dt_pde=2e-3, n_store=200, ensure_times=[t_end])
     delta = 2e-3
     vals = {}
     for k in (-1, 0, 1):
@@ -558,8 +558,8 @@ def test_regime_gate_exclusivity(critical_setup, subcritical_setup, supercritica
 
 def test_subcritical_limits_regime_gate(critical_setup):
     model, dyn, grid, gen, spec = critical_setup
-    u0f = solve_survival(2.0, gen, model, dt_pde=0.01)
-    mf = solve_moments(np.ones(grid.n_points), 2, 2.0, gen, model, dt_pde=0.01)
+    u0f = solve_survival(2.0, gen, model, dt_pde=0.01, n_store=200)
+    mf = solve_moments(np.ones(grid.n_points), 2, 2.0, gen, model, dt_pde=0.01, n_store=200)
     with pytest.raises(RegimeError):
         subcritical_limits(spec, model, mf, u0f, 2)
 
@@ -579,8 +579,8 @@ def test_critical_limit_residual_fit(critical_setup):
 
 def test_subcritical_tail_unresolved_errors(subcritical_setup):
     model, dyn, grid, gen, spec = subcritical_setup
-    u0f = solve_survival(3.0, gen, model, dt_pde=0.01)
-    mf = solve_moments(np.ones(grid.n_points), 2, 3.0, gen, model, dt_pde=0.01)
+    u0f = solve_survival(3.0, gen, model, dt_pde=0.01, n_store=200)
+    mf = solve_moments(np.ones(grid.n_points), 2, 3.0, gen, model, dt_pde=0.01, n_store=200)
     with pytest.raises(RuntimeError, match="tail"):
         subcritical_limits(spec, model, mf, u0f, 2)
 
@@ -659,7 +659,7 @@ def test_moment_march_equals_the_full_block_march(setup, n_max, request):
     model, _dyn, grid, gen, _spec = request.getfixturevalue(setup)
     f_vals = 0.5 + np.exp(-0.5 * grid.nodes**2)
     mf = solve_moments(f_vals, n_max, 0.4, gen, model, dt_pde=0.01, n_store=8)
-    want = _full_block_moment_march(gen, model, f_vals, n_max, 0.4, 0.01, _store_steps(0.4, 0.01, 8))
+    want = _full_block_moment_march(gen, model, f_vals, n_max, 0.4, 0.01, _store_steps(0.4, 0.01, 8, ()))
     assert mf.orders == list(range(1, n_max + 1))
     for n in mf.orders:
         assert np.array_equal(mf.fields[n], want[n - 1])
@@ -681,7 +681,7 @@ def test_blowup_guard_fires_at_the_first_step_over_the_ceiling():
         if any(np.max(np.abs(march[n - 1, k])) > 10.0 * yule_moment_bound(n, k * 0.01, 0.05) for n in (1, 2))
     )
     with pytest.raises(BlowupError, match=rf"at t = {first * 0.01:.3g},"):
-        solve_moments(np.ones(101), 2, 3.0, gen, model, dt_pde=0.01)
+        solve_moments(np.ones(101), 2, 3.0, gen, model, dt_pde=0.01, n_store=200)
 
 
 def test_imex_march_matches_dense_scheme(jumps_setup):
@@ -731,7 +731,7 @@ def test_marches_share_one_factorization(supercritical_oscillator_setup, monkeyp
 
     monkeypatch.setattr(semigroup.Propagator, "__init__", counting_init)
     monkeypatch.setattr(semigroup, "_PROP_CACHE", {})
-    solve_moments(np.ones(grid.n_points), 2, 0.2, gen, model, dt_pde=0.004)
-    solve_survival(0.2, gen, model, dt_pde=0.004)
+    solve_moments(np.ones(grid.n_points), 2, 0.2, gen, model, dt_pde=0.004, n_store=200)
+    solve_survival(0.2, gen, model, dt_pde=0.004, n_store=200)
     laplace_functional(np.ones(grid.n_points), 0.1, 0.2, gen, model, dt_pde=0.004)
     assert built == [0.004]

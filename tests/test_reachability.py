@@ -18,17 +18,22 @@ that is itself unreferenced do not count, so a dead caller does not keep
 its callees alive.
 
 Parameters: each defaulted parameter of a live function or method
-(``__init__`` included) is passed by some live call in ``src/``, and each
-function reads every one of its parameters, or the parameter is listed in
-``ALLOWED_PARAMETERS`` with the reason it stays.  A value that no command
-sets is a module constant beside its one reader, not a keyword default.
+(``__init__`` included) is passed by some live call in ``src/`` and left
+out by another, and each function reads every one of its parameters, or
+the parameter is listed in ``ALLOWED_PARAMETERS`` with the reason it
+stays.  A value that no command sets is a module constant beside its one
+reader, not a keyword default; a default that every call overrides is a
+fallback that nothing runs.
 A call reaches a definition by name, as above (a class name or ``cls``
 reaches ``__init__``), and passes a parameter by keyword, by position, by
 a ``*`` splat (every positional one) or by a ``**`` splat: of every
 parameter, unless it splats a dict literal assigned in the same function,
 whose keys alone count.  A call that forwards its caller's own defaulted
 parameter passes it only if that parameter is passed in turn, which a
-fixpoint settles.
+fixpoint settles.  A splat of anything but a dict literal may as well
+leave every parameter out, so for a default that every call overrides
+only the parameters a call names count: by keyword, by position before
+any ``*`` splat, or as a key of its dict literal.
 """
 
 import ast
@@ -44,7 +49,6 @@ ALLOWED = {
     "analysis.qprocess_law_test": "pending API: the Q-process in every verify (ROADMAP item 5)",
     "semigroup.evolve_Q": "pending API: the Q-process in every verify (ROADMAP item 5)",
     "analysis.null_calibration": "pending API: seed scans and the power table (ROADMAP items 1 and 11)",
-    "curves.make_curve": "public helper exported from branchlab",
 }
 
 # "module.Class.method" of a method name that several classes define:
@@ -69,6 +73,10 @@ ALLOWED_PARAMETERS = {
     "moments.solve_survival.ensure_times": "acceptance 1 reads exact slice times, and ROADMAP item 4 will",
     "branching.simulate_ensemble.record_traits_at": "tests/test_kernel.py compares whole-population "
     "snapshots with its reference step",
+    "branching.simulate_ensemble.functionals": "the simulator tests run bare ensembles, which record no functional",
+    "branching.simulate_ensemble.reflect_at": "the simulator tests run ensembles on the whole line",
+    "config.load_config.seed": "the override of the CLI's --seed; tests load configs with their own seed",
+    "rng.root_key.index": "tests draw from the stream of one replica, index 0",
     "cli.main.argv": "the console entry point parses sys.argv; tests pass an argument list",
     "cli._RegimeAction.__call__": "argparse calls an Action as (parser, namespace, values, option_string)",
     "cli.cmd_validate.args": "the cmd_*(cfg, args, out) dispatch signature",
@@ -276,13 +284,15 @@ def _splat_literal(caller_node, name):
 
 
 def _parameter_findings(defs, trees, dead, allowed):
-    """(unset, unread): the "module.qualname.parameter" of every defaulted
-    parameter that no live call passes, and of every parameter its function
-    does not read, outside ``allowed`` and the dead definitions."""
+    """(unset, unread, overridden): the "module.qualname.parameter" of every
+    defaulted parameter that no live call passes, of every parameter its
+    function does not read, and of every defaulted parameter that each live
+    call passes, outside ``allowed`` and the dead definitions."""
     params = {key: _parameters(key, fn) for key, (_, fn) in defs.items()}
     aliases = {module: _module_aliases(tree) for module, tree in trees.items()}
     live = [key for key in defs if key not in dead and key not in allowed]
     passed, forwards = set(), []
+    at_calls = {}  # target -> the parameters that each of its calls surely passes
     for call, module, caller, local in _live_calls(defs, trees, dead):
         caller_params = params[caller][1] if caller else []
 
@@ -309,6 +319,8 @@ def _parameter_findings(defs, trees, dead, allowed):
                 if isinstance(kw.value, ast.Name) and caller:
                     literal = _splat_literal(defs[caller][1], kw.value.id)
                 given += literal if literal is not None else [(p, None) for p in every]
+            # a splat of anything but a literal may leave out any parameter
+            at_calls.setdefault(target, []).append({param for param, expr in given if expr is not None})
             for param, expr in given:
                 src = source(expr) if expr is not None else None
                 if src is None:
@@ -334,7 +346,11 @@ def _parameter_findings(defs, trees, dead, allowed):
     for key in live:
         read = {n.id for n in ast.walk(defs[key][1]) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unread += [f"{key}.{p}" for p in params[key][1] if p not in read and f"{key}.{p}" not in allowed]
-    return unset, sorted(unread)
+    overridden = sorted(
+        f"{key}.{param}" for key in live for param in params[key][2]
+        if key in at_calls and all(param in call for call in at_calls[key]) and f"{key}.{param}" not in allowed
+    )
+    return unset, sorted(unread), overridden
 
 
 # ----------------------------------------------------------------------
@@ -352,12 +368,14 @@ def test_every_src_function_is_reachable_or_allowed():
 def test_every_src_parameter_is_set_and_read_or_allowed():
     defs, trees = _definitions()
     dead = _unreferenced(defs, trees, alive_roots=set(ALLOWED), reached_by=REACHED_BY)
-    unset, unread = _parameter_findings(defs, trees, dead, ALLOWED_PARAMETERS)
-    assert not unset and not unread, (
+    unset, unread, overridden = _parameter_findings(defs, trees, dead, ALLOWED_PARAMETERS)
+    assert not unset and not unread and not overridden, (
         "defaulted parameters no src/ call sets (make each a module constant or delete its path):\n"
         + "\n".join(unset)
         + "\nparameters their function never reads:\n"
         + "\n".join(unread)
+        + "\ndefaulted parameters every src/ call sets (delete the default):\n"
+        + "\n".join(overridden)
     )
 
 
@@ -446,17 +464,25 @@ def test_parameter_scan_on_a_fixture():
     """
     defs, trees = _definitions({"lib": textwrap.dedent(lib)})
     dead = _unreferenced(defs, trees, alive_roots={"lib.main"})
-    unset, unread = _parameter_findings(defs, trees, dead, allowed={})
+    unset, unread, overridden = _parameter_findings(defs, trees, dead, allowed={})
     # tol by position, steps by the literal splat, scale by a keyword that
     # forwards a passed parameter, pad through cls(...); order only by
     # forwarding an unset one
     assert unset == ["lib.forward.order", "lib.solve.order"]
     assert unread == ["lib.solve.hint"]
-    # a splat of anything but a literal passes every parameter
-    text = textwrap.dedent(lib) + "\ndef passthrough(x, **opts):\n    return solve(x, None, **opts)\n"
+    # the one call of Box and of rescale passes pad and scale; some call of
+    # solve leaves out each of its defaulted parameters
+    assert overridden == ["lib.Box.__init__.pad", "lib.rescale.scale"]
+    # a splat of anything but a literal may pass every parameter, and may
+    # leave out every one
+    text = textwrap.dedent(lib) + textwrap.dedent("""
+        def passthrough(x, **opts):
+            return solve(x, None, **opts) + rescale(x, **opts)
+    """)
     defs, trees = _definitions({"lib": text})
     dead = _unreferenced(defs, trees, alive_roots={"lib.main", "lib.passthrough"})
-    assert _parameter_findings(defs, trees, dead, allowed={})[0] == ["lib.forward.order"]
+    unset, _, overridden = _parameter_findings(defs, trees, dead, allowed={})
+    assert unset == ["lib.forward.order"] and overridden == ["lib.Box.__init__.pad"]
 
 
 def test_allowlist_is_current():
@@ -474,8 +500,7 @@ def test_allowlist_is_current():
         assert key.split(".")[2] in _shared_method_names(defs), key
 
     dead = _unreferenced(defs, trees, alive_roots=set(ALLOWED), reached_by=REACHED_BY)
-    unset, unread = _parameter_findings(defs, trees, dead, allowed={})
-    findings = set(unset) | set(unread)
+    findings = set().union(*_parameter_findings(defs, trees, dead, allowed={}))
     for entry in ALLOWED_PARAMETERS:
         if entry in defs:
             assert any(f.startswith(entry + ".") for f in findings), entry

@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from branchlab import DynamicsSpec, Grid, JumpKernel, RateModel
+from branchlab import DynamicsSpec, Grid, RateModel
 from branchlab import cli, semigroup
 from branchlab.config import load_config
 from branchlab.curves import Curve, constant
@@ -75,7 +75,7 @@ def test_grid_too_narrow_suggests_widening():
 def test_evolve_identity_at_zero(critical_setup):
     _, _, grid, gen, _ = critical_setup
     g = np.sin(grid.nodes)
-    assert np.array_equal(evolve_P(g, 0.0, gen), g)
+    assert np.array_equal(evolve_P(g, 0.0, gen, dt_pde=0.01, smooth_start=False), g)
 
 
 @pytest.mark.parametrize("setup", ["oscillator_setup", "jumps_setup", "drifted_setup"])
@@ -98,7 +98,7 @@ def test_evolve_p_equals_the_step_loop(setup, smooth_start, request):
 def test_evolve_p_rejects_a_time_off_the_step_grid(critical_setup, t):
     gen = critical_setup[3]
     with pytest.raises(ValueError, match="not a nonnegative multiple of the solver step"):
-        evolve_P(np.ones(gen.n), t, gen, dt_pde=0.01)
+        evolve_P(np.ones(gen.n), t, gen, dt_pde=0.01, smooth_start=False)
 
 
 def test_fit_h_block_march_equals_one_march_per_test_function(oscillator_setup):
@@ -129,7 +129,7 @@ def test_fit_h_block_march_equals_one_march_per_test_function(oscillator_setup):
 def test_evolve_constant_potential_exponential(box_grid, zero_drift):
     m = make_constant_model(1.3, 1.0)  # V = 0.3, conservative motion
     gen = build_generator(m, zero_drift, box_grid)
-    u = evolve_P(np.ones(box_grid.n_points), 2.0, gen, dt_pde=0.005)
+    u = evolve_P(np.ones(box_grid.n_points), 2.0, gen, dt_pde=0.005, smooth_start=False)
     assert np.max(np.abs(u - math.exp(0.3 * 2.0))) < 1e-6
 
 
@@ -139,8 +139,8 @@ def test_semigroup_composition(oscillator_setup):
     coeffs = rng.normal(size=4)
     xs = grid.nodes
     g = sum(c * np.exp(-((xs - k) ** 2) / 2.0) for k, c in zip((-2, -1, 1, 2), coeffs))
-    u1 = evolve_P(g, 1.5, gen)
-    u2 = evolve_P(evolve_P(g, 0.7, gen), 0.8, gen)
+    u1 = evolve_P(g, 1.5, gen, dt_pde=0.01, smooth_start=False)
+    u2 = evolve_P(evolve_P(g, 0.7, gen, dt_pde=0.01, smooth_start=False), 0.8, gen, dt_pde=0.01, smooth_start=False)
     assert np.max(np.abs(u1 - u2)) < 1e-8
 
 
@@ -150,8 +150,8 @@ def test_monotone_in_data(oscillator_setup):
     g_lo = np.exp(-(xs**2))
     # the added mass must vanish at the absorbing edges well below 1e-12
     g_hi = g_lo + 0.5 * np.exp(-((xs - 1) ** 2) / 2.0)
-    u_lo = evolve_P(g_lo, 1.0, gen)
-    u_hi = evolve_P(g_hi, 1.0, gen)
+    u_lo = evolve_P(g_lo, 1.0, gen, dt_pde=0.01, smooth_start=False)
+    u_hi = evolve_P(g_hi, 1.0, gen, dt_pde=0.01, smooth_start=False)
     assert np.min(u_hi - u_lo) > -1e-12
 
 
@@ -172,7 +172,7 @@ def test_q_below_p_for_nonnegative(oscillator_setup):
         g = np.abs(rng.normal(size=3)) @ np.stack(
             [np.exp(-((xs - c) ** 2)) for c in rng.uniform(-2, 2, size=3)]
         )
-        p = evolve_P(g, 1.0, gen)
+        p = evolve_P(g, 1.0, gen, dt_pde=0.01, smooth_start=False)
         q = evolve_Q(g, 1.0, model, generator=gen)
         assert np.all(q <= p + 1e-10)
         assert np.all(evolve_Q(np.ones_like(xs), 1.0, model, generator=gen) <= 1.0 + 1e-10)
@@ -305,11 +305,11 @@ def test_girsanov_not_applicable(jumps_setup):
 
 def test_hp4_edge_decay(oscillator_setup, box_grid, zero_drift):
     model, dyn, grid, gen, _ = oscillator_setup
-    rep = hp4_edge_decay(gen, 1.0)
+    rep = hp4_edge_decay(gen, 1.0, dt_pde=0.01)
     assert rep["passed"]
     m0 = make_constant_model(1.0, 1.0)  # V = 0, reflecting: constants preserved
     gen0 = build_generator(m0, zero_drift, box_grid)
-    rep0 = hp4_edge_decay(gen0, 1.0)
+    rep0 = hp4_edge_decay(gen0, 1.0, dt_pde=0.01)
     assert not rep0["passed"]
 
 
@@ -318,13 +318,13 @@ def test_hp4_wider_grid_still_passes(zero_drift):
     for span in (8.0, 10.0):
         n = int(span * 100) + 1
         gen = build_generator(m, zero_drift, Grid(-span, span, n))
-        assert hp4_edge_decay(gen, 1.0)["passed"]
+        assert hp4_edge_decay(gen, 1.0, dt_pde=0.01)["passed"]
 
 
 def test_eigen_residual_at_propagator_level(oscillator_setup):
     _, _, _, gen, spec = oscillator_setup
     dt = 0.01
-    u = evolve_P(spec.theta0, dt, gen, dt_pde=dt)
+    u = evolve_P(spec.theta0, dt, gen, dt_pde=dt, smooth_start=False)
     target = math.exp(-spec.lambda0 * dt) * spec.theta0
     assert np.max(np.abs(u - target)) <= 1e-6 * np.max(spec.theta0)
 
@@ -336,7 +336,7 @@ def test_left_eigen_residual(oscillator_setup):
     dt = 0.01
     for _ in range(3):
         g = rng.normal() * np.exp(-(xs**2)) + rng.normal() * np.tanh(xs)
-        lhs = spec.mu0_integral(evolve_P(g, dt, gen, dt_pde=dt))
+        lhs = spec.mu0_integral(evolve_P(g, dt, gen, dt_pde=dt, smooth_start=False))
         rhs = math.exp(-spec.lambda0 * dt) * spec.mu0_integral(g)
         assert abs(lhs - rhs) < 1e-6
 
@@ -351,7 +351,7 @@ def test_gap_decay_rate(oscillator_setup):
     u = g
     t_prev = 0.0
     for t in (1.0, 5.0):
-        u = evolve_P(u, t - t_prev, gen)
+        u = evolve_P(u, t - t_prev, gen, dt_pde=0.01, smooth_start=False)
         t_prev = t
         norms[t] = np.max(np.abs(math.exp(spec.lambda0 * t) * u))
     rate = -math.log(norms[5.0] / norms[1.0]) / 4.0
@@ -374,7 +374,7 @@ def test_rannacher_damps_indicator_data(oscillator_setup):
     _, _, grid, gen, _ = oscillator_setup
     xs = grid.nodes
     indicator = (np.abs(xs) < 1.0).astype(float)
-    u = evolve_P(indicator, 0.5, gen, smooth_start=True)
+    u = evolve_P(indicator, 0.5, gen, dt_pde=0.01, smooth_start=True)
     assert np.min(u) > -1e-10
 
 
@@ -413,10 +413,26 @@ def test_spectral_data_round_trips_H(oscillator_setup):
 # the banded Crank-Nicolson kernel against dense solves
 
 
+class _GaussianKernel:
+    """Jumps of total mass 0.7 with N(0, 2^2) displacements: no config
+    family, but its unbounded support fills the band of the jump block."""
+
+    sigma = 2.0
+
+    @staticmethod
+    def total_mass(y):
+        return np.full_like(np.asarray(y, dtype=float), 0.7)
+
+    @classmethod
+    def density(cls, y, z):
+        u = np.asarray(z, dtype=float) - np.asarray(y, dtype=float)
+        return 0.7 * (np.exp(-(u * u) / (2.0 * cls.sigma**2)) / (cls.sigma * math.sqrt(2.0 * math.pi)))
+
+
 def _gaussian_jumps_generator():
     """Diffusion with a Gaussian jump kernel: the jump block fills the band."""
     grid = Grid(-4.0, 4.0, 121, boundary="reflecting")
-    dyn = DynamicsSpec(variant="diffusion-jumps", a=constant(0.0), jump=JumpKernel("gaussian", 0.7, sigma=2.0))
+    dyn = DynamicsSpec(variant="diffusion-jumps", a=constant(0.0), jump=_GaussianKernel)
     gen = build_generator(make_constant_model(1.0, 1.2), dyn, grid)
     assert gen.matrix[0, grid.n_points - 1] != 0.0
     return gen
@@ -502,7 +518,7 @@ DIFFUSION_CONFIGS = [f"{regime}_{rates}" for rates in ("constant", "oscillator")
 def _config_generator(name, n_points=None):
     cfg = load_config(os.path.join(CONFIG_DIR, name + ".json"))
     grid = cfg.grid if n_points is None else Grid(cfg.grid.x_min, cfg.grid.x_max, n_points, cfg.grid.boundary)
-    return cfg.model, build_generator(cfg.model, cfg.dynamics, grid, dt_report=cfg.solver["dt_report"])
+    return cfg.model, build_generator(cfg.model, cfg.dynamics, grid)
 
 
 @pytest.mark.parametrize(
@@ -539,7 +555,7 @@ def test_rho_with_a_wider_band_takes_the_general_route():
     sym = sp.diags([bands[1], bands[0], -rng.uniform(2.0, 4.0, n), bands[0], bands[1]], [-2, -1, 0, 1, 2])
     matrix = (sp.diags(1.0 / d) @ sym @ sp.diags(d)).tocsr()
     got = semigroup._rightmost_eigs(matrix, 2, rho=rho)
-    assert np.array_equal(got, semigroup._rightmost_eigs(matrix, 2))
+    assert np.array_equal(got, semigroup._rightmost_eigs(matrix, 2, rho=None))
     assert np.allclose(got.real, rightmost_eigs_dense(matrix, 2, rho), rtol=0, atol=1e-12)
 
 
@@ -582,7 +598,7 @@ def test_jump_eigentriple_matches_the_dense_spectrum(name, knob, monkeypatch):
         cfg = cli._calibrated_model(cfg)[0]
     elif knob != "shipped":
         cfg = cfg.apply_knob(cfg.calibrate["knob"], cfg.calibrate["bracket"][0 if knob == "low" else 1])
-    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid, dt_report=cfg.solver["dt_report"])
+    gen = build_generator(cfg.model, cfg.dynamics, cfg.grid)
     assert gen.variant != "diffusion"
     spec = principal_eigentriple(gen, cfg.model)
     monkeypatch.setattr(semigroup, "_rightmost_eigs", _dense_general)
@@ -599,7 +615,7 @@ def test_a_complex_second_eigenvalue_is_found_and_flagged(monkeypatch):
     rng = np.random.default_rng(3)
     ring = sp.diags([np.ones(n - 1), [1.0]], [1, -(n - 1)])  # i -> i + 1 mod n
     matrix = (2.0 * (ring - sp.identity(n)) + sp.diags(rng.uniform(-0.05, 0.05, n))).tocsr()
-    got = semigroup._rightmost_eigs(matrix, 2)
+    got = semigroup._rightmost_eigs(matrix, 2, rho=None)
     want = rightmost_eigs_general_dense(matrix, 2)
     assert abs(want[1].imag) > 0.1
     assert np.max(np.abs(got.real - want.real)) < 1e-10
@@ -618,11 +634,11 @@ def test_shift_invert_eigenvalues_do_not_depend_on_earlier_arpack_calls():
     """The start vector is fixed, so an unrelated ARPACK call between two
     solves leaves every bit of the result as it was."""
     _, gen = _config_generator("critical_driftedjump")
-    first = semigroup._rightmost_eigs(gen.matrix, 2)
+    first = semigroup._rightmost_eigs(gen.matrix, 2, rho=None)
     other = sp.random(50, 50, density=0.2, random_state=1, format="csr") + sp.identity(50)
     spla.eigs(other, 3)
     spla.eigs(other, 2, sigma=5.0)
-    assert np.array_equal(semigroup._rightmost_eigs(gen.matrix, 2), first)
+    assert np.array_equal(semigroup._rightmost_eigs(gen.matrix, 2, rho=None), first)
 
 
 @pytest.mark.parametrize("failure", ["no-convergence", "error", "one-pair"])
