@@ -25,7 +25,7 @@ from scipy import special
 
 from .branching import run_ensemble
 from .moments import (
-    _H_TOL,
+    H_ROUTES_TOL,
     hamburger_bound,
     require_regime,
     solve_h,
@@ -718,9 +718,9 @@ def verify_suite(cfg, gen, spec, threads):
                 name="supercritical-h-routes",
                 statistic="sup |h_Newton - h_u0|",
                 value=hres.agreement,
-                threshold=3.0 * _H_TOL,
+                threshold=H_ROUTES_TOL,
                 sample_size=cfg.grid.n_points,
-                passed=bool(hres.agreement <= 3.0 * _H_TOL),
+                passed=bool(hres.agreement <= H_ROUTES_TOL),
             )
         )
         sup_t = supercritical_limits(spec, model, gen, 3, spec.theta0)
@@ -776,7 +776,7 @@ def verify_suite(cfg, gen, spec, threads):
                 )
             )
             # moment-determinacy ceiling on the computed limits
-            c1 = float(np.max(mom_field.normalized(1, "subcritical", spec.lambda0)))
+            c1 = float(np.max(mom_field.normalized(1, spec.lambda0)))
             eta = c1 * model.b_star / spec.lambda0
             theta_sup = float(np.max(spec.theta0))
             worst_excess = -math.inf

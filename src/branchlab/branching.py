@@ -101,9 +101,7 @@ class EnsembleResult:
     counts: np.ndarray  # (n_times, reps) population sizes
     functionals: dict  # name -> (n_times, reps) values of <Z_t, f>
     max_abs: np.ndarray  # (n_times, reps) running max |trait| up to each time
-    seed: int
     dt: float
-    x0: float
     cutoff_m: float
     reps: int
     traits_at: dict = field(default_factory=dict)  # time -> (rep idx, traits)
@@ -360,9 +358,7 @@ def simulate_ensemble(
         counts=counts,
         functionals=func_vals,
         max_abs=max_abs_rec,
-        seed=seed,
         dt=dt,
-        x0=float(x0),
         cutoff_m=cutoff.m,
         reps=reps,
         traits_at=traits_at,
@@ -443,16 +439,19 @@ def _jackknife_se(values):
     return float(np.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2)))
 
 
-def mc_moments(result, n_max, b_star):
-    """Empirical moments of the total mass N_t with jackknife standard
-    errors, each checked against the Yule ceiling of birth-rate bound
-    ``b_star``.  Returns rows {time, order, estimate, se}.
+_MC_ORDERS = 2  # the moment orders of N_t that ``simulate`` reports: 1 and 2
+
+
+def mc_moments(result, b_star):
+    """Empirical moments of orders 1 to ``_MC_ORDERS`` of the total mass N_t
+    with jackknife standard errors, each checked against the Yule ceiling of
+    birth-rate bound ``b_star``.  Returns rows {time, order, estimate, se}.
     """
     if result.reps < 2:
         raise ValueError("moment estimation needs at least 2 replicas")
     rows = []
     for t, y in zip(result.times, result.counts.astype(float)):
-        for n in range(1, n_max + 1):
+        for n in range(1, _MC_ORDERS + 1):
             yn = y**n
             est = float(yn.mean())
             se = _jackknife_se(yn)

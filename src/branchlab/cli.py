@@ -172,7 +172,7 @@ def cmd_spectrum(cfg, args, out):
     if cal:
         payload["calibration"] = cal
     if cfg.grid.boundary == "absorbing":
-        payload["edge_decay"] = hp4_edge_decay(gen, 1.0, dt_pde=cfg.solver["dt_pde"])
+        payload["edge_decay"] = hp4_edge_decay(gen, dt_pde=cfg.solver["dt_pde"])
     _write_json(os.path.join(out, "spectral.json"), cfg, payload)
     rho = gen.rho if gen.rho is not None else np.full(cfg.grid.n_points, np.nan)
     _write_csv(
@@ -247,21 +247,24 @@ def cmd_survive(cfg, args, out):
     )
 
     # the u0 route of h continues the survey march
+    regime = spec.regime()
     hres = mom.solve_h(cfg.model, gen, spec, dt_pde=cfg.solver["dt_pde"], survival=u0f)
+    if regime == "supercritical" and hres.agreement > mom.H_ROUTES_TOL:
+        raise RuntimeError(f"h routes disagree by {hres.agreement:.3g} > 3 tol; boundary bias suspected")
     _write_csv(os.path.join(out, "h.csv"), cfg, ["x", "h", "h_u0_route"], [(nodes, hres.h, hres.h_u0_route)])
     payload = {
-        "regime": spec.regime(),
+        "regime": regime,
         "h_sup": float(np.max(hres.h)),
         "h_routes_agreement": hres.agreement,
         "iterations": hres.iterations,
         # the survival march halves dt_pde when its positivity guard trips
-        "survival_dt_pde": u0f.meta["dt_pde"],
+        "survival_dt_pde": u0f.dt_pde,
     }
-    if spec.regime() == "critical":
+    if regime == "critical":
         rep = analysis.critical_survival_check(u0f, spec)
         payload["critical_asymptotic"] = rep.to_dict()
     _write_json(os.path.join(out, "survival.json"), cfg, payload)
-    print(f"u0 solved to t = {t_end:g}; sup h = {payload['h_sup']:.6g} ({payload['regime']})")
+    print(f"u0 solved to t = {t_end:g}; sup h = {payload['h_sup']:.6g} ({regime})")
     return EXIT_OK
 
 
@@ -280,7 +283,7 @@ def cmd_simulate(cfg, args, out):
         ),
     )
     surv = branching.mc_survival(res)
-    moments_tbl = branching.mc_moments(res, 2, cfg.model.b_star)
+    moments_tbl = branching.mc_moments(res, cfg.model.b_star)
     cut = branching.cutoff_diagnostics(res, m_grid=[0.5 * res.cutoff_m, res.cutoff_m])
     _write_json(
         os.path.join(out, "simulation.json"),

@@ -2,8 +2,9 @@
 
 Curves are closed parametric families, so that every model is
 reproducible from a JSON config without embedded code.  ``FAMILIES`` holds
-the four that the shipped configs use.  A curve is a callable ``c(x)``
-accepting scalars or numpy arrays, with its analytic derivative.
+the four that the shipped configs use.  A config writes each curve as a
+``{"family": ..., "params": {...}}`` mapping.  A curve is a callable
+``c(x)`` accepting scalars or numpy arrays, with its analytic derivative.
 """
 
 from __future__ import annotations
@@ -125,17 +126,8 @@ class Curve:
         return f"Curve({self.family!r}, {self.params!r})"
 
 
-def constant(value):
-    return Curve("constant", {"value": value})
-
-
 def curve_from_config(cfg):
-    """Build a Curve from a ``{"family": ..., "params": {...}}`` mapping.
-
-    A bare finite number is accepted as shorthand for a constant curve.
-    """
-    if isinstance(cfg, (int, float)) and not isinstance(cfg, bool) and np.isfinite(cfg):
-        return constant(float(cfg))
+    """Build a Curve from a ``{"family": ..., "params": {...}}`` mapping."""
     if not isinstance(cfg, dict) or "family" not in cfg or not set(cfg) <= {"family", "params"}:
-        raise ValueError(f"curve config must be a finite number or a {{family, params}} mapping; got {cfg!r}")
+        raise ValueError(f"curve config must be a {{family, params}} mapping; got {cfg!r}")
     return Curve(cfg["family"], cfg.get("params", {}))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from branchlab import DynamicsSpec, Grid, JumpKernel, RateModel
-from branchlab.curves import Curve, constant
+from branchlab.curves import Curve
 from branchlab.semigroup import build_generator, principal_eigentriple
+
+from .oracles import constant
 
 
 def make_constant_model(b, d):

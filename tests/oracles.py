@@ -4,7 +4,8 @@ Girsanov-conjugated spectrum, the mild form of the moment and survival
 equations, the extremal Hamburger sequence).  Kept out of the package: the
 closed forms share no code with the paths they verify, and the second
 routes reuse only its generator, propagator and eigenvalue primitives.
-``slice_at`` is how the tests read a stored time slice of a MomentField."""
+``slice_at`` is how the tests read a stored time slice of a MomentField,
+and ``constant`` how they write a constant curve."""
 
 import math
 
@@ -14,10 +15,15 @@ import scipy.sparse as sp
 from scipy.special import comb
 
 from branchlab import DynamicsSpec
-from branchlab.curves import constant
+from branchlab.curves import Curve
 from branchlab.model import DIFFUSION, NotApplicableError, ell_and_rho, potential
 from branchlab.moments import _simpson_weights
 from branchlab.semigroup import EigenSolverError, _diffusion_block, _rightmost_eigs, evolve_P
+
+
+def constant(value):
+    """The constant curve of ``value``."""
+    return Curve("constant", {"value": value})
 
 
 def slice_at(field, n, t):
@@ -158,8 +164,9 @@ def _diffusion_eigenvalues(dyn, grid, v, k):
     """The k rightmost eigenvalues of (1/2) f'' - a f' + v f, with potential
     values ``v`` at the nodes, assembled from the blocks of
     ``build_generator`` without its edge-killing check."""
-    matrix = (_diffusion_block(grid, dyn) + sp.diags(v)).tocsr()
-    return _rightmost_eigs(matrix, k, rho=ell_and_rho(dyn, grid)[1]).real.tolist()
+    ell, rho = ell_and_rho(dyn, grid)
+    matrix = (_diffusion_block(grid, dyn, ell) + sp.diags(v)).tocsr()
+    return _rightmost_eigs(matrix, k, rho=rho).real.tolist()
 
 
 def girsanov_crosscheck(dyn, model, grid, n_eigs=3):
@@ -213,7 +220,7 @@ def duhamel_residual(field, order, t_star, generator, model, dt_pde=None):
     stored slices.  Independent of the march's source treatment."""
     if order < 1:
         raise ValueError("duhamel_residual applies to moment orders >= 1")
-    dt_pde = dt_pde or field.meta.get("dt_pde", 0.01)
+    dt_pde = dt_pde or field.dt_pde
     xs = field.nodes
     b_vals = np.asarray(model.b(xs), dtype=float)
     k_star = int(round(t_star / field.dt_store))
@@ -245,7 +252,7 @@ def survival_semigroup_check(field, t, t0, generator, model, dt_pde=None):
 
         u0(t) = P_{t-t0} u0(t0) - int_0^{t-t0} P_s (b u0^2(t-s)) ds.
     """
-    dt_pde = dt_pde or field.meta.get("dt_pde", 0.01)
+    dt_pde = dt_pde or field.dt_pde
     b_vals = np.asarray(model.b(field.nodes), dtype=float)
     k_t = int(round(t / field.dt_store))
     k_t0 = int(round(t0 / field.dt_store))

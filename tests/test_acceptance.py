@@ -15,7 +15,6 @@ import pytest
 from branchlab import DynamicsSpec, Grid, analysis, rng
 from branchlab.branching import CutoffSpec, mc_survival, qprocess_weight, simulate_ensemble
 from branchlab.cli import main as cli_main
-from branchlab.curves import constant
 from branchlab.moments import (
     hamburger_bound,
     solve_h,
@@ -27,7 +26,15 @@ from branchlab.moments import (
 from branchlab.semigroup import build_generator, principal_eigentriple
 
 from .conftest import make_constant_model, make_oscillator_model
-from .oracles import bd_extinction_params, bd_sample, bd_survival, duhamel_residual, girsanov_crosscheck, slice_at
+from .oracles import (
+    bd_extinction_params,
+    bd_sample,
+    bd_survival,
+    constant,
+    duhamel_residual,
+    girsanov_crosscheck,
+    slice_at,
+)
 
 CUT = CutoffSpec(m=30.0)
 
@@ -229,7 +236,7 @@ def test_acceptance_7_subcritical(subcritical_setup):
     floor_ok = sub["K_minus"] >= sub["V"][1] ** 2 / sub["V"][2] > 0
 
     # Hamburger bound: a1 = C_1^-, eta = C_1^- b* / lambda0
-    v1_norm = mf.normalized(1, "subcritical", spec.lambda0)
+    v1_norm = mf.normalized(1, spec.lambda0)
     c1 = float(np.max(v1_norm))
     eta = c1 * model.b_star / spec.lambda0
     bound_ok = True

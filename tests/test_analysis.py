@@ -475,9 +475,9 @@ def test_subcritical_two_starting_points_agree():
 
     from branchlab import DynamicsSpec, Grid
     from branchlab.branching import CutoffSpec, simulate_ensemble
-    from branchlab.curves import constant
 
     from .conftest import make_oscillator_model
+    from .oracles import constant
 
     model = make_oscillator_model(0.5)
     dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
@@ -580,7 +580,9 @@ def _starved_reports():
 
     crit = _fake_spec(0.0, B=2.0)
     sup = _fake_spec(-1.0)
-    field = MomentField(times=np.linspace(0.0, 10.0, 11), nodes=crit.grid.nodes, fields={0: np.ones((11, 3))})
+    field = MomentField(
+        times=np.linspace(0.0, 10.0, 11), nodes=crit.grid.nodes, fields={0: np.ones((11, 3))}, dt_pde=0.01
+    )
     decomp = CriticalDecomposition(times=np.arange(6.0), r=np.full(6, 1e-7), psi=np.zeros((6, 3)))
     zeros = np.zeros(100)
     # log-uniform W: no density gap between the doomed and survivor scales

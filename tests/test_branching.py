@@ -13,12 +13,11 @@ from branchlab.branching import (
     simulate_ensemble,
     yule_moment_bound,
 )
-from branchlab.curves import constant
 from branchlab.dynamics import ConfigurationError
 from branchlab.semigroup import evolve_P
 
 from .conftest import make_constant_model
-from .oracles import bd_survival, yule_mean, yule_second_moment
+from .oracles import bd_survival, constant, yule_mean, yule_second_moment
 
 CUT = CutoffSpec(m=30.0)
 FREE = DynamicsSpec(variant="diffusion", a=constant(0.0))
@@ -92,14 +91,14 @@ def test_yule_moment_bound_overflow_sentinel():
 def test_mc_moments_oracles(zero_drift):
     m = make_constant_model(1.0, 1.0)
     res = simulate_ensemble(0.0, 1.0, 0.005, m, zero_drift, CUT, seed=9, reps=40_000, record_times=[1.0])
-    rows = mc_moments(res, 2, 1.0)
+    rows = mc_moments(res, 1.0)
     mean = next(r for r in rows if r["order"] == 1)
     second = next(r for r in rows if r["order"] == 2)
     assert abs(mean["estimate"] - 1.0) < 3.0 * mean["se"]  # critical mean is constant
     assert abs(second["estimate"] - 3.0) < 3.0 * second["se"]  # 1 + 2bt
     # with b_star = 0 the Yule ceiling of order 2 is 2! = 2, below E N_1^2 = 3
     with pytest.raises(RuntimeError, match="Yule ceiling"):
-        mc_moments(res, 2, 0.0)
+        mc_moments(res, 0.0)
 
 
 def test_mc_survival_oracles(zero_drift):

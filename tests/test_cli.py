@@ -45,14 +45,15 @@ def test_validate_shipped_config_exit_zero(tmp_path, capsys):
 
 
 def test_missing_config_key_names_path(tmp_path):
-    bad = {"model": {"b": 1.0, "d": 1.0}, "dynamics": {"variant": "diffusion", "a": 0.0}}
+    one, zero = ({"family": "constant", "params": {"value": v}} for v in (1.0, 0.0))
+    bad = {"model": {"b": one, "d": one}, "dynamics": {"variant": "diffusion", "a": zero}}
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
     code = main(["validate", "--config", str(p), "--out", str(tmp_path)])
     assert code == 2
     with pytest.raises(ConfigError, match="grid"):
         load_config(str(p))
-    bad2 = {"model": {"b": 1.0, "d": 1.0}, "dynamics": {"variant": "diffusion", "a": 0.0}, "grid": {"x_min": -1.0}}
+    bad2 = {"model": {"b": one, "d": one}, "dynamics": {"variant": "diffusion", "a": zero}, "grid": {"x_min": -1.0}}
     p2 = tmp_path / "bad2.json"
     p2.write_text(json.dumps(bad2))
     with pytest.raises(ConfigError):
@@ -309,6 +310,32 @@ def test_verify_sub_and_supercritical_small(tmp_path, capsys, name, reps, t_end,
         assert code == (1 if failed else 0)
         assert "error" not in capsys.readouterr().err
     assert docs[0] == docs[1]
+
+
+def test_h_routes_disagreement_fails_verify_and_survive(tmp_path, capsys, monkeypatch):
+    """A Newton h 1e-5 off the survival route's: verify writes the
+    supercritical-h-routes verdict as FAIL and exits 1, and survive exits 1."""
+    from branchlab import moments
+
+    newton = moments._newton_h
+
+    def shifted(generator, b_vals):
+        h, steps = newton(generator, b_vals)
+        return h + 1e-5, steps
+
+    monkeypatch.setattr(moments, "_newton_h", shifted)
+    cfg = _small_verify_config(tmp_path, "supercritical_constant", 600, 8.0, 5.0)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 1
+    doc = json.loads((tmp_path / "v" / "verification.json").read_text())
+    routes = doc["tests"][0]
+    assert routes["name"] == "supercritical-h-routes" and not routes["passed"]
+    assert routes["value"] == pytest.approx(1e-5, rel=0.3)
+    assert routes["threshold"] == moments.H_ROUTES_TOL < routes["value"]
+    assert "[FAIL] supercritical-h-routes" in capsys.readouterr().out
+    assert main(["survive", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: h routes disagree by ") and "Traceback" not in err
+    assert not (tmp_path / "s" / "h.csv").exists()
 
 
 def test_survive_and_moments_and_report(tmp_path):

@@ -47,37 +47,55 @@ def test_shipped_configs_load():
         assert cfg.raw == raw and cfg.name == name
 
 
-# (path, value, the path its error names): malformed inputs that exit 2
-MALFORMED = [
-    ("verify.alpha", 0, "verify.alpha"),
-    ("verify.alpha", 2, "verify.alpha"),
-    ("verify.alpha", "x", "verify.alpha"),
+def _constant(value):
+    return {"family": "constant", "params": {"value": value}}
+
+
+# (test id, path, value, the path its error names): malformed inputs that
+# exit 2.  Every row names its id, so a row inserted above another renames
+# no test; rows whose value is a mapping or a list keep the positional ids
+# that pytest once gave them.
+MALFORMED = [pytest.param(*row[1:], id=row[0]) for row in [
+    ("verify.alpha-0-verify.alpha", "verify.alpha", 0, "verify.alpha"),
+    ("verify.alpha-2-verify.alpha", "verify.alpha", 2, "verify.alpha"),
+    ("verify.alpha-x-verify.alpha", "verify.alpha", "x", "verify.alpha"),
     # verify.t_mc is no key: verify's ensemble runs to the largest of mc.times
-    ("verify.t_mc", -1, "verify.t_mc"),
-    ("verify.t_mc", 20.01, "verify.t_mc"),
-    ("verify.n_orders_mc", 0, "verify.n_orders_mc"),
-    ("verify.n_orders_mc", 5, "verify.n_orders_mc"),
-    ("verify.regime", "sub", "verify.regime"),
-    ("mc.rep", 30000, "mc.rep"),
-    ("solver.dtpde", 0.005, "solver.dtpde"),
-    ("grid.n_points", 441.5, "grid.n_points"),
-    ("calibrate", {"knob": "model.b.params.nope", "bracket": [0.5, 1.5]}, "calibrate.knob"),
-    ("calibrate", {"knob": "name", "bracket": [0.5, 1.5]}, "calibrate.knob"),
-    ("calibrate", {"knob": "model.b.params.value", "bracket": [1.5, 0.5]}, "calibrate.bracket"),
-    ("calibrate", {"knob": "model.b.params.value", "bracket": [0.5, math.inf]}, "calibrate.bracket"),
-    ("calibrate", {"knob": "model.b.params.value", "bracket": [0.5, 1.5], "tol": 0}, "calibrate.tol"),
-    ("mc.times", [14.01], "mc.times"),
-    ("mc.times", [14.0, 14.01], "mc.times"),
-    ("mc.dt", 0.03, "mc.times"),
+    ("verify.t_mc--1-verify.t_mc", "verify.t_mc", -1, "verify.t_mc"),
+    ("verify.t_mc-20.01-verify.t_mc", "verify.t_mc", 20.01, "verify.t_mc"),
+    ("verify.n_orders_mc-0-verify.n_orders_mc", "verify.n_orders_mc", 0, "verify.n_orders_mc"),
+    ("verify.n_orders_mc-5-verify.n_orders_mc", "verify.n_orders_mc", 5, "verify.n_orders_mc"),
+    ("verify.regime-sub-verify.regime", "verify.regime", "sub", "verify.regime"),
+    ("mc.rep-30000-mc.rep", "mc.rep", 30000, "mc.rep"),
+    ("solver.dtpde-0.005-solver.dtpde", "solver.dtpde", 0.005, "solver.dtpde"),
+    ("grid.n_points-441.5-grid.n_points", "grid.n_points", 441.5, "grid.n_points"),
+    ("calibrate-value11-calibrate.knob", "calibrate",
+     {"knob": "model.b.params.nope", "bracket": [0.5, 1.5]}, "calibrate.knob"),
+    ("calibrate-value12-calibrate.knob", "calibrate", {"knob": "name", "bracket": [0.5, 1.5]}, "calibrate.knob"),
+    ("calibrate-value13-calibrate.bracket", "calibrate",
+     {"knob": "model.b.params.value", "bracket": [1.5, 0.5]}, "calibrate.bracket"),
+    ("calibrate-value14-calibrate.bracket", "calibrate",
+     {"knob": "model.b.params.value", "bracket": [0.5, math.inf]}, "calibrate.bracket"),
+    ("calibrate-value15-calibrate.tol", "calibrate",
+     {"knob": "model.b.params.value", "bracket": [0.5, 1.5], "tol": 0}, "calibrate.tol"),
+    ("mc.times-value16-mc.times", "mc.times", [14.01], "mc.times"),
+    ("mc.times-value17-mc.times", "mc.times", [14.0, 14.01], "mc.times"),
+    ("mc.dt-0.03-mc.times", "mc.dt", 0.03, "mc.times"),
     # removed families and keys: no shipped config used them
-    ("model.b", {"family": "rational-bump", "params": {"amplitude": 1.0}}, "model.b"),
-    ("model.d", {"family": "table", "params": {"xs": [0.0, 1.0], "ys": [1.0, 2.0]}}, "model.d"),
-    ("dynamics.jump", {"family": "gaussian", "rate": 1.0}, "dynamics.jump.family"),
-    ("dynamics.jump", {"family": "uniform-window", "rate": 1.0, "width": 1.0, "sigma": 1.0}, "dynamics.jump.sigma"),
-    ("solver.h_tol", 1e-6, "solver.h_tol"),
-    ("solver.dt_report", 1.0, "solver.dt_report"),
-    ("verify.t_mc", 20.0, "verify.t_mc"),
-]
+    ("model.b-value19-model.b", "model.b", {"family": "rational-bump", "params": {"amplitude": 1.0}}, "model.b"),
+    ("model.d-value20-model.d", "model.d",
+     {"family": "table", "params": {"xs": [0.0, 1.0], "ys": [1.0, 2.0]}}, "model.d"),
+    ("dynamics.jump-value21-dynamics.jump.family", "dynamics.jump",
+     {"family": "gaussian", "rate": _constant(1.0)}, "dynamics.jump.family"),
+    ("dynamics.jump-value22-dynamics.jump.sigma", "dynamics.jump",
+     {"family": "uniform-window", "rate": _constant(1.0), "width": 1.0, "sigma": 1.0}, "dynamics.jump.sigma"),
+    ("solver.h_tol-1e-06-solver.h_tol", "solver.h_tol", 1e-6, "solver.h_tol"),
+    ("solver.dt_report-1.0-solver.dt_report", "solver.dt_report", 1.0, "solver.dt_report"),
+    ("verify.t_mc-20.0-verify.t_mc", "verify.t_mc", 20.0, "verify.t_mc"),
+    # a curve is a {family, params} mapping: a bare number is no shorthand
+    ("model.b-1.0-model.b", "model.b", 1.0, "model.b"),
+    ("dynamics.jump-bare-rate-dynamics.jump.rate", "dynamics.jump",
+     {"family": "uniform-window", "rate": 0.5, "width": 1.0}, "dynamics.jump.rate"),
+]]
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "verify"])
@@ -114,8 +132,8 @@ def test_constructor_errors_name_the_block():
 
 def test_defaults_fill_absent_blocks_and_keep_raw():
     raw = {
-        "model": {"b": 1.0, "d": 1.0, "b_star": 1},
-        "dynamics": {"variant": "diffusion", "a": 0.0},
+        "model": {"b": _constant(1.0), "d": _constant(1.0), "b_star": 1},
+        "dynamics": {"variant": "diffusion", "a": _constant(0.0)},
         "grid": {"x_min": -2, "x_max": 2, "n_points": 41},
         "mc": {"times": [3.0, 2.0], "dt": 0.5},
     }
@@ -133,8 +151,8 @@ def test_defaults_meet_the_schema():
     """A default is checked as a given value is: the default mc.times must
     be whole mc.dt steps."""
     raw = {
-        "model": {"b": 1.0, "d": 1.0, "b_star": 1},
-        "dynamics": {"variant": "diffusion", "a": 0.0},
+        "model": {"b": _constant(1.0), "d": _constant(1.0), "b_star": 1},
+        "dynamics": {"variant": "diffusion", "a": _constant(0.0)},
         "grid": {"x_min": -2, "x_max": 2, "n_points": 41},
         "mc": {"dt": 0.03},
     }

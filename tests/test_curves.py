@@ -51,10 +51,10 @@ def test_config_round_trip():
     assert np.allclose(g(xs), g2(xs))
 
 
-def test_bare_number_is_constant():
-    c = curve_from_config(3.0)
-    assert c.family == "constant"
-    assert c(10.0) == 3.0
+def test_bare_number_is_refused():
+    for cfg in (3.0, 0, {"family": "constant", "value": 3.0}):
+        with pytest.raises(ValueError, match="curve config must be a {family, params} mapping"):
+            curve_from_config(cfg)
 
 
 @settings(max_examples=30, deadline=None)

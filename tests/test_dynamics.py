@@ -3,11 +3,11 @@ import pytest
 
 from branchlab import DynamicsSpec, JumpKernel, rng
 from branchlab.branching import CutoffSpec, simulate_ensemble
-from branchlab.curves import Curve, constant
+from branchlab.curves import Curve
 from branchlab.dynamics import ConfigurationError, move
 
 from .conftest import make_constant_model
-from .oracles import euler_ou_variance, ou_variance
+from .oracles import constant, euler_ou_variance, ou_variance
 
 OU = Curve("polynomial", {"coeffs": [0.0, 1.0]})
 

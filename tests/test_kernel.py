@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from branchlab import DynamicsSpec, JumpKernel, RateModel, branching, rng
 from branchlab.branching import CutoffSpec, simulate_ensemble
-from branchlab.curves import Curve, constant
+from branchlab.curves import Curve
 from branchlab.model import DRIFTED_JUMP
 
 from .conftest import make_constant_model
+from .oracles import constant
 
 OU = Curve("polynomial", {"coeffs": [0.0, 1.0]})
 BUMP_B = Curve("gaussian-bump", {"amplitude": 1.2, "width": 1.5})

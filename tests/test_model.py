@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from branchlab import DynamicsSpec, Grid, JumpKernel, RateModel
-from branchlab.curves import Curve, constant
+from branchlab.curves import Curve
 from branchlab.model import (
     NotApplicableError,
     ell_and_rho,
@@ -12,6 +12,7 @@ from branchlab.model import (
 )
 
 from .conftest import make_constant_model
+from .oracles import constant
 
 
 def _failed(report):

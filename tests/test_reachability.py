@@ -19,11 +19,12 @@ its callees alive.
 
 Parameters: each defaulted parameter of a live function or method
 (``__init__`` included) is passed by some live call in ``src/`` and left
-out by another, and each function reads every one of its parameters, or
-the parameter is listed in ``ALLOWED_PARAMETERS`` with the reason it
-stays.  A value that no command sets is a module constant beside its one
-reader, not a keyword default; a default that every call overrides is a
-fallback that nothing runs.
+out by another, no parameter gets the same literal from every live call,
+and each function reads every one of its parameters, or the parameter is
+listed in ``ALLOWED_PARAMETERS`` with the reason it stays.  A value that
+no command sets, or that every call sets to one literal, is a module
+constant beside its one reader, not a parameter; a default that every call
+overrides is a fallback that nothing runs.
 A call reaches a definition by name, as above (a class name or ``cls``
 reaches ``__init__``), and passes a parameter by keyword, by position, by
 a ``*`` splat (every positional one) or by a ``**`` splat: of every
@@ -33,7 +34,18 @@ parameter passes it only if that parameter is passed in turn, which a
 fixpoint settles.  A splat of anything but a dict literal may as well
 leave every parameter out, so for a default that every call overrides
 only the parameters a call names count: by keyword, by position before
-any ``*`` splat, or as a key of its dict literal.
+any ``*`` splat, or as a key of its dict literal.  A literal is what
+``ast.literal_eval`` reads (``2``, ``-1.0``, ``"subcritical"``), compared
+by its source text.
+
+Fields: each annotated field of a ``src/`` dataclass is read somewhere in
+``src/``, or is listed in ``ALLOWED_FIELDS`` with the reason it stays.
+This scan matches by name too: any attribute load of the field's name
+counts as a read, whatever its object, so a field that shares its name
+with a read of something else is missed (a line trace of the commands
+found ``HResult.regime`` behind ``spectral.regime()`` and
+``EnsembleResult.seed`` behind ``args.seed``).  A keyword of a constructor
+or of ``dataclasses.replace`` writes a field and is no read.
 """
 
 import ast
@@ -83,6 +95,13 @@ ALLOWED_PARAMETERS = {
     "cli.cmd_spectrum.args": "the cmd_*(cfg, args, out) dispatch signature",
     "cli.cmd_moments.args": "the cmd_*(cfg, args, out) dispatch signature",
     "cli.cmd_survive.args": "the cmd_*(cfg, args, out) dispatch signature",
+    "semigroup._rightmost_eigs.k": "tests/oracles.py asks it for more eigenvalues than the two src/ reads",
+}
+
+# "module.Class.field": why a dataclass field stays that no src/ code reads
+ALLOWED_FIELDS = {
+    "branching.EnsembleResult.traits_at": "tests/test_kernel.py compares whole-population snapshots "
+    "with its reference step",
 }
 
 
@@ -283,16 +302,26 @@ def _splat_literal(caller_node, name):
     return pairs if found else None
 
 
+def _literal(expr):
+    try:
+        ast.literal_eval(expr)
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return False
+    return True
+
+
 def _parameter_findings(defs, trees, dead, allowed):
-    """(unset, unread, overridden): the "module.qualname.parameter" of every
-    defaulted parameter that no live call passes, of every parameter its
-    function does not read, and of every defaulted parameter that each live
-    call passes, outside ``allowed`` and the dead definitions."""
+    """(unset, unread, overridden, one_valued): the
+    "module.qualname.parameter" of every defaulted parameter that no live
+    call passes, of every parameter its function does not read, of every
+    defaulted parameter that each live call passes, and of every parameter
+    that each live call passes as the same literal, outside ``allowed`` and
+    the dead definitions."""
     params = {key: _parameters(key, fn) for key, (_, fn) in defs.items()}
     aliases = {module: _module_aliases(tree) for module, tree in trees.items()}
     live = [key for key in defs if key not in dead and key not in allowed]
     passed, forwards = set(), []
-    at_calls = {}  # target -> the parameters that each of its calls surely passes
+    at_calls = {}  # target -> {parameter: expression} that each of its calls surely passes
     for call, module, caller, local in _live_calls(defs, trees, dead):
         caller_params = params[caller][1] if caller else []
 
@@ -320,7 +349,7 @@ def _parameter_findings(defs, trees, dead, allowed):
                     literal = _splat_literal(defs[caller][1], kw.value.id)
                 given += literal if literal is not None else [(p, None) for p in every]
             # a splat of anything but a literal may leave out any parameter
-            at_calls.setdefault(target, []).append({param for param, expr in given if expr is not None})
+            at_calls.setdefault(target, []).append({param: expr for param, expr in given if expr is not None})
             for param, expr in given:
                 src = source(expr) if expr is not None else None
                 if src is None:
@@ -350,7 +379,46 @@ def _parameter_findings(defs, trees, dead, allowed):
         f"{key}.{param}" for key in live for param in params[key][2]
         if key in at_calls and all(param in call for call in at_calls[key]) and f"{key}.{param}" not in allowed
     )
-    return unset, sorted(unread), overridden
+    one_valued = sorted(
+        f"{key}.{param}" for key in live if key in at_calls for param in params[key][1]
+        if all(param in call and _literal(call[param]) for call in at_calls[key])
+        and len({ast.unparse(call[param]) for call in at_calls[key]}) == 1
+        and f"{key}.{param}" not in allowed
+    )
+    return unset, sorted(unread), overridden, one_valued
+
+
+# ----------------------------------------------------------------------
+# the field scan
+
+
+def _is_dataclass(node):
+    return any(
+        (isinstance(d, ast.Name) and d.id == "dataclass")
+        or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass")
+        for d in node.decorator_list
+    )
+
+
+def _unread_fields(trees, allowed):
+    """The "module.Class.field" of every annotated field of a dataclass that
+    no attribute load in ``trees`` names, outside ``allowed``; a load read
+    off an outside module alias (``np.x``) does not count."""
+    reads = set()
+    for tree in trees.values():
+        outside = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                root = _chain_root(node)
+                if not (isinstance(root, ast.Name) and root.id in outside):
+                    reads.add(node.attr)
+    return sorted(
+        f"{module}.{cls.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        if stmt.target.id not in reads and f"{module}.{cls.name}.{stmt.target.id}" not in allowed
+    )
 
 
 # ----------------------------------------------------------------------
@@ -368,15 +436,23 @@ def test_every_src_function_is_reachable_or_allowed():
 def test_every_src_parameter_is_set_and_read_or_allowed():
     defs, trees = _definitions()
     dead = _unreferenced(defs, trees, alive_roots=set(ALLOWED), reached_by=REACHED_BY)
-    unset, unread, overridden = _parameter_findings(defs, trees, dead, ALLOWED_PARAMETERS)
-    assert not unset and not unread and not overridden, (
+    unset, unread, overridden, one_valued = _parameter_findings(defs, trees, dead, ALLOWED_PARAMETERS)
+    assert not unset and not unread and not overridden and not one_valued, (
         "defaulted parameters no src/ call sets (make each a module constant or delete its path):\n"
         + "\n".join(unset)
         + "\nparameters their function never reads:\n"
         + "\n".join(unread)
         + "\ndefaulted parameters every src/ call sets (delete the default):\n"
         + "\n".join(overridden)
+        + "\nparameters every src/ call sets to one literal (make each a module constant):\n"
+        + "\n".join(one_valued)
     )
+
+
+def test_every_dataclass_field_is_read_or_allowed():
+    _, trees = _definitions()
+    unread = _unread_fields(trees, ALLOWED_FIELDS)
+    assert not unread, "dataclass fields no src/ code reads (delete each, or allow it):\n" + "\n".join(unread)
 
 
 def test_scan_reads_methods_through_attributes_of_package_values_only():
@@ -464,7 +540,7 @@ def test_parameter_scan_on_a_fixture():
     """
     defs, trees = _definitions({"lib": textwrap.dedent(lib)})
     dead = _unreferenced(defs, trees, alive_roots={"lib.main"})
-    unset, unread, overridden = _parameter_findings(defs, trees, dead, allowed={})
+    unset, unread, overridden, _ = _parameter_findings(defs, trees, dead, allowed={})
     # tol by position, steps by the literal splat, scale by a keyword that
     # forwards a passed parameter, pad through cls(...); order only by
     # forwarding an unset one
@@ -481,14 +557,80 @@ def test_parameter_scan_on_a_fixture():
     """)
     defs, trees = _definitions({"lib": text})
     dead = _unreferenced(defs, trees, alive_roots={"lib.main", "lib.passthrough"})
-    unset, _, overridden = _parameter_findings(defs, trees, dead, allowed={})
+    unset, _, overridden, _ = _parameter_findings(defs, trees, dead, allowed={})
     assert unset == ["lib.forward.order"] and overridden == ["lib.Box.__init__.pad"]
+
+
+def test_one_valued_parameter_scan_on_a_fixture():
+    lib = """
+        def scale(u, regime, n, shift=0.0):
+            return u * n + shift if regime == "sub" else u
+
+        def order(u, k):
+            return u ** k
+
+        def main(u, n):
+            common = dict(regime="sub")
+            return (scale(u, "sub", 2) + scale(u, n=-1.0, **common)
+                    + scale(u, "sub", 2, shift=n) + order(u, 2) + order(u, 2.0))
+    """
+    defs, trees = _definitions({"lib": textwrap.dedent(lib)})
+    dead = _unreferenced(defs, trees, alive_roots={"lib.main"})
+    # regime is "sub" in each call, by position or a literal splat; n is 2
+    # or -1.0, shift is left out, and order's k is 2 or 2.0: two texts
+    assert _parameter_findings(defs, trees, dead, allowed={})[3] == ["lib.scale.regime"]
+    assert _parameter_findings(defs, trees, dead, allowed={"lib.scale.regime": ""})[3] == []
+    # one call that passes a non-literal keeps the parameter
+    text = textwrap.dedent(lib) + textwrap.dedent("""
+        def other(u, regime):
+            return scale(u, regime, 2)
+    """)
+    defs, trees = _definitions({"lib": text})
+    dead = _unreferenced(defs, trees, alive_roots={"lib.main", "lib.other"})
+    assert _parameter_findings(defs, trees, dead, allowed={})[3] == []
+
+
+def test_field_scan_on_a_fixture():
+    lib = """
+        import numpy as np
+        from dataclasses import dataclass, replace
+
+        @dataclass
+        class Result:
+            h: float
+            steps: list
+            tail: float
+            note: str = ""
+
+        @dataclass(frozen=True)
+        class Spec:
+            m: float
+            shape: tuple
+
+        class Plain:
+            size: int
+
+        def run(spec):
+            res = Result(h=spec.m, steps=[], tail=0.0)
+            res.steps = np.shape
+            return replace(res, note="x").h
+    """
+    _, trees = _definitions({"lib": textwrap.dedent(lib)})
+    # h and m are read; steps is only written, shape only read off numpy,
+    # tail and note only passed by keyword; a plain class has no fields
+    assert _unread_fields(trees, allowed={}) == [
+        "lib.Result.note", "lib.Result.steps", "lib.Result.tail", "lib.Spec.shape",
+    ]
+    assert _unread_fields(trees, allowed={"lib.Result.note": ""}) == [
+        "lib.Result.steps", "lib.Result.tail", "lib.Spec.shape",
+    ]
 
 
 def test_allowlist_is_current():
     """Each entry names a definition and is still needed: an allowed
-    function has no caller in src/, an allowed parameter stays unset or
-    unread without its entry, and each named call is in its caller."""
+    function has no caller in src/, an allowed parameter stays unset,
+    unread, overridden or one-valued without its entry, an allowed field
+    stays unread, and each named call is in its caller."""
     defs, trees = _definitions()
     assert set(ALLOWED) <= set(defs), sorted(set(ALLOWED) - set(defs))
     assert _unreferenced(defs, trees, alive_roots=set(), reached_by=REACHED_BY) >= set(ALLOWED)
@@ -506,3 +648,5 @@ def test_allowlist_is_current():
             assert any(f.startswith(entry + ".") for f in findings), entry
         else:
             assert entry in findings, entry
+
+    assert set(ALLOWED_FIELDS) <= set(_unread_fields(trees, allowed={})), ALLOWED_FIELDS

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from branchlab import DynamicsSpec, Grid, RateModel
 from branchlab import cli, semigroup
 from branchlab.config import load_config
-from branchlab.curves import Curve, constant
+from branchlab.curves import Curve
 from branchlab.model import NotApplicableError, ell_values
 from branchlab.semigroup import (
     GridTooNarrowError,
@@ -28,6 +28,7 @@ from branchlab.semigroup import (
 
 from .conftest import make_constant_model, make_oscillator_model
 from .oracles import (
+    constant,
     evolve_reference,
     girsanov_crosscheck,
     oscillator_eigenvalue,
@@ -305,11 +306,11 @@ def test_girsanov_not_applicable(jumps_setup):
 
 def test_hp4_edge_decay(oscillator_setup, box_grid, zero_drift):
     model, dyn, grid, gen, _ = oscillator_setup
-    rep = hp4_edge_decay(gen, 1.0, dt_pde=0.01)
+    rep = hp4_edge_decay(gen, dt_pde=0.01)
     assert rep["passed"]
     m0 = make_constant_model(1.0, 1.0)  # V = 0, reflecting: constants preserved
     gen0 = build_generator(m0, zero_drift, box_grid)
-    rep0 = hp4_edge_decay(gen0, 1.0, dt_pde=0.01)
+    rep0 = hp4_edge_decay(gen0, dt_pde=0.01)
     assert not rep0["passed"]
 
 
@@ -318,7 +319,7 @@ def test_hp4_wider_grid_still_passes(zero_drift):
     for span in (8.0, 10.0):
         n = int(span * 100) + 1
         gen = build_generator(m, zero_drift, Grid(-span, span, n))
-        assert hp4_edge_decay(gen, 1.0, dt_pde=0.01)["passed"]
+        assert hp4_edge_decay(gen, dt_pde=0.01)["passed"]
 
 
 def test_eigen_residual_at_propagator_level(oscillator_setup):
