@@ -211,14 +211,22 @@ def cmd_moments(cfg, args, out):
     )
 
     regime = spec.regime()
-    limits = {"regime": regime, "lambda0": spec.lambda0, "A": spec.A, "B": spec.B}
+    limits = {
+        "regime": regime,
+        "lambda0": spec.lambda0,
+        "A": spec.A,
+        "B": spec.B,
+        "moments_time_error": field.time_error,
+    }
     if regime == "critical":
         V = mom.critical_limits(spec, n_orders)
         limits["V_critical_at_x0"] = {
             n: float(np.interp(cfg.mc["x0"], field.nodes, V[n])) for n in V
         }
     elif regime == "subcritical":
-        sub = mom.subcritical_limits(spec, cfg.model, field, _survival_field(cfg, gen), n_orders)
+        u0f = _survival_field(cfg, gen)
+        sub = mom.subcritical_limits(spec, cfg.model, field, u0f, n_orders)
+        limits["survival_time_error"] = u0f.time_error
         limits["V_minus"] = {n: float(v) for n, v in sub["V"].items()}
         limits["K_minus"] = sub["K_minus"]
         limits["beta"] = sub["beta"]
@@ -257,8 +265,7 @@ def cmd_survive(cfg, args, out):
         "h_sup": float(np.max(hres.h)),
         "h_routes_agreement": hres.agreement,
         "iterations": hres.iterations,
-        # the survival march halves dt_pde when its positivity guard trips
-        "survival_dt_pde": u0f.dt_pde,
+        "survival_time_error": u0f.time_error,
     }
     if regime == "critical":
         rep = analysis.critical_survival_check(u0f, spec)

@@ -8,12 +8,13 @@ differential form
     d/dt u_0 = L u_0 - b u_0^2,                                  u_0(0) = 1
     d/dt H   = L H   - b H^2,                                    H(0) = 1 - e^{w f}
 
-with an IMEX Crank-Nicolson march (implicit linear part, trapezoidal
-predictor-corrector source).  The fields of one march (all moment orders
-together) are the columns of one block, so each predictor and each
-corrector is a single band solve with the propagator's factor of
-I - (dt/2) L, and no matrix-vector product
-(``semigroup.Propagator.march``).
+with an IMEX TR-BDF2 march under local error control
+(``semigroup.Propagator.march``): the linear part implicit, the source
+unsplit and taken at each stage's end, by a predictor-corrector for the
+survival and Laplace equations, whose source reads the field itself.  The
+moment orders are the columns of one block, each order's source reads the
+orders below it, so each stage is a single band solve with a cached factor
+of I - (gamma h / 2) L, and the block takes the steps of order 1.
 
 The extinction limit h solves the stationary equation L h - b h^2 = 0 by
 Newton's method, cross-checked against the long-time survival march.
@@ -35,9 +36,8 @@ import scipy.sparse.linalg as spla
 from scipy.special import comb
 
 from .branching import yule_moment_bound
-# Propagator stays importable from here: perfbench checks that its tracer
-# patched the class this module sees
-from .semigroup import Propagator, _propagator
+# perfbench checks that its tracer patched the Propagator this module sees
+from .semigroup import Propagator
 
 __all__ = [
     "MomentField",
@@ -76,8 +76,9 @@ def require_regime(spectral, regime, op):
 
 @dataclass
 class MomentField:
-    """Stored time slices of u_n(t, .) for n = 0 ... N, marched at step
-    ``dt_pde``.
+    """Stored time slices of u_n(t, .) for n = 0 ... N, marched at the
+    tolerance of ``dt_pde``, with the march's time-error estimate (the sum
+    of its local error estimates, relative to each field's sup).
 
     ``fields[n]`` has shape (n_times, n_nodes).  Order 0 is the survival
     probability when present.
@@ -87,6 +88,7 @@ class MomentField:
     nodes: np.ndarray
     fields: dict
     dt_pde: float
+    time_error: float
     f_vals: np.ndarray | None = None
 
     @property
@@ -145,7 +147,12 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde, n_store, ensur
     b_vals = np.asarray(model.b(xs), dtype=float)
     f_sup = float(np.max(np.abs(f_vals))) if np.max(np.abs(f_vals)) > 0 else 1.0
     init = np.column_stack([f_vals**n for n in range(1, n_max + 1)])
-    binom = {n: [float(comb(n, k)) for k in range(n + 1)] for n in range(2, n_max + 1)}
+    # the terms k and n - k of sum_k C(n,k) u_k u_{n-k} are equal: each
+    # unordered pair k <= n - k is formed once, with weight 2 C(n,k) when
+    # k < n - k
+    pairs = {n: [(k, float(comb(n, k)) * (1 if 2 * k == n else 2)) for k in range(1, n // 2 + 1)]
+             for n in range(2, n_max + 1)}
+    term = np.empty(len(xs))
 
     def source(state, out):
         # column n - 1 holds order n; order 1 has no source, and order n
@@ -153,9 +160,13 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde, n_store, ensur
         out[:, 0] = 0.0
         for n in range(2, n_max + 1):
             s = out[:, n - 1]
-            s[:] = 0.0
-            for k in range(1, n):
-                s += binom[n][k] * state[:, k - 1] * state[:, n - k - 1]
+            (k, weight), *rest = pairs[n]
+            np.multiply(state[:, k - 1], state[:, n - k - 1], out=s)
+            s *= weight
+            for k, weight in rest:
+                prod = np.multiply(state[:, k - 1], state[:, n - k - 1], out=term)
+                prod *= weight
+                s += prod
             s *= b_vals
 
     def ceilings(t):
@@ -183,8 +194,8 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde, n_store, ensur
     steps = _store_steps(t_end, dt_pde, n_store, ensure_times)
     # initial data f^n generally ignores the absorbing boundary, so damp
     # the startup like the survival solver does
-    stored = _propagator(generator, dt_pde).march(
-        init, t_end, steps, source_fn=source, guard=guard, smooth_start=True, triangular=True
+    stored, time_error = Propagator.march(
+        generator, dt_pde, init, t_end, steps, source_fn=source, guard=guard, smooth_start=True, triangular=True
     )
     times = np.array(steps) * dt_pde
     return MomentField(
@@ -192,6 +203,7 @@ def solve_moments(f_vals, n_max, t_end, generator, model, dt_pde, n_store, ensur
         nodes=xs,
         fields={n: stored[n - 1] for n in range(1, n_max + 1)},
         dt_pde=dt_pde,
+        time_error=time_error,
         f_vals=f_vals,
     )
 
@@ -203,31 +215,24 @@ def solve_survival(t_end, generator, model, dt_pde, n_store, ensure_times=()):
     """March the survival probability u_0 (init 1, source -b u_0^2).
 
     u_0 stays in [0, 1] and is nonincreasing in t; a value below
-    -``_POSITIVITY_TOL`` triggers one step-size halving, then an error.
+    -``_POSITIVITY_TOL`` raises BlowupError.
     """
     xs = generator.grid.nodes
     source = _survival_source(np.asarray(model.b(xs), dtype=float))
-    attempt_dt = dt_pde
-    last_err = None
 
     def guard(state, t):
         m = float(np.min(state))
         if m < -_POSITIVITY_TOL:
             raise BlowupError(f"survival went negative ({m:.3e}) at t = {t:.3g}")
 
-    for _ in range(2):
-        steps = _store_steps(t_end, attempt_dt, n_store, ensure_times)
-        prop = _propagator(generator, attempt_dt)
-        try:
-            stored = prop.march(np.ones((len(xs), 1)), t_end, steps, source_fn=source, guard=guard, smooth_start=True)
-        except BlowupError as err:
-            last_err = err
-            attempt_dt /= 2.0
-            continue
-        u0 = np.clip(stored[0], 0.0, 1.0)
-        times = np.array(steps) * attempt_dt
-        return MomentField(times=times, nodes=xs, fields={0: u0}, dt_pde=attempt_dt)
-    raise BlowupError(f"survival solver failed after step halving: {last_err}")
+    steps = _store_steps(t_end, dt_pde, n_store, ensure_times)
+    stored, time_error = Propagator.march(
+        generator, dt_pde, np.ones((len(xs), 1)), t_end, steps, source_fn=source, guard=guard, smooth_start=True
+    )
+    u0 = np.clip(stored[0], 0.0, 1.0)
+    return MomentField(
+        times=np.array(steps) * dt_pde, nodes=xs, fields={0: u0}, dt_pde=dt_pde, time_error=time_error
+    )
 
 
 def laplace_functional(f_vals, w, t_end, generator, model, dt_pde=0.01, n_store=100, ensure_times=()):
@@ -246,9 +251,11 @@ def laplace_functional(f_vals, w, t_end, generator, model, dt_pde=0.01, n_store=
     h0 = 1.0 - np.exp(w * f_vals)
     source = _survival_source(np.asarray(model.b(xs), dtype=float))
     steps = _store_steps(t_end, dt_pde, n_store, ensure_times)
-    stored = _propagator(generator, dt_pde).march(h0[:, None], t_end, steps, source_fn=source, smooth_start=True)
+    stored, time_error = Propagator.march(
+        generator, dt_pde, h0[:, None], t_end, steps, source_fn=source, smooth_start=True
+    )
     times = np.array(steps) * dt_pde
-    return MomentField(times=times, nodes=xs, fields={0: stored[0]}, dt_pde=dt_pde)
+    return MomentField(times=times, nodes=xs, fields={0: stored[0]}, dt_pde=dt_pde, time_error=time_error)
 
 
 # ----------------------------------------------------------------------
@@ -317,9 +324,9 @@ def solve_h(model, generator, spectral, dt_pde, survival=None):
     min(|lambda0|, gap), until the extrapolated remainder drops below
     ``_H_TOL``.
     ``survival`` is an optional u0 field from ``solve_survival`` (the survey
-    march of ``survive``): the route continues from its last slice, at its
-    ``dt_pde``, in segments of whole stored slices, and measures its
-    first contraction rates on the field's slices.  Without it the route
+    march of ``survive``): the route continues from its last slice, at the
+    tolerance of its ``dt_pde``, in segments of whole stored slices, and
+    measures its first contraction rates on the field's slices.  Without it the route
     first marches u0 from t = 0 over four segments at ``dt_pde``.
     """
     regime = spectral.regime()
@@ -348,8 +355,6 @@ def solve_h(model, generator, spectral, dt_pde, survival=None):
     # checkpoints a segment apart, newest first: the field's last slice and
     # up to two before it
     marks = list(survival.fields[0][::-stride][:3])
-    # the survival solver may have halved its step
-    prop = _propagator(generator, survival.dt_pde)
     src = _survival_source(b_vals)
     t_total = float(survival.times[-1])
     for _ in range(60):
@@ -363,7 +368,7 @@ def solve_h(model, generator, spectral, dt_pde, survival=None):
             remaining = inc * q / max(1.0 - q, 1e-12)
             if remaining < 0.5 * _H_TOL or t_total > 400.0:
                 break
-        out = prop.march(marks[0][:, None], dt_seg, None, source_fn=src)
+        out, _err = Propagator.march(generator, survival.dt_pde, marks[0][:, None], dt_seg, None, source_fn=src)
         marks = [np.clip(out[0, -1], 0.0, 1.0), *marks[:2]]
         t_total += dt_seg
     h_u0 = marks[0]

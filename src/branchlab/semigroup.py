@@ -13,15 +13,23 @@ a generator (so the propagators stay positive), is second order, and makes
 the matrix exactly symmetric in the speed measure rho = e^{-2l} dx, which
 in turn makes the left eigenvector equal Theta0 * rho at solver precision.
 
-Propagation uses Crank-Nicolson with Rannacher startup (implicit-Euler
-half steps) to damp nonsmooth initial data.  Each propagator factors
-A = I - (dt/2) L once as a LAPACK band matrix (tridiagonal for pure
-diffusion, with the bandwidth of L otherwise) and takes every CN
-step as u_new = A^{-1}(2u + dt s) - u, which equals the CN update because
-I + (dt/2) L = 2I - A: one band solve per step, no matrix-vector product,
-for one field or for a block of fields marched as columns.
-``Propagator.march`` is the one time loop: ``evolve_P``, ``fit_H`` and
-every march of ``moments`` run through it.
+Propagation is TR-BDF2, an L-stable second-order step (Bank et al. 1985;
+Hosea & Shampine 1996), under a controller that picks each step from an
+embedded local error estimate against a tolerance of ``_TIME_TOL``
+dt_pde**2.  Nonsmooth initial data get a damped start: three pairs of
+implicit-Euler half steps, then TR-BDF2 steps shorter than dt_pde that
+grow as the error allows.  After it a step is never shorter than dt_pde,
+and grows past it, to a divisor of the span between stored times, where
+its error per unit time stays below the tolerance.  Both stages of a step
+of length h solve with A = I - (gamma h / 2) L, which each ``Propagator``
+factors once through LAPACK (a symmetric tridiagonal factor for a pure
+diffusion, a band factor with the bandwidth of L otherwise); a march meets
+few distinct steps.  The trapezoidal stage is a Crank-Nicolson step
+u_new = A^{-1}(2u + dt s) - u, since I + (dt/2) L = 2I - A: one band
+solve, no matrix-vector product, for one field or for a block of fields
+marched as columns.
+``Propagator.march`` is the one time loop: ``evolve_P``, ``fit_H``,
+``hp4_edge_decay`` and every march of ``moments`` run through it.
 """
 
 from __future__ import annotations
@@ -165,7 +173,7 @@ def build_generator(model, dyn, grid):
 
 
 # ----------------------------------------------------------------------
-# Crank-Nicolson propagation
+# time stepping: TR-BDF2 under a local error controller
 
 
 def _band(matrix):
@@ -177,45 +185,115 @@ def _band(matrix):
     return coo, -int(offsets.min(initial=0)), int(offsets.max(initial=0))
 
 
+def _symmetrized(matrix, rho, rel_tol):
+    """(main, off): the diagonals of S = D M D^{-1}, D = diag(sqrt(rho)),
+    with off the mean of its two off-diagonals, when M is tridiagonal and S
+    is symmetric to ``rel_tol`` of its largest entry; else None.  Each entry
+    is rounded as the sparse product diags(d) @ M @ diags(1/d) rounds it."""
+    if rho is None or max(_band(matrix)[1:]) > 1:
+        return None
+    d = np.sqrt(rho)
+    inv = 1.0 / d
+    lower = d[1:] * matrix.diagonal(-1) * inv[:-1]
+    main = d * matrix.diagonal() * inv
+    upper = d[:-1] * matrix.diagonal(1) * inv[1:]
+    scale = max(1.0, *(np.max(np.abs(diag)) for diag in (lower, main, upper)))
+    if not np.max(np.abs(upper - lower)) < rel_tol * scale:
+        return None
+    return main, 0.5 * (upper + lower)
+
+
+def _whole_steps(t, dt):
+    """The number of steps dt in time t; a ValueError unless t is a
+    nonnegative whole number of them."""
+    n = int(round(t / dt))
+    if t < 0 or abs(n * dt - t) > 1e-9 * max(1.0, t):
+        raise ValueError(f"time {t:g} is not a nonnegative multiple of the solver step {dt:g}")
+    return n
+
+
+# TR-BDF2 with gamma = 2 - sqrt 2 (Bank et al. 1985; Hosea & Shampine 1996):
+# a trapezoidal stage Y2 to t + gamma h, then a BDF2 stage to t + h,
+#     A u_new = u + w/d (Y2 - u) + (gamma h / 2) s,   w/d = (1 + sqrt 2) / 2.
+# Both stages solve with A = I - (gamma h / 2) L, the Crank-Nicolson matrix
+# of a step gamma h, so the Propagator of step gamma h takes a whole step:
+# its step_cn is the trapezoidal stage, its step_be_half the BDF2 stage.
+_GAMMA = 2.0 - math.sqrt(2.0)
+_BDF2_W = (1.0 + math.sqrt(2.0)) / 2.0
+# Hosea & Shampine's embedded estimate of the local error, written with the
+# stages: (3 + 2 sqrt 2)(Y2 - u) - 2 (u_new - u) - sqrt 2 h u'(t), over 3
+_EST_Y2, _EST_Y3, _EST_F = (3.0 + 2.0 * math.sqrt(2.0)) / 3.0, -2.0 / 3.0, -math.sqrt(2.0) / 3.0
+# the controller's tolerance tol, in units of dt_pde**2, relative to each
+# field's sup over the grid: a step longer than dt_pde keeps its error per
+# unit time below tol, a step of the start shorter than dt_pde its error
+# below _START_TOL tol
+_TIME_TOL, _START_TOL = 0.015, 10.0
+# the start: _DAMPED_STEPS steps of dt_pde / 2, each a pair of
+# implicit-Euler half steps, then TR-BDF2 from dt_pde / 2**_RAMP_DEPTH
+_DAMPED_STEPS, _RAMP_DEPTH = 3, 4
+# steps and times count units of dt_pde / _UNITS, so the march adds no
+# rounding to them
+_UNITS = 2**48
+# the step-size rule: the local error of a second-order step scales as
+# h**3; a short step is halved at least once on rejection and doubles when
+# the error leaves room for 2 h
+_SAFETY, _MAX_SHRINK = 0.9, 0.2
+# the predictor-corrector takes the source explicitly, so it is stable only
+# while h times the source's Lipschitz constant stays below about 2 (Heun's
+# bound); a step longer than dt_pde keeps that product at most 1 for a
+# source that reads its own column
+_SOURCE_STEP = 1.0
+
+
 class Propagator:
-    """Crank-Nicolson stepper for du/dt = L u (+ source), factored once.
+    """Band-LU solves with A = I - (dt/2) L for one generator and step dt.
 
-    A = I - (dt/2) L is factored once through LAPACK in band form: the
-    tridiagonal ``dgttrf`` when L is tridiagonal (pure diffusion),
-    else ``dgbtrf`` with the band read from the nonzeros of L (jumps and
-    the upwind drift; a kernel of unbounded support fills the whole band).
-    Since I + (dt/2) L = 2I - A, a CN step is u_new = A^{-1}(2u + dt s) - u:
-    one band solve and no matrix-vector product.  A is also the
-    implicit-Euler half-step matrix.  ``u`` may be one real field of shape
-    (n,) or a Fortran-ordered block (n, k) of fields marched together.
+    A is factored once through LAPACK: for a pure diffusion, whose L is
+    tridiagonal and symmetric in the speed measure rho, by ``dpttrf`` on A
+    symmetrised in rho; otherwise in band form by ``dgbtrf``, with the band
+    read from the nonzeros of L (jumps and the upwind drift; a kernel of
+    unbounded support fills the whole band).  Since
+    I + (dt/2) L = 2I - A, a Crank-Nicolson step is u_new = A^{-1}(2u +
+    dt s) - u: one band solve and no matrix-vector product.  A is also the
+    implicit-Euler matrix of a step dt/2.  ``u`` may be one real field of
+    shape (n,) or a Fortran-ordered block (n, k) of fields marched
+    together.  ``march`` is the one time loop over these solves.
     """
-
-    # implicit-Euler half-step pairs that start a smoothed march, to damp
-    # nonsmooth initial data
-    rannacher = 2
 
     def __init__(self, generator, dt):
         self.generator = generator
         self.dt = float(dt)
+        half = self.dt / 2.0
+        self._spd = None
+        # a diffusion's L is symmetric in its speed measure rho, so A is
+        # similar to a symmetric tridiagonal matrix, positive definite while
+        # (dt/2) lambda0 < 1: its LDL^T solve costs half of a general one
+        sym = _symmetrized(generator.matrix, generator.rho, 1e-12)
+        if sym is not None:
+            diag, off, info = sla.lapack.dpttrf(1.0 - half * sym[0], -half * sym[1])
+            if info == 0:
+                self._spd = (np.sqrt(generator.rho), diag, off)
+                return
         n = generator.n
-        A, self._kl, self._ku = _band(sp.identity(n, format="csr") - (self.dt / 2.0) * generator.matrix)
-        if self._kl <= 1 and self._ku <= 1:
-            *self._tri, info = sla.lapack.dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
-        else:
-            # LAPACK band storage: A[i, j] at row kl + ku + i - j; the
-            # first kl rows are room for the fill-in of the pivoting
-            band = np.zeros((2 * self._kl + self._ku + 1, n))
-            band[self._kl + self._ku + A.row - A.col, A.col] = A.data
-            self._tri = None
-            self._band, self._ipiv, info = sla.lapack.dgbtrf(band, self._kl, self._ku, overwrite_ab=1)
+        A, self._kl, self._ku = _band(sp.identity(n, format="csr") - half * generator.matrix)
+        # LAPACK band storage: A[i, j] at row kl + ku + i - j; the first kl
+        # rows are room for the fill-in of the pivoting
+        band = np.zeros((2 * self._kl + self._ku + 1, n))
+        band[self._kl + self._ku + A.row - A.col, A.col] = A.data
+        self._band, self._ipiv, info = sla.lapack.dgbtrf(band, self._kl, self._ku, overwrite_ab=1)
         if info != 0:
             raise RuntimeError(f"Crank-Nicolson matrix I - (dt/2) L is singular (LAPACK info {info})")
 
     def _solve(self, rhs):
         """A^{-1} rhs, overwriting ``rhs`` when it is a contiguous float
         array of shape (n,) or a Fortran-ordered (n, k) block."""
-        if self._tri is not None:
-            return sla.lapack.dgttrs(*self._tri, rhs, overwrite_b=1)[0]
+        if self._spd is not None:
+            d, diag, off = self._spd
+            d = d if rhs.ndim == 1 else d[:, None]
+            rhs *= d
+            x = sla.lapack.dpttrs(diag, off, rhs, overwrite_b=1)[0]
+            x /= d
+            return x
         return sla.lapack.dgbtrs(self._band, self._kl, self._ku, rhs, self._ipiv, overwrite_b=1)[0]
 
     def step_cn(self, u, source_mid=None):
@@ -230,72 +308,181 @@ class Propagator:
         rhs = np.copy(u) if source is None else u + (self.dt / 2.0) * source
         return self._solve(rhs)
 
-    def steps_in(self, t):
-        """The number of steps in time t; a ValueError unless t is a
-        nonnegative whole number of steps."""
-        n = int(round(t / self.dt))
-        if t < 0 or abs(n * self.dt - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"time {t:g} is not a nonnegative multiple of the solver step {self.dt:g}")
-        return n
+    def step_trbdf2(self, u, lu, tol, source_fn, triangular, scratch, filtered):
+        """One TR-BDF2 step of length dt / ``_GAMMA`` from the (n, k) block
+        ``u``, given ``lu`` = L u; returns (u_new, L u_new, err, lip): err
+        the largest over the columns of the local error estimate's sup
+        relative to the column's sup, lip the source's Lipschitz constant
+        measured between u and the extrapolated step end (0 without a
+        source, or a triangular one).  L u_new comes from the BDF2 stage's
+        equation, so the next step needs no matrix-vector product.
 
-    def march(self, init, t_end, store_steps, source_fn=None, guard=None, smooth_start=False, triangular=False):
-        """March the (n, k) block ``init`` over ``t_end`` and return the
-        slices at ``store_steps`` (sorted step indices, 0 = initial data;
-        None = the last step), shape (k, n_stored, n).
-
-        ``smooth_start`` replaces the first ``rannacher`` steps by pairs of
-        implicit-Euler half steps; ``guard(state, t)`` may raise after a
-        step.  Without ``source_fn`` a step is one ``step_cn``.  With it, a
-        step is a trapezoidal predictor-corrector and ``source_fn(state,
-        out)`` writes the source of every column of ``state`` into ``out``;
-        a half-step pair refreshes the source at its midpoint.
-
-        ``triangular`` declares that the source of column j reads only
-        columns below j, so column 0 has none (the moment hierarchy).  Then
-        column 0's predictor is already its corrected value and no source
-        reads the top column's predictor: a CN step solves columns 0..k-2
-        as the predictor (``source_fn`` gets that narrower block) and
-        columns 1..k-1 as the corrector, bit for bit the full step.
-        """
-        n_steps = self.steps_in(t_end)
-        state = np.array(init, dtype=float, order="F")
-        if source_fn is not None:
-            src0 = np.empty_like(state)
-            src1 = np.empty_like(state)
-        slot = {step: i for i, step in enumerate([n_steps] if store_steps is None else store_steps)}
-        stored = np.empty((state.shape[1], len(slot), state.shape[0]))
-        if 0 in slot:
-            stored[:, slot[0]] = state.T
-        n_smooth = self.rannacher if smooth_start else 0
-        lead = max(state.shape[1] - 1, 1)
-        for step in range(n_steps):
-            if source_fn is None:
-                state = self.step_be_half(self.step_be_half(state)) if step < n_smooth else self.step_cn(state)
+        ``scratch`` holds three blocks shaped like ``u``.  Each stage takes
+        the source at its end, extrapolated from u: an Euler step for the
+        trapezoidal stage, the line through u and Y2 for the BDF2 stage.  A
+        source whose columns read themselves (the survival equation) is
+        then corrected once from each stage's predictor.  ``triangular``
+        declares that the source of column j reads only columns below j, so
+        column 0 has none and evolves alone (the moment hierarchy): no
+        correction is needed, and err reads column 0 only, so the block
+        takes the steps of column 0 marched by itself.  Either way a
+        stationary solution of d/dt u = L u + s(u) is a fixed point of the
+        step.  The estimate is filtered through A^{-1} (Hosea & Shampine)
+        only when its raw value exceeds ``tol`` and ``filtered``: the
+        filter turns down the stiff components that the raw estimate
+        overstates."""
+        h = self.dt / _GAMMA
+        lip = 0.0
+        if source_fn is None:
+            f = lu
+            y2 = self.step_cn(u)
+            rise = y2 - u
+            rhs = u + _BDF2_W * rise
+            y3 = self.step_be_half(rhs)
+        else:
+            s0, s1, s2 = scratch
+            source_fn(u, s0)
+            f = lu + s0
+            if triangular:
+                source_fn(u + self.dt * f, s1)
             else:
-                source_fn(state, src0)
-                if step < n_smooth:
-                    half = self.step_be_half(state, src0)
-                    source_fn(half, src1)
-                    state = self.step_be_half(half, src1)
-                elif triangular:
-                    pred = self.step_cn(state[:, :lead], src0[:, :lead])
-                    if lead < state.shape[1]:
-                        source_fn(pred, src1)
-                        src1 += src0
-                        src1 *= 0.5
-                        state[:, 1:] = self.step_cn(state[:, 1:], src1[:, 1:])
-                    state[:, 0] = pred[:, 0]
+                source_fn(self.step_cn(u, s0), s1)
+            s1 += s0
+            s1 *= 0.5
+            y2 = self.step_cn(u, s1)
+            rise = y2 - u
+            ahead = rise / _GAMMA
+            source_fn(u + ahead, s2)
+            rhs = u + _BDF2_W * rise
+            y3 = self.step_be_half(rhs, s2)
+            if not triangular:
+                moved = np.maximum(np.max(np.abs(ahead), axis=0), np.finfo(float).tiny)
+                lip = float(np.max(np.max(np.abs(s2 - s0), axis=0) / moved))
+                source_fn(y3, s2)
+                y3 = self.step_be_half(rhs, s2)
+        # A y3 = rhs + (dt/2) s with A = I - (dt/2) L
+        lu_new = y3 - rhs
+        lu_new *= 2.0 / self.dt
+        if source_fn is not None:
+            lu_new -= s2
+        cols = slice(0, 1) if triangular else slice(None)
+        est = _EST_Y2 * rise[:, cols] + _EST_Y3 * (y3[:, cols] - u[:, cols]) + (_EST_F * h) * f[:, cols]
+        scale = np.maximum(np.max(np.abs(y3[:, cols]), axis=0), np.finfo(float).tiny)
+        err = float(np.max(np.max(np.abs(est), axis=0) / scale))
+        if err > tol and filtered:
+            est = self.step_be_half(np.asfortranarray(est))
+            err = float(np.max(np.max(np.abs(est), axis=0) / scale))
+        return y3, lu_new, err, lip
+
+    @staticmethod
+    def march(generator, dt_pde, init, t_end, store_steps, source_fn=None, guard=None, smooth_start=False,
+              triangular=False):
+        """March the (n, k) block ``init`` over ``t_end`` by TR-BDF2 steps
+        under a local error controller and return (slices, time_error):
+        the slices at ``store_steps`` (sorted step indices on the grid of
+        ``dt_pde``, 0 = initial data; None = ``t_end`` alone), shape (k,
+        n_stored, n), and the sum of the accepted steps' local error
+        estimates, relative to each field's sup.
+
+        The tolerance tol is ``_TIME_TOL`` dt_pde**2.  ``smooth_start``
+        begins with an L-stable, positive start for nonsmooth initial data:
+        ``_DAMPED_STEPS`` steps of dt_pde / 2, each a pair of implicit-Euler
+        half steps, then TR-BDF2 from dt_pde / 2**``_RAMP_DEPTH``, halving
+        and doubling to keep each step's error below ``_START_TOL`` tol.  A
+        step of dt_pde is always taken, as a march of fixed steps dt_pde
+        would.  A longer one, a divisor of the span between two stored
+        times, is taken where its error per unit time stays below tol and,
+        for a source that reads its own column, h times the source's
+        Lipschitz constant below ``_SOURCE_STEP``.  So every stored time is
+        hit exactly, few distinct steps occur (each factored once,
+        ``_propagator``) and the march is never coarser than steps of
+        dt_pde.  Without ``smooth_start`` it starts at dt_pde.
+
+        ``guard(state, t)`` may raise after an accepted step.
+        ``source_fn(state, out)`` writes the source of every column of
+        ``state`` into ``out``; ``triangular`` is passed to
+        ``Propagator.step_trbdf2``.  The columns of a block that is not
+        triangular are marched one at a time, so a column's values do not
+        depend on the block it is marched in.
+        """
+        if not triangular and np.shape(init)[1] > 1:
+            parts = [
+                Propagator.march(generator, dt_pde, column[:, None], t_end, store_steps, source_fn, guard, smooth_start)
+                for column in np.asarray(init, dtype=float).T
+            ]
+            return np.concatenate([slices for slices, _err in parts]), max(err for _slices, err in parts)
+        n_total = _whole_steps(t_end, dt_pde)
+        anchors = [n_total] if store_steps is None else list(store_steps)
+        state = np.array(init, dtype=float, order="F")
+        stored = np.empty((state.shape[1], len(anchors), state.shape[0]))
+        scratch = [np.empty_like(state) for _ in range(3)] if source_fn is not None else None
+        tol = _TIME_TOL * dt_pde**2
+        time_error, lip, lin = 0.0, 0.0, None
+        damped = _DAMPED_STEPS if smooth_start else 0
+        rung = _UNITS // 2 if damped else _UNITS
+        prev = 0
+        for slot, anchor in enumerate(anchors):
+            span = anchor - prev
+            divisors = [d * _UNITS for d in range(1, span + 1) if span % d == 0]
+            if rung > _UNITS:
+                rung = max(d for d in divisors if d <= rung)
+            position = 0
+            while position < span * _UNITS:
+                h = dt_pde * (rung / _UNITS)
+                if damped:
+                    # a pair of implicit-Euler half steps, the source
+                    # refreshed at the midpoint
+                    prop = _propagator(generator, h)
+                    for _ in range(2):
+                        if source_fn is not None:
+                            source_fn(state, scratch[0])
+                        state = prop.step_be_half(state, None if source_fn is None else scratch[0])
+                    damped, lin = damped - 1, None
+                    position += rung
+                    if not damped:
+                        rung = _UNITS >> _RAMP_DEPTH
+                    err = 0.0
                 else:
-                    pred = self.step_cn(state, src0)
-                    source_fn(pred, src1)
-                    src1 += src0
-                    src1 *= 0.5
-                    state = self.step_cn(state, src1)
-            if guard is not None:
-                guard(state, (step + 1) * self.dt)
-            if (step + 1) in slot:
-                stored[:, slot[step + 1]] = state.T
-        return stored
+                    allowed = _START_TOL * tol if rung < _UNITS else tol * h
+                    # a step of dt_pde is taken whatever its estimate says,
+                    # so the estimate is not filtered there
+                    if lin is None:
+                        lin = generator.matrix @ state
+                    new, new_lin, err, lip = _propagator(generator, _GAMMA * h).step_trbdf2(
+                        state, lin, allowed, source_fn, triangular, scratch, rung != _UNITS
+                    )
+                    if rung < _UNITS and err > allowed:
+                        shrink = max(_MAX_SHRINK, _SAFETY * (allowed / err) ** (1 / 3))
+                        rung >>= max(1, math.ceil(-math.log2(shrink)))
+                        continue
+                    if rung > _UNITS and (err > allowed or h * lip > _SOURCE_STEP):
+                        # back to the longest aligned step that fits, at least dt_pde
+                        fit = rung * min(
+                            math.sqrt(_SAFETY * allowed / err) if err > 0 else math.inf,
+                            _SOURCE_STEP / (h * lip) if lip > 0 else math.inf,
+                        )
+                        rung = max(d for d in divisors if d <= max(fit, _UNITS) and position % d == 0)
+                        continue
+                    state, lin = new, new_lin
+                    time_error += err
+                    position += rung
+                    if rung < _UNITS:
+                        if position % (2 * rung) == 0 and (err == 0 or _SAFETY * (allowed / err) ** (1 / 3) >= 2):
+                            rung *= 2
+                    else:
+                        longer = next((d for d in divisors if d >= 2 * rung), None)
+                        if (
+                            longer is not None
+                            and position % longer == 0
+                            and err * (longer / rung) ** 2 <= _SAFETY * tol * h
+                            and dt_pde * (longer / _UNITS) * lip <= _SOURCE_STEP
+                        ):
+                            rung = longer
+                if guard is not None:
+                    guard(state, dt_pde * (prev + position / _UNITS))
+            stored[:, slot] = state.T
+            prev = anchor
+        return stored, time_error
 
 
 _PROP_CACHE = {}
@@ -314,9 +501,10 @@ def _propagator(generator, dt):
 
 def evolve_P(g, t, generator, dt_pde, smooth_start):
     """Feynman-Kac propagation P_t g on the grid of one field, or of an
-    (n, k) block of fields; t must be a whole number of steps ``dt_pde``."""
+    (n, k) block of fields, by ``Propagator.march`` at the tolerance of
+    ``dt_pde``; t must be a whole number of steps ``dt_pde``."""
     g = np.asarray(g)
-    stored = _propagator(generator, dt_pde).march(g.reshape(len(g), -1), t, None, smooth_start=smooth_start)
+    stored, _err = Propagator.march(generator, dt_pde, g.reshape(len(g), -1), t, None, smooth_start=smooth_start)
     return stored[:, -1].T.reshape(g.shape)
 
 
@@ -434,19 +622,10 @@ def _rightmost_eigs(matrix, k, rho):
     formed.  Raises EigenSolverError, naming n and sigma, when ARPACK does
     not converge or fewer than k distinct values come back."""
     n = matrix.shape[0]
-    if rho is not None and max(_band(matrix)[1:]) <= 1:
-        # the diagonals of S = D L D^{-1}, D = diag(sqrt(rho)), each entry
-        # rounded as the sparse product diags(d) @ L @ diags(1/d) rounds it
-        d = np.sqrt(rho)
-        inv = 1.0 / d
-        lower = d[1:] * matrix.diagonal(-1) * inv[:-1]
-        main = d * matrix.diagonal() * inv
-        upper = d[:-1] * matrix.diagonal(1) * inv[1:]
-        scale = max(1.0, *(np.max(np.abs(diag)) for diag in (lower, main, upper)))
-        if np.max(np.abs(upper - lower)) < 1e-8 * scale:
-            off = 0.5 * (upper + lower)
-            vals = sla.eigh_tridiagonal(main, off, select="i", select_range=(n - k, n - 1))[0]
-            return vals[::-1]
+    sym = _symmetrized(matrix, rho, 1e-8)
+    if sym is not None:
+        vals = sla.eigh_tridiagonal(*sym, select="i", select_range=(n - k, n - 1))[0]
+        return vals[::-1]
     diag = matrix.diagonal()
     # Gershgorin: every eigenvalue has real part <= max_i a_ii + sum_{j != i} |a_ij|
     sigma = float(np.max(diag + np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag))) + _SHIFT_MARGIN
@@ -476,16 +655,17 @@ def _rightmost_eigs(matrix, k, rho):
 _EIGEN_TOL, _EIGEN_MAX_STEPS = 1e-10, 200  # the eigenpair polish's Rayleigh-quotient tolerance and step limit
 
 
-def _inverse_iteration(matrix, shift, v0, transpose=False):
-    """Shifted inverse power iteration; returns (eigenvalue, vector)."""
+def _inverse_iteration(matrix, lu, shift, v0, transpose=False):
+    """Shifted inverse power iteration with ``lu``, the SuperLU factor of
+    matrix - shift I, on the matrix or (``transpose``) its transpose;
+    returns (eigenvalue, vector)."""
     A = matrix.T if transpose else matrix
-    n = A.shape[0]
-    lu = spla.splu((A - shift * sp.identity(n)).tocsc())
+    trans = "T" if transpose else "N"
     v = np.asarray(v0, dtype=float)
     v = v / np.linalg.norm(v)
     lam = shift
     for _ in range(_EIGEN_MAX_STEPS):
-        w = lu.solve(v)
+        w = lu.solve(v, trans=trans)
         w_norm = np.linalg.norm(w)
         if not np.isfinite(w_norm) or w_norm == 0:
             raise EigenSolverError("inverse iteration diverged")
@@ -533,7 +713,9 @@ def principal_eigentriple(generator, model):
     shift = top + 0.25 * gap
     xs = grid.nodes
     v0 = np.exp(-((xs - xs.mean()) ** 2))
-    lam_r, theta = _inverse_iteration(L, shift, v0)
+    # one factor serves both vectors: the left one solves with its transpose
+    lu = spla.splu((L - shift * sp.identity(L.shape[0])).tocsc())
+    lam_r, theta = _inverse_iteration(L, lu, shift, v0)
     if np.sum(theta) < 0:
         theta = -theta
     if np.min(theta) < -1e-8 * np.max(np.abs(theta)):
@@ -541,7 +723,7 @@ def principal_eigentriple(generator, model):
     theta = np.clip(theta, 0.0, None)
     theta = theta / np.max(theta)
 
-    lam_l, left = _inverse_iteration(L, shift, v0, transpose=True)
+    lam_l, left = _inverse_iteration(L, lu, shift, v0, transpose=True)
     if np.sum(left) < 0:
         left = -left
     if np.min(left) < -1e-8 * np.max(np.abs(left)):
@@ -575,8 +757,8 @@ def principal_eigentriple(generator, model):
 def fit_H(generator, spectral, dt_pde):
     """Fitted projection constant from HP2, a lower estimate over a finite
     test-function family: sup e^{(l1-l0)t} |e^{l0 t} P_t g - Pi g| / |g|
-    at t = 0.5, 1, 2, 4, by Crank-Nicolson steps of ``dt_pde`` (which
-    must divide 0.5)."""
+    at t = 0.5, 1, 2, 4, by one block march at the tolerance of ``dt_pde``
+    (which must divide 0.5)."""
     xs = generator.grid.nodes
     width = 0.25 * (xs[-1] - xs[0])
     tests = [
@@ -587,9 +769,8 @@ def fit_H(generator, spectral, dt_pde):
     ]
     tests = [g for g in tests if np.max(np.abs(g)) > 0]
     times = (0.5, 1.0, 2.0, 4.0)
-    prop = _propagator(generator, dt_pde)
-    # one block march: a column's values do not depend on its block
-    stored = prop.march(np.column_stack(tests), times[-1], [prop.steps_in(t) for t in times], smooth_start=True)
+    store = [_whole_steps(t, dt_pde) for t in times]
+    stored, _err = Propagator.march(generator, dt_pde, np.column_stack(tests), times[-1], store, smooth_start=True)
     H = 0.0
     for g, slices in zip(tests, stored):
         gn = np.max(np.abs(g))

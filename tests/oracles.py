@@ -100,24 +100,56 @@ def oscillator_eigenvalue(k):
     return math.sqrt(2.0) * (k + 0.5)
 
 
-def evolve_reference(prop, g, t, smooth_start=False):
-    """P_t g by the fixed-step loop ``Propagator.evolve`` ran before
-    ``Propagator.march`` took its place, for t a whole number of steps:
-    ``prop.rannacher`` pairs of implicit-Euler half steps when smoothing,
-    then one Crank-Nicolson step at a time."""
-    g = np.asarray(g, dtype=float)
-    if t == 0:
-        return g.copy()
-    n_full = int(round(t / prop.dt))
-    u = g
-    k = 0
-    if smooth_start:
-        for _ in range(min(prop.rannacher, n_full)):
+def evolve_reference(generator, g, t, dt_pde, smooth_start=False):
+    """P_t g of one field by a plain loop over the steps that
+    ``Propagator.march`` takes for it, for t a whole number of steps
+    dt_pde, with time kept as a Fraction of dt_pde: with smoothing,
+    _DAMPED_STEPS steps of dt_pde / 2 as pairs of implicit-Euler half
+    steps, then TR-BDF2
+    from dt_pde / 2**_RAMP_DEPTH, halving on a step error over _START_TOL
+    tol and doubling on one a ninth of it (at an aligned time) up to
+    dt_pde; steps of dt_pde always taken; a longer step, a divisor of t,
+    once its error per unit time leaves room below tol."""
+    from fractions import Fraction
+
+    from branchlab import semigroup as sg
+
+    u = np.array(np.asarray(g, dtype=float)[:, None], order="F")
+    total = Fraction(round(t / dt_pde))
+    tol = sg._TIME_TOL * dt_pde**2
+    now = Fraction(0)
+    step, damped = (Fraction(1, 2), sg._DAMPED_STEPS) if smooth_start else (Fraction(1), 0)
+    divisors = [d for d in range(1, int(total) + 1) if total % d == 0]
+    lin = None
+    while now < total:
+        h = dt_pde * float(step)
+        if damped:
+            prop = sg._propagator(generator, h)
             u = prop.step_be_half(prop.step_be_half(u))
-            k += 1
-    for _ in range(n_full - k):
-        u = prop.step_cn(u)
-    return u
+            now, damped, lin = now + step, damped - 1, None
+            step = step if damped else Fraction(1, 2**sg._RAMP_DEPTH)
+            continue
+        allowed = sg._START_TOL * tol if step < 1 else tol * h
+        lin = generator.matrix @ u if lin is None else lin
+        new, new_lin, err, _lip = sg._propagator(generator, sg._GAMMA * h).step_trbdf2(
+            u, lin, allowed, None, False, None, step != 1
+        )
+        room = math.inf if err == 0 else sg._SAFETY * (allowed / err) ** (1 / 3)
+        if step < 1 and err > allowed:
+            step /= 2 ** max(1, math.ceil(-math.log2(max(sg._MAX_SHRINK, room))))
+            continue
+        if step > 1 and err > allowed:
+            fit = float(step) * math.sqrt(sg._SAFETY * allowed / err)
+            step = Fraction(max(d for d in divisors if d <= max(fit, 1) and now % d == 0))
+            continue
+        u, lin, now = new, new_lin, now + step
+        if step < 1 and now % (2 * step) == 0 and room >= 2:
+            step *= 2
+        elif step >= 1:
+            longer = next((d for d in divisors if d >= 2 * step), None)
+            if longer is not None and now % longer == 0 and err * (longer / step) ** 2 <= sg._SAFETY * tol * h:
+                step = Fraction(longer)
+    return u[:, 0]
 
 
 def rightmost_eigs_dense(matrix, k, rho):

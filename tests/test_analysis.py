@@ -581,7 +581,8 @@ def _starved_reports():
     crit = _fake_spec(0.0, B=2.0)
     sup = _fake_spec(-1.0)
     field = MomentField(
-        times=np.linspace(0.0, 10.0, 11), nodes=crit.grid.nodes, fields={0: np.ones((11, 3))}, dt_pde=0.01
+        times=np.linspace(0.0, 10.0, 11), nodes=crit.grid.nodes, fields={0: np.ones((11, 3))}, dt_pde=0.01,
+        time_error=0.0,
     )
     decomp = CriticalDecomposition(times=np.arange(6.0), r=np.full(6, 1e-7), psi=np.zeros((6, 3)))
     zeros = np.zeros(100)

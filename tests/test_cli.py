@@ -556,16 +556,18 @@ def test_spectrum_writes_the_fitted_H(tmp_path):
 
 def test_survive_marches_u0_once(tmp_path, monkeypatch):
     """survive marches the survival equation from t = 0 once, in its survey;
-    the u0 route of h only continues that march, with CN steps alone."""
+    the u0 route of h only continues that march, without a damped start."""
     from branchlab import moments, semigroup
 
     phase = ["other"]
     calls = {}
 
+    def count(key):
+        calls[key] = calls.get(key, 0) + 1
+
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            key = (phase[0], name)
-            calls[key] = calls.get(key, 0) + 1
+            count((phase[0], name))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -580,25 +582,32 @@ def test_survive_marches_u0_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(semigroup.Propagator, "step_cn", counted("cn", semigroup.Propagator.step_cn))
-    monkeypatch.setattr(semigroup.Propagator, "step_be_half", counted("be", semigroup.Propagator.step_be_half))
+    march = semigroup.Propagator.march
+
+    def counted_march(*args, **kwargs):
+        count((phase[0], "damped march" if kwargs.get("smooth_start") else "march"))
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup.Propagator, "march", counted_march)
+    monkeypatch.setattr(semigroup.Propagator, "step_cn", counted("step", semigroup.Propagator.step_cn))
+    monkeypatch.setattr(semigroup.Propagator, "step_be_half", counted("step", semigroup.Propagator.step_be_half))
     monkeypatch.setattr(moments, "solve_survival", counted("survival", in_phase("survey", moments.solve_survival)))
     monkeypatch.setattr(moments, "solve_h", in_phase("route", moments.solve_h))
     cfg_path = os.path.join(CONFIG_DIR, "supercritical_constant.json")
     assert main(["survive", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
-    survey = calls[("survey", "cn")] + calls.get(("survey", "be"), 0)
-    continuation = calls[("route", "cn")]
+    survey, continuation = calls[("survey", "step")], calls[("route", "step")]
     assert calls[("other", "survival")] == 1 and ("route", "survival") not in calls
-    assert ("route", "be") not in calls  # no restart from the initial data
-    assert sum(calls[k] for k in calls if k[1] in ("cn", "be")) == survey + continuation
+    assert calls[("survey", "damped march")] == 1 and calls[("route", "march")] >= 1
+    assert ("route", "damped march") not in calls  # no restart from the initial data
+    assert sum(calls[k] for k in calls if k[1] == "step") == survey + continuation
 
     # the route without the survey marches u0 again from t = 0
     calls.clear()
     cfg = load_config(cfg_path)
     _cfg, _cal, gen, spec = cli._calibrated_model(cfg)
     fresh = moments.solve_h(cfg.model, gen, spec, dt_pde=cfg.solver["dt_pde"])
-    assert calls[("route", "survival")] == 1 and calls[("survey", "be")] > 0
-    assert calls[("survey", "cn")] + calls.get(("route", "cn"), 0) > continuation
+    assert calls[("route", "survival")] == 1 and calls[("survey", "damped march")] == 1
+    assert calls[("survey", "step")] + calls.get(("route", "step"), 0) > continuation
     h_csv = np.loadtxt(tmp_path / "o" / "h.csv", delimiter=",", skiprows=2)
     assert np.array_equal(h_csv[:, 1], fresh.h)
     assert np.max(np.abs(h_csv[:, 2] - fresh.h_u0_route)) <= 3.0 * moments._H_TOL
@@ -697,12 +706,23 @@ def test_csv_rows_match_the_numpy_scalar_reference(tmp_path, monkeypatch):
     assert ",nan," in text and ",inf," in text and ",-inf," in text and "\n-0.0,-3," in text
 
 
-@pytest.mark.parametrize("name, halved", [("supercritical_constant", False), ("supercritical_oscillator", True)])
-def test_survival_json_names_the_step_of_the_survival_march(tmp_path, name, halved):
-    """The oscillator's survival march trips its positivity guard at the
-    configured dt_pde and runs at half of it; survival.json says so."""
+OSCILLATORS = [f"{regime}_oscillator" for regime in ("critical", "subcritical", "supercritical")]
+
+
+@pytest.mark.parametrize("name", OSCILLATORS)
+def test_no_shipped_survival_march_reruns(tmp_path, name, monkeypatch):
+    """The oscillators' survival marches, whose start excites the stiffest
+    modes, run once at the shipped settings with the shipped positivity
+    guard: survival.json carries their time-error estimate and no step."""
+    from branchlab import moments, semigroup
+
+    marches = []
+    march = semigroup.Propagator.march
+    monkeypatch.setattr(semigroup.Propagator, "march", lambda *a, **k: marches.append(k) or march(*a, **k))
+    assert moments._POSITIVITY_TOL == 1e-10
     path = os.path.join(CONFIG_DIR, f"{name}.json")
-    dt_pde = load_config(path).solver["dt_pde"]
     assert main(["survive", "--config", path, "--out", str(tmp_path)]) == 0
+    assert sum(1 for k in marches if k.get("smooth_start")) == 1
     doc = json.loads((tmp_path / "survival.json").read_text())
-    assert doc["survival_dt_pde"] == (dt_pde / 2.0 if halved else dt_pde)
+    assert "survival_dt_pde" not in doc
+    assert 0.0 < doc["survival_time_error"] < 1e-2

@@ -204,8 +204,11 @@ def test_h_route_continues_a_survey_march(setup, dt_pde, t_end, n_store, request
     survey = solve_survival(t_end, gen, model, dt_pde=dt_pde, n_store=n_store)
     started = []
     monkeypatch.setattr(mom, "solve_survival", lambda *a, **k: started.append(a))
-    half_step = semigroup.Propagator.step_be_half
-    monkeypatch.setattr(semigroup.Propagator, "step_be_half", lambda *a: started.append(a) or half_step(*a))
+    march = semigroup.Propagator.march
+    # a march from the initial data takes the damped start
+    monkeypatch.setattr(
+        semigroup.Propagator, "march", lambda *a, **k: (k.get("smooth_start") and started.append(a)) or march(*a, **k)
+    )
     cont = solve_h(model, gen, spec, dt_pde=dt_pde, survival=survey)
     assert not started
     assert np.array_equal(cont.h, fresh.h)
@@ -614,68 +617,33 @@ def test_block_march_equals_column_marches(setup, request):
     b_vals = np.asarray(model.b(grid.nodes), dtype=float)
     rng = np.random.default_rng(8)
     block = rng.uniform(0.0, 1.0, (grid.n_points, 3))
-    prop = Propagator(gen, 0.01)
-    steps = [0, 3, 10]
-    together = prop.march(block, 0.1, steps, source_fn=_column_source(b_vals), smooth_start=True)
+    steps = [0, 3, 10, 40]
+    together, _err = Propagator.march(gen, 0.01, block, 0.4, steps, source_fn=_column_source(b_vals), smooth_start=True)
     assert together.shape == (3, len(steps), grid.n_points)
     for j in range(3):
-        alone = prop.march(block[:, [j]], 0.1, steps, source_fn=_column_source(b_vals), smooth_start=True)
+        alone, _err = Propagator.march(
+            gen, 0.01, block[:, [j]], 0.4, steps, source_fn=_column_source(b_vals), smooth_start=True
+        )
         assert np.array_equal(together[j], alone[0])
-
-
-def _full_block_moment_march(gen, model, f_vals, n_max, t_end, dt, steps):
-    """The moment march with every order in both CN solves of each step
-    (predictor and corrector on the whole block), stored at ``steps``."""
-    from branchlab.semigroup import _propagator
-    from scipy.special import comb
-
-    prop = _propagator(gen, dt)
-    b_vals = np.asarray(model.b(gen.grid.nodes), dtype=float)
-
-    def source(state, out):
-        out[:, 0] = 0.0
-        for n in range(2, n_max + 1):
-            s = out[:, n - 1]
-            s[:] = 0.0
-            for k in range(1, n):
-                s += float(comb(n, k)) * state[:, k - 1] * state[:, n - k - 1]
-            s *= b_vals
-
-    state = np.array(np.column_stack([f_vals**n for n in range(1, n_max + 1)]), order="F")
-    src0, src1 = np.empty_like(state), np.empty_like(state)
-    stored = {0: state.T.copy()}
-    for step in range(int(round(t_end / dt))):
-        source(state, src0)
-        if step < prop.rannacher:
-            half = prop.step_be_half(state, src0)
-            source(half, src1)
-            state = prop.step_be_half(half, src1)
-        else:
-            pred = prop.step_cn(state, src0)
-            source(pred, src1)
-            src1 += src0
-            src1 *= 0.5
-            state = prop.step_cn(state, src1)
-        stored[step + 1] = state.T.copy()
-    return np.stack([stored[k] for k in steps], axis=1)
 
 
 @pytest.mark.parametrize("setup", ["oscillator_setup", "jumps_setup", "drifted_setup"])
 @pytest.mark.parametrize("n_max", [1, 2, 4])
 def test_moment_march_equals_the_full_block_march(setup, n_max, request):
-    """Solving only the columns that a source reads changes no bit."""
-    from branchlab.moments import _store_steps
-
+    """Marching more orders changes no bit of the lower ones: the source of
+    an order reads only the orders below it, and the block takes the steps
+    of order 1."""
     model, _dyn, grid, gen, _spec = request.getfixturevalue(setup)
     f_vals = 0.5 + np.exp(-0.5 * grid.nodes**2)
-    mf = solve_moments(f_vals, n_max, 0.4, gen, model, dt_pde=0.01, n_store=8)
-    want = _full_block_moment_march(gen, model, f_vals, n_max, 0.4, 0.01, _store_steps(0.4, 0.01, 8, ()))
+    mf = solve_moments(f_vals, n_max, 2.0, gen, model, dt_pde=0.01, n_store=8)
+    full = solve_moments(f_vals, 4, 2.0, gen, model, dt_pde=0.01, n_store=8)
     assert mf.orders == list(range(1, n_max + 1))
     for n in mf.orders:
-        assert np.array_equal(mf.fields[n], want[n - 1])
+        assert np.array_equal(mf.fields[n], full.fields[n])
 
 
-def test_blowup_guard_fires_at_the_first_step_over_the_ceiling():
+def test_blowup_guard_fires_at_the_first_step_over_the_ceiling(monkeypatch):
+    from branchlab import semigroup
     from branchlab.branching import yule_moment_bound
     from branchlab.moments import BlowupError
 
@@ -684,51 +652,100 @@ def test_blowup_guard_fires_at_the_first_step_over_the_ceiling():
     dyn = DynamicsSpec(variant="diffusion", a=constant(0.0))
     gen = build_generator(model, dyn, grid)
     model.b_star = 0.05
-    march = _full_block_moment_march(gen, model, np.ones(101), 2, 3.0, 0.01, range(301))
-    first = next(
-        k
-        for k in range(1, 301)
-        if any(np.max(np.abs(march[n - 1, k])) > 10.0 * yule_moment_bound(n, k * 0.01, 0.05) for n in (1, 2))
-    )
-    with pytest.raises(BlowupError, match=rf"at t = {first * 0.01:.3g},"):
+    # every accepted step's time and peaks, as the guard sees them
+    seen = []
+    march = semigroup.Propagator.march
+
+    def watched(*args, guard=None, **kwargs):
+        def watch(state, t):
+            seen.append((t, np.abs(state).max(axis=0)))
+            guard(state, t)
+
+        return march(*args, guard=watch, **kwargs)
+
+    monkeypatch.setattr(semigroup.Propagator, "march", watched)
+    with pytest.raises(BlowupError) as raised:
         solve_moments(np.ones(101), 2, 3.0, gen, model, dt_pde=0.01, n_store=200)
+    first = next(
+        t for t, peaks in seen if any(peaks[n - 1] > 10.0 * yule_moment_bound(n, t, 0.05) for n in (1, 2))
+    )
+    assert seen[-1][0] == first
+    assert f"at t = {first:.3g}," in str(raised.value)
+
+
+def _dense_trbdf2(gen, u, h, src, triangular):
+    """One TR-BDF2 step by dense solves: the trapezoidal stage to t + gamma h
+    and the BDF2 stage to t + h, each solving with I - (gamma h / 2) L.
+    A triangular source is taken once per stage at the stage's end
+    extrapolated from u; any other is a predictor-corrector."""
+    g, w = 2.0 - math.sqrt(2.0), (1.0 + math.sqrt(2.0)) / 2.0
+    L = gen.matrix.toarray()
+    eye = np.eye(L.shape[0])
+    left, right = eye - 0.5 * g * h * L, eye + 0.5 * g * h * L
+    s0 = src(u)
+    if triangular:
+        s1 = 0.5 * (s0 + src(u + g * h * (L @ u + s0)))
+    else:
+        s1 = 0.5 * (s0 + src(np.linalg.solve(left, right @ u + g * h * s0)))
+    y2 = np.linalg.solve(left, right @ u + g * h * s1)
+    rhs = u + w * (y2 - u)
+    s2 = src(u + (y2 - u) / g)
+    y3 = np.linalg.solve(left, rhs + 0.5 * g * h * s2)
+    if not triangular:
+        y3 = np.linalg.solve(left, rhs + 0.5 * g * h * src(y3))
+    return y3
 
 
 def test_imex_march_matches_dense_scheme(jumps_setup):
-    """Two implicit-Euler half-step pairs with a midpoint source refresh,
-    then CN predictor-corrector steps with the averaged source."""
+    """Each step the march takes, from its damped start to a step longer
+    than dt_pde, is the dense TR-BDF2 step with the source of
+    ``Propagator.step_trbdf2``, for a source that reads its own column and
+    for a triangular one."""
+    model, _dyn, grid, gen, _spec = jumps_setup
+    for triangular in (False, True):
+        _check_steps_against_dense_scheme(gen, np.asarray(model.b(grid.nodes), dtype=float), triangular)
+
+
+def _check_steps_against_dense_scheme(gen, b_vals, triangular):
+    from branchlab import semigroup
     from branchlab.semigroup import Propagator
 
-    model, _dyn, grid, gen, _spec = jumps_setup
-    dt = 0.02
-    b_vals = np.asarray(model.b(grid.nodes), dtype=float)
-    L = gen.matrix.toarray()
-    eye = np.eye(grid.n_points)
-    left, right = eye - 0.5 * dt * L, eye + 0.5 * dt * L
+    def source(state, out):
+        out[:] = -b_vals[:, None] * state * state
+        if triangular:
+            # column 1 reads column 0, which has no source
+            out[:, 1] = b_vals * state[:, 0] * state[:, 0]
+            out[:, 0] = 0.0
 
-    def src(u):
-        return -b_vals * u * u
+    taken = []
+    step = Propagator.step_trbdf2
 
-    u = np.exp(-0.5 * grid.nodes**2)
-    want = [u]
-    for step in range(6):
-        if step < 2:
-            half = np.linalg.solve(left, u + 0.5 * dt * src(u))
-            u = np.linalg.solve(left, half + 0.5 * dt * src(half))
-        else:
-            pred = np.linalg.solve(left, right @ u + dt * src(u))
-            u = np.linalg.solve(left, right @ u + dt * 0.5 * (src(u) + src(pred)))
-        want.append(u)
-    got = Propagator(gen, dt).march(
-        want[0][:, None], 6 * dt, range(7), source_fn=_column_source(b_vals), smooth_start=True
-    )
-    for k in range(7):
-        assert np.max(np.abs(got[0, k] - want[k])) < 1e-13 * np.max(np.abs(want[k]))
+    def recorded(self, u, *args):
+        new, *rest = step(self, u, *args)
+        taken.append((self.dt / semigroup._GAMMA, u.copy(), new))
+        return (new, *rest)
+
+    init = np.exp(-0.5 * gen.grid.nodes**2)
+    block = np.column_stack([init, init]) if triangular else init[:, None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Propagator, "step_trbdf2", recorded)
+        Propagator.march(gen, 0.02, block, 20.0, [0, 1000], source_fn=source, smooth_start=True, triangular=triangular)
+    assert max(h for h, _u, _new in taken) > 0.02
+    for h, u, new in taken[:: max(1, len(taken) // 12)]:
+
+        def src(x):
+            out = np.empty_like(x)
+            source(x, out)
+            return out
+
+        want = _dense_trbdf2(gen, u, h, src, triangular)
+        assert np.max(np.abs(new - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_marches_share_one_factorization(supercritical_oscillator_setup, monkeypatch):
     """Moment, survival and Laplace-functional marches at one (generator,
-    dt) reuse the cached propagator instead of factoring again."""
+    dt_pde) factor each distinct step once: the cache serves every later
+    use, and the controller meets few distinct steps."""
     from branchlab import semigroup
 
     model, _dyn, grid, gen, _spec = supercritical_oscillator_setup
@@ -744,4 +761,4 @@ def test_marches_share_one_factorization(supercritical_oscillator_setup, monkeyp
     solve_moments(np.ones(grid.n_points), 2, 0.2, gen, model, dt_pde=0.004, n_store=200)
     solve_survival(0.2, gen, model, dt_pde=0.004, n_store=200)
     laplace_functional(np.ones(grid.n_points), 0.1, 0.2, gen, model, dt_pde=0.004)
-    assert built == [0.004]
+    assert len(built) == len(set(built)) <= 12

@@ -77,6 +77,30 @@ def test_thread_mismatch_missing_file_and_command_change_fail(tmp_path):
     assert outputs.diff(a, b, stream=io.StringIO()) == 1
 
 
+def _verification(*verdicts):
+    return json.dumps({"tests": [{"name": n, "passed": p, "inconclusive": i} for n, p, i in verdicts]})
+
+
+def test_verdict_statuses_are_compared_by_config_name_and_position(tmp_path):
+    """Two verdicts may share a name; a status change is listed by its
+    position, and unchanged statuses are counted."""
+    same = ("x-law", True, False), ("x-ratio", False, True), ("x-ratio", True, False)
+    a_files = {"c/main/verification.json": _verification(*same), "d/main/verification.json": _verification(*same)}
+    b_files = {**a_files, "d/main/verification.json": _verification(same[0], same[1], ("x-ratio", False, False))}
+    a, b = _pair(tmp_path, a_files, a_files)
+    out = io.StringIO()
+    outputs.diff(a, b, stream=out)
+    assert "verdict statuses: 6 of 6 identical" in out.getvalue()
+    a, b = _pair(tmp_path / "changed", a_files, b_files)
+    res = outputs.compare(a, b)
+    assert res["verdicts"] == 6
+    assert res["verdicts_changed"] == [("d", "x-ratio", 2, "PASS", "FAIL")]
+    out = io.StringIO()
+    assert outputs.diff(a, b, stream=out) == 1
+    assert "verdict status changed: d x-ratio (position 2): PASS -> FAIL" in out.getvalue()
+    assert "verdict statuses:" not in out.getvalue()
+
+
 # a stand-in CLI: every command writes one data file and a sidecar whose
 # peak_rss_mb is the command name's length, except simulate, which fails
 FAKE_CLI = """

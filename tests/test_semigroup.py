@@ -82,14 +82,14 @@ def test_evolve_identity_at_zero(critical_setup):
 @pytest.mark.parametrize("setup", ["oscillator_setup", "jumps_setup", "drifted_setup"])
 @pytest.mark.parametrize("smooth_start", [False, True])
 def test_evolve_p_equals_the_step_loop(setup, smooth_start, request):
-    """evolve_P through Propagator.march gives the bits of the plain
-    fixed-step loop, for nonsmooth and smooth data and at t = 0."""
+    """evolve_P through Propagator.march gives the bits of the plain loop
+    over the controller's steps, for nonsmooth and smooth data, at t = 0
+    and over horizons that let the step grow past dt_pde."""
     gen = request.getfixturevalue(setup)[3]
     xs = gen.grid.nodes
-    prop = Propagator(gen, 0.01)
     for g in ((np.abs(xs) < 1.0).astype(float), np.exp(-(xs**2)) + np.tanh(xs)):
-        for t in (0.0, 0.01, 0.03, 0.5):
-            want = evolve_reference(prop, g, t, smooth_start=smooth_start)
+        for t in (0.0, 0.01, 0.03, 0.5, 6.0):
+            want = evolve_reference(gen, g, t, 0.01, smooth_start=smooth_start)
             got = evolve_P(g, t, gen, dt_pde=0.01, smooth_start=smooth_start)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
@@ -104,7 +104,7 @@ def test_evolve_p_rejects_a_time_off_the_step_grid(critical_setup, t):
 
 def test_fit_h_block_march_equals_one_march_per_test_function(oscillator_setup):
     """fit_H's one block march gives the H of marching each test function
-    alone from slice to slice, smoothed on the first leg only."""
+    alone through the same stored times, with a damped start."""
     _model, _dyn, grid, gen, spec = oscillator_setup
     xs = grid.nodes
     width = 0.25 * (xs[-1] - xs[0])
@@ -114,14 +114,11 @@ def test_fit_h_block_march_equals_one_march_per_test_function(oscillator_setup):
         np.tanh(xs / max(width, 1e-6)),
         np.sin(xs),
     ]
-    prop = Propagator(gen, 0.01)
     want = 0.0
     for g in tests:
         pi_g = spec.theta0 * spec.mu0_integral(g)
-        u, t_prev = g, 0.0
-        for t in (0.5, 1.0, 2.0, 4.0):
-            u = evolve_reference(prop, u, t - t_prev, smooth_start=(t_prev == 0.0))
-            t_prev = t
+        slices = Propagator.march(gen, 0.01, g[:, None], 4.0, [50, 100, 200, 400], smooth_start=True)[0][0]
+        for t, u in zip((0.5, 1.0, 2.0, 4.0), slices):
             dev = np.max(np.abs(np.exp(spec.lambda0 * t) * u - pi_g))
             want = max(want, float(np.exp(spec.gap * t) * dev / np.max(np.abs(g))))
     assert fit_H(gen, spec, 0.01) == want
@@ -684,3 +681,80 @@ def test_driftedjump_eigentriple_memory_is_linear_in_the_nonzeros():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * csr_bytes < 8 * n * n, (peak, csr_bytes)
+
+
+# ----------------------------------------------------------------------
+# the step controller of Propagator.march
+
+
+def _small_oscillator(theta=0.7):
+    grid = Grid(-6.0, 6.0, 121, boundary="absorbing")
+    model = make_oscillator_model(theta)
+    return model, build_generator(model, DynamicsSpec(variant="diffusion", a=constant(0.0)), grid)
+
+
+def test_march_hits_every_stored_time(oscillator_setup):
+    """Each stored time is the end of an accepted step, exactly k dt_pde,
+    whatever the spans between stored times."""
+    gen = oscillator_setup[3]
+    times = []
+    store = [0, 7, 20, 33, 150, 600]
+    g = np.exp(-(gen.grid.nodes**2))[:, None]
+    Propagator.march(gen, 0.01, g, 6.0, store, guard=lambda _state, t: times.append(t), smooth_start=True)
+    assert all(k * 0.01 in times for k in store[1:])
+    assert times == sorted(times) and times[-1] == 6.0
+    # steps grew past dt_pde between the later stored times
+    assert len(times) < 600
+
+
+def test_march_factors_few_distinct_steps_once(monkeypatch):
+    """A long survival march meets few distinct steps and factors each once."""
+    from branchlab.moments import solve_survival
+
+    model, gen = _small_oscillator()
+    built = []
+    init = Propagator.__init__
+
+    def counting_init(self, generator, dt):
+        built.append(dt)
+        init(self, generator, dt)
+
+    monkeypatch.setattr(Propagator, "__init__", counting_init)
+    monkeypatch.setattr(semigroup, "_PROP_CACHE", {})
+    solve_survival(60.0, gen, model, dt_pde=0.01, n_store=300)
+    assert len(built) == len(set(built)) <= 16
+
+
+def test_march_rerun_gives_the_same_bytes(monkeypatch):
+    """The controller's choices depend on the data alone: a rerun, with the
+    factor cache emptied, gives the same fields and error estimate."""
+    from branchlab.moments import solve_moments, solve_survival
+
+    model, gen = _small_oscillator()
+    first = solve_survival(20.0, gen, model, dt_pde=0.01, n_store=100)
+    moments = solve_moments(np.ones(gen.n), 3, 20.0, gen, model, dt_pde=0.01, n_store=100)
+    monkeypatch.setattr(semigroup, "_PROP_CACHE", {})
+    again = solve_survival(20.0, gen, model, dt_pde=0.01, n_store=100)
+    moments_again = solve_moments(np.ones(gen.n), 3, 20.0, gen, model, dt_pde=0.01, n_store=100)
+    assert first.fields[0].tobytes() == again.fields[0].tobytes() and first.time_error == again.time_error
+    for n in (1, 2, 3):
+        assert moments.fields[n].tobytes() == moments_again.fields[n].tobytes()
+
+
+@pytest.mark.parametrize("theta, t_end", [(0.5, 2.0), (0.9, 10.0)])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_march_stays_within_its_error_estimate(theta, t_end, with_source):
+    """From smooth data, the march at dt_pde = 0.01 deviates from the march
+    at dt_pde = 1e-4 by less than its own time-error estimate at every
+    stored time, while its steps grow past dt_pde."""
+    from branchlab.moments import _survival_source
+
+    model, gen = _small_oscillator(theta)
+    xs = gen.grid.nodes
+    source = _survival_source(np.asarray(model.b(xs), dtype=float)) if with_source else None
+    g = np.exp(-(xs**2))[:, None]
+    store = [round(k * t_end / 0.2) for k in range(21)]
+    got, estimate = Propagator.march(gen, 0.01, g, t_end, store, source_fn=source)
+    want, _ = Propagator.march(gen, 1e-4, g, t_end, [100 * k for k in store], source_fn=source)
+    deviation = max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(got[0], want[0]))
+    assert 0.0 < deviation <= estimate < 1e-4

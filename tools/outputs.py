@@ -17,8 +17,9 @@ none, or a tree whose commands do not record it).
 ``diff`` counts the identical files, lists each changed JSON key or CSV
 column (grouped by file name over the configs) with its maximum absolute
 and relative deviation, lists commands whose exit code or text changed,
-and checks in each run that ``verify --threads 2`` wrote the bytes of
-``--threads 1``.  It exits 0 only when nothing differs.  It also lists the
+lists each verify verdict (config, name, position) whose status (PASS,
+FAIL or INCONCLUSIVE) changed, and checks in each run that ``verify
+--threads 2`` wrote the bytes of ``--threads 1``.  It exits 0 only when nothing differs.  It also lists the
 commands whose peak RSS moved by more than 5%, as information: memory
 does not enter the exit code.
 """
@@ -220,6 +221,7 @@ def compare(a_dir, b_dir):
         for ca, cb in zip(a["commands"], b["commands"])
     ]
     rss = [r for r in rss if r[2] and r[3]]
+    va, vb = verdict_statuses(a_dir, fa), verdict_statuses(b_dir, fb)
     return {
         "identical": len(identical),
         "changed": changed,
@@ -230,7 +232,27 @@ def compare(a_dir, b_dir):
         "threads": {"a": threads_mismatch(fa), "b": threads_mismatch(fb)},
         "rss_compared": len(rss),
         "rss_moved": [r for r in rss if abs(r[3] / r[2] - 1) > 0.05],
+        "verdicts": len(set(va) | set(vb)),
+        "verdicts_changed": [
+            (*key, va.get(key), vb.get(key)) for key in sorted(set(va) | set(vb)) if va.get(key) != vb.get(key)
+        ],
     }
+
+
+def verdict_statuses(out, files):
+    """{(config, verdict name, position): PASS, FAIL or INCONCLUSIVE} of
+    every verdict in the ``verify --threads 1`` output of each config."""
+    statuses = {}
+    for rel in files:
+        config, *rest = rel.split("/")
+        if rest != ["main", "verification.json"]:
+            continue
+        with open(os.path.join(out, rel)) as fh:
+            tests = json.load(fh).get("tests", [])
+        for position, test in enumerate(tests):
+            status = "INCONCLUSIVE" if test.get("inconclusive") else "PASS" if test.get("passed") else "FAIL"
+            statuses[(config, test.get("name"), position)] = status
+    return statuses
 
 
 def threads_mismatch(files):
@@ -268,6 +290,11 @@ def diff(a_dir, b_dir, stream=sys.stdout):
         )
     for config, argv, field in res["commands"]:
         print(f"command differs: {config} {argv}: {field}", file=stream)
+    if res["verdicts_changed"]:
+        for config, name, position, was, now in res["verdicts_changed"]:
+            print(f"verdict status changed: {config} {name} (position {position}): {was} -> {now}", file=stream)
+    else:
+        print(f"verdict statuses: {res['verdicts']} of {res['verdicts']} identical", file=stream)
     for side in ("a", "b"):
         bad = res["threads"][side]
         status = "same bytes" if not bad else f"{len(bad)} file(s) differ: {', '.join(bad)}"
