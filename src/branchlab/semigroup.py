@@ -17,15 +17,15 @@ Propagation is TR-BDF2, an L-stable second-order step (Bank et al. 1985;
 Hosea & Shampine 1996), under a controller that picks each step from an
 embedded local error estimate against a tolerance of ``_TIME_TOL``
 dt_pde**2.  Nonsmooth initial data get a damped start: three pairs of
-implicit-Euler half steps, then TR-BDF2 steps shorter than dt_pde that
-grow as the error allows.  After it a step is never shorter than dt_pde,
-and grows past it, to a divisor of the span between stored times, where
-its error per unit time stays below the tolerance.  Both stages of a step
-of length h solve with A = I - (gamma h / 2) L, which each ``Propagator``
-factors once through LAPACK (a symmetric tridiagonal factor for a pure
-diffusion, a band factor with the bandwidth of L otherwise); a march meets
-few distinct steps.  The trapezoidal stage is a Crank-Nicolson step
-u_new = A^{-1}(2u + dt s) - u, since I + (dt/2) L = 2I - A: one band
+implicit-Euler steps of dt_pde / 8, then TR-BDF2 steps shorter than dt_pde
+that grow as the error allows.  After it a step is never shorter than
+dt_pde, and grows past it, to a divisor of the span between stored times,
+where its error per unit time stays below the tolerance.  Both stages of a
+step of length h solve with A = I - (gamma h / 2) L, which each
+``Propagator`` factors once through LAPACK (a symmetric tridiagonal factor
+for a pure diffusion, a band factor with the bandwidth of L otherwise); a
+march meets few distinct steps.  The trapezoidal stage is a Crank-Nicolson
+step u_new = A^{-1}(2u + dt s) - u, since I + (dt/2) L = 2I - A: one band
 solve, no matrix-vector product, for one field or for a block of fields
 marched as columns.
 ``Propagator.march`` is the one time loop: ``evolve_P``, ``fit_H``,
@@ -227,10 +227,10 @@ _EST_Y2, _EST_Y3, _EST_F = (3.0 + 2.0 * math.sqrt(2.0)) / 3.0, -2.0 / 3.0, -math
 # field's sup over the grid: a step longer than dt_pde keeps its error per
 # unit time below tol, a step of the start shorter than dt_pde its error
 # below _START_TOL tol
-_TIME_TOL, _START_TOL = 0.015, 10.0
-# the start: _DAMPED_STEPS steps of dt_pde / 2, each a pair of
-# implicit-Euler half steps, then TR-BDF2 from dt_pde / 2**_RAMP_DEPTH
-_DAMPED_STEPS, _RAMP_DEPTH = 3, 4
+_TIME_TOL, _START_TOL = 0.019, 2.0
+# the start: _DAMPED_STEPS steps of dt_pde / 2**_DAMPED_DEPTH, each a pair
+# of implicit-Euler half steps, then TR-BDF2 from dt_pde / 2**_RAMP_DEPTH
+_DAMPED_STEPS, _DAMPED_DEPTH, _RAMP_DEPTH = 3, 2, 4
 # steps and times count units of dt_pde / _UNITS, so the march adds no
 # rounding to them
 _UNITS = 2**48
@@ -243,6 +243,17 @@ _SAFETY, _MAX_SHRINK = 0.9, 0.2
 # bound); a step longer than dt_pde keeps that product at most 1 for a
 # source that reads its own column
 _SOURCE_STEP = 1.0
+
+
+def _col_sup(block):
+    """sup |block| of each column of an (n, k) block, at least the
+    smallest normal float."""
+    return np.maximum(np.abs(block).max(axis=0), np.finfo(float).tiny)
+
+
+def _rel_sup(block, scale):
+    """The largest over the columns of sup |block| / ``scale``."""
+    return float((np.abs(block).max(axis=0) / scale).max())
 
 
 class Propagator:
@@ -318,10 +329,11 @@ class Propagator:
         equation, so the next step needs no matrix-vector product.
 
         ``scratch`` holds three blocks shaped like ``u``.  Each stage takes
-        the source at its end, extrapolated from u: an Euler step for the
-        trapezoidal stage, the line through u and Y2 for the BDF2 stage.  A
-        source whose columns read themselves (the survival equation) is
-        then corrected once from each stage's predictor.  ``triangular``
+        the source at its end, predicted from u: for the trapezoidal stage
+        by an Euler step, or by a Crank-Nicolson step with the source frozen
+        at u when the source reads its own column (the survival equation);
+        for the BDF2 stage by the line through u and Y2, and a self-reading
+        source is then corrected once from the stage's solution.  ``triangular``
         declares that the source of column j reads only columns below j, so
         column 0 has none and evolves alone (the moment hierarchy): no
         correction is needed, and err reads column 0 only, so the block
@@ -356,8 +368,7 @@ class Propagator:
             rhs = u + _BDF2_W * rise
             y3 = self.step_be_half(rhs, s2)
             if not triangular:
-                moved = np.maximum(np.max(np.abs(ahead), axis=0), np.finfo(float).tiny)
-                lip = float(np.max(np.max(np.abs(s2 - s0), axis=0) / moved))
+                lip = _rel_sup(s2 - s0, _col_sup(ahead))
                 source_fn(y3, s2)
                 y3 = self.step_be_half(rhs, s2)
         # A y3 = rhs + (dt/2) s with A = I - (dt/2) L
@@ -367,11 +378,10 @@ class Propagator:
             lu_new -= s2
         cols = slice(0, 1) if triangular else slice(None)
         est = _EST_Y2 * rise[:, cols] + _EST_Y3 * (y3[:, cols] - u[:, cols]) + (_EST_F * h) * f[:, cols]
-        scale = np.maximum(np.max(np.abs(y3[:, cols]), axis=0), np.finfo(float).tiny)
-        err = float(np.max(np.max(np.abs(est), axis=0) / scale))
+        scale = _col_sup(y3[:, cols])
+        err = _rel_sup(est, scale)
         if err > tol and filtered:
-            est = self.step_be_half(np.asfortranarray(est))
-            err = float(np.max(np.max(np.abs(est), axis=0) / scale))
+            err = _rel_sup(self.step_be_half(np.asfortranarray(est)), scale)
         return y3, lu_new, err, lip
 
     @staticmethod
@@ -386,9 +396,10 @@ class Propagator:
 
         The tolerance tol is ``_TIME_TOL`` dt_pde**2.  ``smooth_start``
         begins with an L-stable, positive start for nonsmooth initial data:
-        ``_DAMPED_STEPS`` steps of dt_pde / 2, each a pair of implicit-Euler
-        half steps, then TR-BDF2 from dt_pde / 2**``_RAMP_DEPTH``, halving
-        and doubling to keep each step's error below ``_START_TOL`` tol.  A
+        ``_DAMPED_STEPS`` steps of dt_pde / 2**``_DAMPED_DEPTH``, each a pair
+        of implicit-Euler half steps, then TR-BDF2 from dt_pde /
+        2**``_RAMP_DEPTH``, halving and doubling to keep each step's error
+        below ``_START_TOL`` tol.  A
         step of dt_pde is always taken, as a march of fixed steps dt_pde
         would.  A longer one, a divisor of the span between two stored
         times, is taken where its error per unit time stays below tol and,
@@ -419,7 +430,7 @@ class Propagator:
         tol = _TIME_TOL * dt_pde**2
         time_error, lip, lin = 0.0, 0.0, None
         damped = _DAMPED_STEPS if smooth_start else 0
-        rung = _UNITS // 2 if damped else _UNITS
+        rung = _UNITS >> _DAMPED_DEPTH if damped else _UNITS
         prev = 0
         for slot, anchor in enumerate(anchors):
             span = anchor - prev
@@ -652,7 +663,12 @@ def _rightmost_eigs(matrix, k, rho):
     raise EigenSolverError(f"could not isolate {k} eigenvalues of n = {n} by shift-invert at sigma = {sigma:.6g}")
 
 
-_EIGEN_TOL, _EIGEN_MAX_STEPS = 1e-10, 200  # the eigenpair polish's Rayleigh-quotient tolerance and step limit
+# the eigenpair polish stops when the Rayleigh quotient moves by less than
+# _EIGEN_TOL (relative) and the residual |A v - lambda v| of the unit
+# vector is below _EIGEN_TOL too, or no longer falls (its rounding floor);
+# a vector stopped at a residual of 1e-5 was off by 2.4e-6 on
+# critical_constant, whose Theta0 is constant
+_EIGEN_TOL, _EIGEN_MAX_STEPS = 1e-10, 200
 
 
 def _inverse_iteration(matrix, lu, shift, v0, transpose=False):
@@ -663,7 +679,7 @@ def _inverse_iteration(matrix, lu, shift, v0, transpose=False):
     trans = "T" if transpose else "N"
     v = np.asarray(v0, dtype=float)
     v = v / np.linalg.norm(v)
-    lam = shift
+    lam, residual = shift, math.inf
     for _ in range(_EIGEN_MAX_STEPS):
         w = lu.solve(v, trans=trans)
         w_norm = np.linalg.norm(w)
@@ -674,8 +690,10 @@ def _inverse_iteration(matrix, lu, shift, v0, transpose=False):
             v_new = -v_new
         Av = A @ v_new
         lam_new = float(np.dot(v_new, Av))
-        residual = np.linalg.norm(Av - lam_new * v_new)
-        converged = abs(lam_new - lam) < _EIGEN_TOL * max(1.0, abs(lam_new)) and residual < math.sqrt(_EIGEN_TOL)
+        residual, last = float(np.linalg.norm(Av - lam_new * v_new)), residual
+        converged = abs(lam_new - lam) < _EIGEN_TOL * max(1.0, abs(lam_new)) and (
+            residual < _EIGEN_TOL or residual > 0.5 * last
+        )
         v, lam = v_new, lam_new
         if converged:
             break
@@ -692,8 +710,8 @@ def principal_eigentriple(generator, model):
     on the generator's three diagonals (diffusion) or a sparse shift-invert
     Arnoldi solve (the jump classes), so no n x n array is formed; an
     ARPACK failure raises EigenSolverError.  The eigenpair is then polished by
-    shifted inverse power iteration to ``_EIGEN_TOL`` on the Rayleigh quotient,
-    and mu0 comes from the matching left eigenvector.
+    shifted inverse power iteration to ``_EIGEN_TOL`` on the Rayleigh quotient
+    and the residual, and mu0 comes from the matching left eigenvector.
     No propagation runs here: H is left ``None`` for ``fit_H``, which only
     the ``spectrum`` command calls.
     """

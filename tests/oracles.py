@@ -104,9 +104,8 @@ def evolve_reference(generator, g, t, dt_pde, smooth_start=False):
     """P_t g of one field by a plain loop over the steps that
     ``Propagator.march`` takes for it, for t a whole number of steps
     dt_pde, with time kept as a Fraction of dt_pde: with smoothing,
-    _DAMPED_STEPS steps of dt_pde / 2 as pairs of implicit-Euler half
-    steps, then TR-BDF2
-    from dt_pde / 2**_RAMP_DEPTH, halving on a step error over _START_TOL
+    _DAMPED_STEPS steps of dt_pde / 2**_DAMPED_DEPTH as pairs of
+    implicit-Euler half steps, then TR-BDF2 from dt_pde / 2**_RAMP_DEPTH, halving on a step error over _START_TOL
     tol and doubling on one a ninth of it (at an aligned time) up to
     dt_pde; steps of dt_pde always taken; a longer step, a divisor of t,
     once its error per unit time leaves room below tol."""
@@ -118,7 +117,7 @@ def evolve_reference(generator, g, t, dt_pde, smooth_start=False):
     total = Fraction(round(t / dt_pde))
     tol = sg._TIME_TOL * dt_pde**2
     now = Fraction(0)
-    step, damped = (Fraction(1, 2), sg._DAMPED_STEPS) if smooth_start else (Fraction(1), 0)
+    step, damped = (Fraction(1, 2**sg._DAMPED_DEPTH), sg._DAMPED_STEPS) if smooth_start else (Fraction(1), 0)
     divisors = [d for d in range(1, int(total) + 1) if total % d == 0]
     lin = None
     while now < total:

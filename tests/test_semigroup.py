@@ -185,6 +185,14 @@ def test_oscillator_eigenvalues(oscillator_setup):
     assert spec.eigen_residual < 1e-6
 
 
+def test_polished_eigenfunction_of_a_flat_model_is_flat(critical_setup):
+    # constant rates on a reflecting box: Theta0 = 1 and B = b = 1 exactly,
+    # so the polish's residual tolerance bounds their error
+    _, _, _, _, spec = critical_setup
+    assert np.max(np.abs(spec.theta0 - 1.0)) < 1e-8
+    assert abs(spec.B - 1.0) < 1e-8
+
+
 def test_mu0_equals_theta0_rho(oscillator_setup):
     _, _, grid, gen, spec = oscillator_setup
     mu_pred = spec.theta0 * gen.rho
