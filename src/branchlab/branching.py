@@ -41,6 +41,7 @@ import numpy as np
 
 from . import rng
 from .dynamics import check_cap, move
+from .grid import whole_steps
 
 __all__ = [
     "CutoffSpec",
@@ -311,9 +312,7 @@ def simulate_ensemble(
         raise ValueError("need t_end >= 0 and dt > 0")
     check_event_cap(model, dyn, cutoff, dt)
     functionals = functionals or {}
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be a multiple of dt for ensemble runs")
+    n_steps = whole_steps(t_end, dt)
     record_steps = _snap_steps(record_times, dt, t_end)
     record_set = set(record_steps)
     trait_steps = set(_snap_steps(record_traits_at, dt, t_end))

@@ -46,11 +46,7 @@ def _meta_line(cfg):
 
 
 def _out_dir(cfg, out):
-    if out:
-        base = out
-    else:
-        root = os.environ.get("BRANCHLAB_OUT_ROOT")
-        base = os.path.join(root, cfg.name) if root else cfg.output_dir
+    base = out or cfg.output_dir
     os.makedirs(base, exist_ok=True)
     return base
 
@@ -254,9 +250,8 @@ def cmd_survive(cfg, args, out):
         ((t, nodes, u0f.fields[0][k]) for k, t in _slices(u0f, stride)),
     )
 
-    # the u0 route of h continues the survey march
     regime = spec.regime()
-    hres = mom.solve_h(cfg.model, gen, spec, dt_pde=cfg.solver["dt_pde"], survival=u0f)
+    hres = mom.solve_h(cfg.model, gen, spec, u0f)
     if regime == "supercritical" and hres.agreement > mom.H_ROUTES_TOL:
         raise RuntimeError(f"h routes disagree by {hres.agreement:.3g} > 3 tol; boundary bias suspected")
     _write_csv(os.path.join(out, "h.csv"), cfg, ["x", "h", "h_u0_route"], [(nodes, hres.h, hres.h_u0_route)])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .curves import curve_from_config
-from .grid import Grid
+from .grid import Grid, whole_steps
 from .model import DynamicsSpec, RateModel
 
 __all__ = ["ExperimentConfig", "ConfigError", "Key", "SCHEMA", "load_config", "config_hash"]
@@ -98,7 +98,10 @@ class Key:
         ok = is_kind(value) and (not self.bounds or all(_within(self.bounds, v) for v in items))
         if ok and self.steps_of:
             dt, last = reduce(dict.__getitem__, self.steps_of.split("."), doc), max(items)
-            ok = abs(round(last / dt) * dt - last) <= 1e-9 * max(1.0, last)
+            try:
+                whole_steps(last, dt)
+            except ValueError:
+                ok = False
         if not ok:
             where = f" {'in ' if self.bounds[0] in '([{' else ''}{self.bounds}" if self.bounds else ""
             largest = "the largest " if self.kind == "numbers" else ""

@@ -6,7 +6,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Grid"]
+__all__ = ["Grid", "whole_steps"]
+
+
+def whole_steps(t, dt):
+    """The number of steps dt in time t; a ValueError unless t is a
+    nonnegative whole number of them, to 1e-9 relative."""
+    n = int(round(t / dt))
+    if t < 0 or abs(n * dt - t) > 1e-9 * max(1.0, t):
+        raise ValueError(f"time {t:g} is not a nonnegative whole number of steps {dt:g}")
+    return n
 
 
 @dataclass(frozen=True)

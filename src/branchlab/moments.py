@@ -13,7 +13,7 @@ with an IMEX TR-BDF2 march under local error control
 unsplit and taken at each stage's end, by a predictor-corrector for the
 survival and Laplace equations, whose source reads the field itself.  The
 moment orders are the columns of one block, each order's source reads the
-orders below it, so each stage is a single band solve with a cached factor
+orders below it, so each stage is a single band solve with the march's factor
 of I - (gamma h / 2) L, and the block takes the steps of order 1.
 
 The extinction limit h solves the stationary equation L h - b h^2 = 0 by
@@ -36,6 +36,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import comb
 
 from .branching import yule_moment_bound
+from .grid import whole_steps
 # perfbench checks that its tracer patched the Propagator this module sees
 from .semigroup import Propagator
 
@@ -97,7 +98,7 @@ class MomentField:
 
     @property
     def dt_store(self):
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
+        return float(self.times[1] - self.times[0])
 
     def normalized(self, n, lambda0):
         """The subcritical scaling e^{lambda0 t} u_n."""
@@ -116,12 +117,10 @@ def _survival_source(b_vals):
 
 
 def _store_steps(t_end, dt, n_store, ensure_times):
-    n_steps = int(round(t_end / dt))
+    n_steps = whole_steps(t_end, dt)
     anchors = [n_steps]
     for t in ensure_times:
-        k = int(round(t / dt))
-        if abs(k * dt - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"requested slice time {t} is not on the solver step grid")
+        k = whole_steps(t, dt)
         if 0 < k <= n_steps:
             anchors.append(k)
     every = max(1, n_steps // max(n_store, 1))
@@ -310,7 +309,7 @@ def _newton_h(generator, b_vals):
     )
 
 
-def solve_h(model, generator, spectral, dt_pde, survival=None):
+def solve_h(model, generator, spectral, survival):
     """Extinction-probability limit h, by Newton's method on the stationary
     equation L h - b h^2 = 0 and by the long-time survival march.
 
@@ -320,14 +319,13 @@ def solve_h(model, generator, spectral, dt_pde, survival=None):
     In the supercritical regime both routes are computed, and their
     disagreement is returned for the caller to hold to ``H_ROUTES_TOL``.
 
-    The survival route marches u0 on in segments of about 1 / beta, beta =
+    The survival route continues ``survival``, a u0 field from
+    ``solve_survival`` (the survey march of ``survive`` and ``verify``),
+    from its last slice at the tolerance of its ``dt_pde``: in segments of
+    a whole number of its stored slices, about 1 / beta long with beta =
     min(|lambda0|, gap), until the extrapolated remainder drops below
-    ``_H_TOL``.
-    ``survival`` is an optional u0 field from ``solve_survival`` (the survey
-    march of ``survive``): the route continues from its last slice, at the
-    tolerance of its ``dt_pde``, in segments of whole stored slices, and
-    measures its first contraction rates on the field's slices.  Without it the route
-    first marches u0 from t = 0 over four segments at ``dt_pde``.
+    ``_H_TOL``.  The first contraction rates are measured on the field's
+    slices.
     """
     regime = spectral.regime()
     xs = generator.grid.nodes
@@ -340,18 +338,12 @@ def solve_h(model, generator, spectral, dt_pde, survival=None):
         zero = np.zeros(len(xs))
         return HResult(h=zero, h_u0_route=zero, iterations=len(steps), agreement=float(np.max(h)))
 
-    # survival route: march u0 on in segments of about 1 / beta until the
-    # geometrically extrapolated remainder drops below _H_TOL
+    # survival route: continue u0 in segments of whole stored slices until
+    # the geometrically extrapolated remainder drops below _H_TOL
     beta = min(abs(spectral.lambda0), spectral.gap)
     t_probe = max(4.0 / beta, 2.0)
-    if survival is None or len(survival.times) < 2:
-        dt_seg = math.ceil(t_probe / (4.0 * dt_pde)) * dt_pde
-        survival = solve_survival(4.0 * dt_seg, generator, model, dt_pde=dt_pde, n_store=4)
-        stride = 1
-    else:
-        # segments of a whole number of the survey's stored slices
-        stride = max(1, round(t_probe / (4.0 * survival.dt_store)))
-        dt_seg = stride * survival.dt_store
+    stride = max(1, round(t_probe / (4.0 * survival.dt_store)))
+    dt_seg = stride * survival.dt_store
     # checkpoints a segment apart, newest first: the field's last slice and
     # up to two before it
     marks = list(survival.fields[0][::-stride][:3])

@@ -23,8 +23,9 @@ dt_pde, and grows past it, to a divisor of the span between stored times,
 where its error per unit time stays below the tolerance.  Both stages of a
 step of length h solve with A = I - (gamma h / 2) L, which each
 ``Propagator`` factors once through LAPACK (a symmetric tridiagonal factor
-for a pure diffusion, a band factor with the bandwidth of L otherwise); a
-march meets few distinct steps.  The trapezoidal stage is a Crank-Nicolson
+for a pure diffusion, a band factor with the bandwidth of L otherwise).  A
+march meets few distinct steps and factors each once; the factors are its
+own and go when it returns.  The trapezoidal stage is a Crank-Nicolson
 step u_new = A^{-1}(2u + dt s) - u, since I + (dt/2) L = 2I - A: one band
 solve, no matrix-vector product, for one field or for a block of fields
 marched as columns.
@@ -42,7 +43,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid
+from .grid import Grid, whole_steps
 from .model import DIFFUSION, DRIFTED_JUMP, ell_and_rho, ell_values, potential
 
 __all__ = [
@@ -203,15 +204,6 @@ def _symmetrized(matrix, rho, rel_tol):
     return main, 0.5 * (upper + lower)
 
 
-def _whole_steps(t, dt):
-    """The number of steps dt in time t; a ValueError unless t is a
-    nonnegative whole number of them."""
-    n = int(round(t / dt))
-    if t < 0 or abs(n * dt - t) > 1e-9 * max(1.0, t):
-        raise ValueError(f"time {t:g} is not a nonnegative multiple of the solver step {dt:g}")
-    return n
-
-
 # TR-BDF2 with gamma = 2 - sqrt 2 (Bank et al. 1985; Hosea & Shampine 1996):
 # a trapezoidal stage Y2 to t + gamma h, then a BDF2 stage to t + h,
 #     A u_new = u + w/d (Y2 - u) + (gamma h / 2) s,   w/d = (1 + sqrt 2) / 2.
@@ -272,7 +264,6 @@ class Propagator:
     """
 
     def __init__(self, generator, dt):
-        self.generator = generator
         self.dt = float(dt)
         half = self.dt / 2.0
         self._spd = None
@@ -392,122 +383,124 @@ class Propagator:
         the slices at ``store_steps`` (sorted step indices on the grid of
         ``dt_pde``, 0 = initial data; None = ``t_end`` alone), shape (k,
         n_stored, n), and the sum of the accepted steps' local error
-        estimates, relative to each field's sup.
+        estimates, relative to each field's sup; the sum leaves out the
+        damped start (ROADMAP item 18, residue (a)).
 
         The tolerance tol is ``_TIME_TOL`` dt_pde**2.  ``smooth_start``
         begins with an L-stable, positive start for nonsmooth initial data:
         ``_DAMPED_STEPS`` steps of dt_pde / 2**``_DAMPED_DEPTH``, each a pair
         of implicit-Euler half steps, then TR-BDF2 from dt_pde /
         2**``_RAMP_DEPTH``, halving and doubling to keep each step's error
-        below ``_START_TOL`` tol.  A
-        step of dt_pde is always taken, as a march of fixed steps dt_pde
-        would.  A longer one, a divisor of the span between two stored
-        times, is taken where its error per unit time stays below tol and,
-        for a source that reads its own column, h times the source's
-        Lipschitz constant below ``_SOURCE_STEP``.  So every stored time is
-        hit exactly, few distinct steps occur (each factored once,
-        ``_propagator``) and the march is never coarser than steps of
-        dt_pde.  Without ``smooth_start`` it starts at dt_pde.
+        below ``_START_TOL`` tol.  A step of dt_pde is always taken, as a
+        march of fixed steps dt_pde would.  A longer one, a divisor of the
+        span between two stored times, is taken where its error per unit
+        time stays below tol and, for a source that reads its own column, h
+        times the source's Lipschitz constant below ``_SOURCE_STEP``.  So
+        every stored time is hit exactly and the march is never coarser
+        than steps of dt_pde.  Without ``smooth_start`` it starts at dt_pde.
+        The march meets few distinct steps, factors each once and frees the
+        factors when it returns.
 
         ``guard(state, t)`` may raise after an accepted step.
         ``source_fn(state, out)`` writes the source of every column of
         ``state`` into ``out``; ``triangular`` is passed to
         ``Propagator.step_trbdf2``.  The columns of a block that is not
-        triangular are marched one at a time, so a column's values do not
-        depend on the block it is marched in.
+        triangular are marched one at a time, sharing the march's factors,
+        so a column's values do not depend on the block it is marched in.
         """
-        if not triangular and np.shape(init)[1] > 1:
-            parts = [
-                Propagator.march(generator, dt_pde, column[:, None], t_end, store_steps, source_fn, guard, smooth_start)
-                for column in np.asarray(init, dtype=float).T
-            ]
-            return np.concatenate([slices for slices, _err in parts]), max(err for _slices, err in parts)
-        n_total = _whole_steps(t_end, dt_pde)
+        n_total = whole_steps(t_end, dt_pde)
         anchors = [n_total] if store_steps is None else list(store_steps)
-        state = np.array(init, dtype=float, order="F")
-        stored = np.empty((state.shape[1], len(anchors), state.shape[0]))
-        scratch = [np.empty_like(state) for _ in range(3)] if source_fn is not None else None
-        tol = _TIME_TOL * dt_pde**2
-        time_error, lip, lin = 0.0, 0.0, None
-        damped = _DAMPED_STEPS if smooth_start else 0
-        rung = _UNITS >> _DAMPED_DEPTH if damped else _UNITS
-        prev = 0
-        for slot, anchor in enumerate(anchors):
-            span = anchor - prev
-            divisors = [d * _UNITS for d in range(1, span + 1) if span % d == 0]
-            if rung > _UNITS:
-                rung = max(d for d in divisors if d <= rung)
-            position = 0
-            while position < span * _UNITS:
-                h = dt_pde * (rung / _UNITS)
-                if damped:
-                    # a pair of implicit-Euler half steps, the source
-                    # refreshed at the midpoint
-                    prop = _propagator(generator, h)
-                    for _ in range(2):
-                        if source_fn is not None:
-                            source_fn(state, scratch[0])
-                        state = prop.step_be_half(state, None if source_fn is None else scratch[0])
-                    damped, lin = damped - 1, None
-                    position += rung
-                    if not damped:
-                        rung = _UNITS >> _RAMP_DEPTH
-                    err = 0.0
-                else:
-                    allowed = _START_TOL * tol if rung < _UNITS else tol * h
-                    # a step of dt_pde is taken whatever its estimate says,
-                    # so the estimate is not filtered there
-                    if lin is None:
-                        lin = generator.matrix @ state
-                    new, new_lin, err, lip = _propagator(generator, _GAMMA * h).step_trbdf2(
-                        state, lin, allowed, source_fn, triangular, scratch, rung != _UNITS
-                    )
-                    if rung < _UNITS and err > allowed:
-                        shrink = max(_MAX_SHRINK, _SAFETY * (allowed / err) ** (1 / 3))
-                        rung >>= max(1, math.ceil(-math.log2(shrink)))
-                        continue
-                    if rung > _UNITS and (err > allowed or h * lip > _SOURCE_STEP):
-                        # back to the longest aligned step that fits, at least dt_pde
-                        fit = rung * min(
-                            math.sqrt(_SAFETY * allowed / err) if err > 0 else math.inf,
-                            _SOURCE_STEP / (h * lip) if lip > 0 else math.inf,
-                        )
-                        rung = max(d for d in divisors if d <= max(fit, _UNITS) and position % d == 0)
-                        continue
-                    state, lin = new, new_lin
-                    time_error += err
-                    position += rung
-                    if rung < _UNITS:
-                        if position % (2 * rung) == 0 and (err == 0 or _SAFETY * (allowed / err) ** (1 / 3) >= 2):
-                            rung *= 2
-                    else:
-                        longer = next((d for d in divisors if d >= 2 * rung), None)
-                        if (
-                            longer is not None
-                            and position % longer == 0
-                            and err * (longer / rung) ** 2 <= _SAFETY * tol * h
-                            and dt_pde * (longer / _UNITS) * lip <= _SOURCE_STEP
-                        ):
-                            rung = longer
-                if guard is not None:
-                    guard(state, dt_pde * (prev + position / _UNITS))
-            stored[:, slot] = state.T
-            prev = anchor
+        init = np.asarray(init, dtype=float)
+        stored = np.empty((init.shape[1], len(anchors), init.shape[0]))
+        factors = {}
+        blocks = [slice(None)] if triangular else [slice(j, j + 1) for j in range(init.shape[1])]
+        time_error = max(
+            _march_block(generator, dt_pde, init[:, cols], anchors, stored[cols], factors, source_fn, guard,
+                         smooth_start, triangular)
+            for cols in blocks
+        )
         return stored, time_error
 
 
-_PROP_CACHE = {}
+def _march_block(generator, dt_pde, init, anchors, stored, factors, source_fn, guard, smooth_start, triangular):
+    """``Propagator.march`` of one block into ``stored`` at the step indices
+    ``anchors``; returns its time-error estimate.  ``factors`` maps each
+    step the march has met to its Propagator."""
 
+    def factor(h):
+        if h not in factors:
+            factors[h] = Propagator(generator, h)
+        return factors[h]
 
-def _propagator(generator, dt):
-    key = (id(generator), float(dt))
-    prop = _PROP_CACHE.get(key)
-    if prop is None or prop.generator is not generator:
-        prop = Propagator(generator, dt)
-        _PROP_CACHE[key] = prop
-        if len(_PROP_CACHE) > 32:
-            _PROP_CACHE.pop(next(iter(_PROP_CACHE)))
-    return prop
+    state = np.array(init, order="F")
+    scratch = [np.empty_like(state) for _ in range(3)] if source_fn is not None else None
+    tol = _TIME_TOL * dt_pde**2
+    time_error, lip, lin = 0.0, 0.0, None
+    damped = _DAMPED_STEPS if smooth_start else 0
+    rung = _UNITS >> _DAMPED_DEPTH if damped else _UNITS
+    prev = 0
+    for slot, anchor in enumerate(anchors):
+        span = anchor - prev
+        divisors = [d * _UNITS for d in range(1, span + 1) if span % d == 0]
+        if rung > _UNITS:
+            rung = max(d for d in divisors if d <= rung)
+        position = 0
+        while position < span * _UNITS:
+            h = dt_pde * (rung / _UNITS)
+            if damped:
+                # a pair of implicit-Euler half steps, the source
+                # refreshed at the midpoint
+                prop = factor(h)
+                for _ in range(2):
+                    if source_fn is not None:
+                        source_fn(state, scratch[0])
+                    state = prop.step_be_half(state, None if source_fn is None else scratch[0])
+                damped, lin = damped - 1, None
+                position += rung
+                if not damped:
+                    rung = _UNITS >> _RAMP_DEPTH
+                err = 0.0
+            else:
+                allowed = _START_TOL * tol if rung < _UNITS else tol * h
+                # a step of dt_pde is taken whatever its estimate says,
+                # so the estimate is not filtered there
+                if lin is None:
+                    lin = generator.matrix @ state
+                new, new_lin, err, lip = factor(_GAMMA * h).step_trbdf2(
+                    state, lin, allowed, source_fn, triangular, scratch, rung != _UNITS
+                )
+                if rung < _UNITS and err > allowed:
+                    shrink = max(_MAX_SHRINK, _SAFETY * (allowed / err) ** (1 / 3))
+                    rung >>= max(1, math.ceil(-math.log2(shrink)))
+                    continue
+                if rung > _UNITS and (err > allowed or h * lip > _SOURCE_STEP):
+                    # back to the longest aligned step that fits, at least dt_pde
+                    fit = rung * min(
+                        math.sqrt(_SAFETY * allowed / err) if err > 0 else math.inf,
+                        _SOURCE_STEP / (h * lip) if lip > 0 else math.inf,
+                    )
+                    rung = max(d for d in divisors if d <= max(fit, _UNITS) and position % d == 0)
+                    continue
+                state, lin = new, new_lin
+                time_error += err
+                position += rung
+                if rung < _UNITS:
+                    if position % (2 * rung) == 0 and (err == 0 or _SAFETY * (allowed / err) ** (1 / 3) >= 2):
+                        rung *= 2
+                else:
+                    longer = next((d for d in divisors if d >= 2 * rung), None)
+                    if (
+                        longer is not None
+                        and position % longer == 0
+                        and err * (longer / rung) ** 2 <= _SAFETY * tol * h
+                        and dt_pde * (longer / _UNITS) * lip <= _SOURCE_STEP
+                    ):
+                        rung = longer
+            if guard is not None:
+                guard(state, dt_pde * (prev + position / _UNITS))
+        stored[:, slot] = state.T
+        prev = anchor
+    return time_error
 
 
 def evolve_P(g, t, generator, dt_pde, smooth_start):
@@ -787,7 +780,7 @@ def fit_H(generator, spectral, dt_pde):
     ]
     tests = [g for g in tests if np.max(np.abs(g)) > 0]
     times = (0.5, 1.0, 2.0, 4.0)
-    store = [_whole_steps(t, dt_pde) for t in times]
+    store = [whole_steps(t, dt_pde) for t in times]
     stored, _err = Propagator.march(generator, dt_pde, np.column_stack(tests), times[-1], store, smooth_start=True)
     H = 0.0
     for g, slices in zip(tests, stored):

@@ -16,6 +16,7 @@ from scipy.special import comb
 
 from branchlab import DynamicsSpec
 from branchlab.curves import Curve
+from branchlab.grid import whole_steps
 from branchlab.model import DIFFUSION, NotApplicableError, ell_and_rho, potential
 from branchlab.moments import _simpson_weights
 from branchlab.semigroup import EigenSolverError, _diffusion_block, _rightmost_eigs, evolve_P
@@ -119,18 +120,25 @@ def evolve_reference(generator, g, t, dt_pde, smooth_start=False):
     now = Fraction(0)
     step, damped = (Fraction(1, 2**sg._DAMPED_DEPTH), sg._DAMPED_STEPS) if smooth_start else (Fraction(1), 0)
     divisors = [d for d in range(1, int(total) + 1) if total % d == 0]
+    factors = {}
+
+    def factor(h):
+        if h not in factors:
+            factors[h] = sg.Propagator(generator, h)
+        return factors[h]
+
     lin = None
     while now < total:
         h = dt_pde * float(step)
         if damped:
-            prop = sg._propagator(generator, h)
+            prop = factor(h)
             u = prop.step_be_half(prop.step_be_half(u))
             now, damped, lin = now + step, damped - 1, None
             step = step if damped else Fraction(1, 2**sg._RAMP_DEPTH)
             continue
         allowed = sg._START_TOL * tol if step < 1 else tol * h
         lin = generator.matrix @ u if lin is None else lin
-        new, new_lin, err, _lip = sg._propagator(generator, sg._GAMMA * h).step_trbdf2(
+        new, new_lin, err, _lip = factor(sg._GAMMA * h).step_trbdf2(
             u, lin, allowed, None, False, None, step != 1
         )
         room = math.inf if err == 0 else sg._SAFETY * (allowed / err) ** (1 / 3)
@@ -254,9 +262,7 @@ def duhamel_residual(field, order, t_star, generator, model, dt_pde=None):
     dt_pde = dt_pde or field.dt_pde
     xs = field.nodes
     b_vals = np.asarray(model.b(xs), dtype=float)
-    k_star = int(round(t_star / field.dt_store))
-    if abs(k_star * field.dt_store - t_star) > 1e-9 * max(1.0, t_star):
-        raise KeyError("t_star must be a stored slice time")
+    k_star = whole_steps(t_star, field.dt_store)  # t_star must be a stored slice time
     f_vals = field.f_vals
 
     if order == 1:

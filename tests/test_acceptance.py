@@ -260,7 +260,7 @@ def test_acceptance_7_subcritical(subcritical_setup):
 
 def test_acceptance_8_supercritical(supercritical_setup):
     model, dyn, grid, gen, spec = supercritical_setup
-    hres = solve_h(model, gen, spec, dt_pde=0.005)
+    hres = solve_h(model, gen, spec, solve_survival(16.0, gen, model, dt_pde=0.005, n_store=200))
     h_err_newton = float(np.max(np.abs(hres.h - 0.5)))
     h_err_u0 = float(np.max(np.abs(hres.h_u0_route - 0.5)))
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,11 +205,17 @@ def test_critical_survival_check_short_horizon_inconclusive(critical_setup):
 
 
 def test_ode_residual_pure_riccati(critical_field):
+    """On the flat toy Psi = u0 - r Theta0 vanishes.  With the computed
+    Theta0 it is Theta0's error times r; with the exact Theta0 = 1 it is
+    the rounding of the march alone, which reads as zero."""
     model, gen, spec, u0f = critical_field
-    dec = CriticalDecomposition.from_field(u0f, spec)
-    rep = critical_ode_residual(dec, spec, model)
-    assert rep.passed
-    assert rep.details["psi_over_r2_bounded"]
+    exact = replace(spec, theta0=np.ones(gen.n), mu0=spec.mu0 / spec.mu0.sum(), A=1.0, B=1.0)
+    for case in (spec, exact):
+        dec = CriticalDecomposition.from_field(u0f, case)
+        rep = critical_ode_residual(dec, case, model)
+        assert rep.passed
+        assert rep.details["psi_over_r2_bounded"]
+    assert rep.details["psi_over_r2_max_late"] == 0.0
 
 
 def test_ode_residual_reports_its_window(critical_field):

@@ -148,7 +148,7 @@ def test_yule_ceiling(critical_setup):
 
 def test_h_zero_in_critical_regime(critical_setup):
     model, dyn, grid, gen, spec = critical_setup
-    res = solve_h(model, gen, spec, dt_pde=0.005)
+    res = solve_h(model, gen, spec, solve_survival(1.0, gen, model, dt_pde=0.005, n_store=10))
     assert np.all(res.h == 0.0)
     # the Newton diagnostic ran: its steps shrink toward the zero solution,
     # which it reaches within tol
@@ -160,13 +160,13 @@ def test_h_zero_in_critical_regime(critical_setup):
 
 def test_h_zero_in_subcritical_regime(subcritical_setup):
     model, dyn, grid, gen, spec = subcritical_setup
-    res = solve_h(model, gen, spec, dt_pde=0.005)
+    res = solve_h(model, gen, spec, solve_survival(1.0, gen, model, dt_pde=0.005, n_store=10))
     assert np.all(res.h == 0.0)
 
 
 def test_h_supercritical_constant(supercritical_setup):
     model, dyn, grid, gen, spec = supercritical_setup
-    res = solve_h(model, gen, spec, dt_pde=0.005)
+    res = solve_h(model, gen, spec, solve_survival(16.0, gen, model, dt_pde=0.005, n_store=200))
     assert np.max(np.abs(res.h - 0.5)) < 1e-6
     assert np.max(np.abs(res.h_u0_route - 0.5)) < 1e-6
     assert res.agreement < 3e-6
@@ -175,7 +175,7 @@ def test_h_supercritical_constant(supercritical_setup):
 def test_h_newton_matches_u0_route_on_oscillator(supercritical_oscillator_setup):
     model, dyn, grid, gen, spec = supercritical_oscillator_setup
     tol = 1e-6
-    res = solve_h(model, gen, spec, dt_pde=0.01)
+    res = solve_h(model, gen, spec, solve_survival(20.0, gen, model, dt_pde=0.01, n_store=100))
     assert np.max(np.abs(res.h - res.h_u0_route)) <= 3.0 * tol
     assert res.agreement <= 3.0 * tol
     assert _newton_h(gen, model.b(grid.nodes))[1][-1] < 0.2 * tol
@@ -193,27 +193,32 @@ def test_h_newton_matches_u0_route_on_oscillator(supercritical_oscillator_setup)
     [("supercritical_setup", 0.005, 16.0, 200), ("supercritical_oscillator_setup", 0.01, 20.0, 100)],
 )
 def test_h_route_continues_a_survey_march(setup, dt_pde, t_end, n_store, request, monkeypatch):
-    """Continued from a survival field, the u0 route starts no new march
-    from t = 0 and agrees with the route that does to 3 tol."""
+    """The u0 route continues its survival field from the last slice at
+    the field's dt_pde, starts no new march from t = 0, and agrees with
+    Newton's h to 3 tol."""
     import branchlab.moments as mom
     from branchlab import semigroup
 
     model, dyn, grid, gen, spec = request.getfixturevalue(setup)
-    tol = 1e-6
-    fresh = solve_h(model, gen, spec, dt_pde=dt_pde)
     survey = solve_survival(t_end, gen, model, dt_pde=dt_pde, n_store=n_store)
-    started = []
+    started, continued = [], []
     monkeypatch.setattr(mom, "solve_survival", lambda *a, **k: started.append(a))
     march = semigroup.Propagator.march
-    # a march from the initial data takes the damped start
-    monkeypatch.setattr(
-        semigroup.Propagator, "march", lambda *a, **k: (k.get("smooth_start") and started.append(a)) or march(*a, **k)
-    )
-    cont = solve_h(model, gen, spec, dt_pde=dt_pde, survival=survey)
+
+    def recording_march(*a, **k):
+        # a march from the initial data takes the damped start
+        (started if k.get("smooth_start") else continued).append(a)
+        return march(*a, **k)
+
+    monkeypatch.setattr(semigroup.Propagator, "march", recording_march)
+    res = solve_h(model, gen, spec, survey)
     assert not started
-    assert np.array_equal(cont.h, fresh.h)
-    assert np.max(np.abs(cont.h_u0_route - fresh.h_u0_route)) <= 3.0 * tol
-    assert cont.agreement <= 3.0 * tol
+    _gen, dt, init, *_ = continued[0]
+    assert dt == dt_pde and np.array_equal(init[:, 0], survey.fields[0][-1])
+    newton, _steps = _newton_h(gen, model.b(grid.nodes))
+    assert np.array_equal(res.h, newton)
+    assert np.max(np.abs(res.h_u0_route - newton)) <= 3.0 * mom._H_TOL
+    assert res.agreement <= 3.0 * mom._H_TOL
 
 
 def test_h_newton_nonconvergence_raises(supercritical_oscillator_setup, monkeypatch):
@@ -222,7 +227,7 @@ def test_h_newton_nonconvergence_raises(supercritical_oscillator_setup, monkeypa
     model, dyn, grid, gen, spec = supercritical_oscillator_setup
     monkeypatch.setattr(mom, "_NEWTON_MAX_STEPS", 2)
     with pytest.raises(RuntimeError, match="Newton"):
-        solve_h(model, gen, spec, dt_pde=0.005)
+        solve_h(model, gen, spec, solve_survival(1.0, gen, model, dt_pde=0.005, n_store=10))
 
 
 def test_h_deathless_degenerate(box_grid, zero_drift):
@@ -231,7 +236,7 @@ def test_h_deathless_degenerate(box_grid, zero_drift):
     from branchlab.semigroup import principal_eigentriple
 
     spec = principal_eigentriple(gen, model)
-    res = solve_h(model, gen, spec, dt_pde=0.005)
+    res = solve_h(model, gen, spec, solve_survival(1.0, gen, model, dt_pde=0.005, n_store=10))
     assert np.max(np.abs(res.h_u0_route - 1.0)) < 1e-9
     # sup h = 1 violates the strict theorem bound; validate names the
     # deathless model
@@ -742,10 +747,9 @@ def _check_steps_against_dense_scheme(gen, b_vals, triangular):
         assert np.max(np.abs(new - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_marches_share_one_factorization(supercritical_oscillator_setup, monkeypatch):
-    """Moment, survival and Laplace-functional marches at one (generator,
-    dt_pde) factor each distinct step once: the cache serves every later
-    use, and the controller meets few distinct steps."""
+def test_each_march_factors_each_step_once(supercritical_oscillator_setup, monkeypatch):
+    """Moment, survival and Laplace-functional marches each factor every
+    distinct step they meet once, and meet few."""
     from branchlab import semigroup
 
     model, _dyn, grid, gen, _spec = supercritical_oscillator_setup
@@ -757,8 +761,11 @@ def test_marches_share_one_factorization(supercritical_oscillator_setup, monkeyp
         init(self, generator, dt)
 
     monkeypatch.setattr(semigroup.Propagator, "__init__", counting_init)
-    monkeypatch.setattr(semigroup, "_PROP_CACHE", {})
-    solve_moments(np.ones(grid.n_points), 2, 0.2, gen, model, dt_pde=0.004, n_store=200)
-    solve_survival(0.2, gen, model, dt_pde=0.004, n_store=200)
-    laplace_functional(np.ones(grid.n_points), 0.1, 0.2, gen, model, dt_pde=0.004)
-    assert len(built) == len(set(built)) <= 12
+    for march in (
+        lambda: solve_moments(np.ones(grid.n_points), 2, 0.2, gen, model, dt_pde=0.004, n_store=200),
+        lambda: solve_survival(0.2, gen, model, dt_pde=0.004, n_store=200),
+        lambda: laplace_functional(np.ones(grid.n_points), 0.1, 0.2, gen, model, dt_pde=0.004),
+    ):
+        built.clear()
+        march()
+        assert 0 < len(built) == len(set(built)) <= 12

@@ -46,6 +46,15 @@ with a read of something else is missed (a line trace of the commands
 found ``HResult.regime`` behind ``spectral.regime()`` and
 ``EnsembleResult.seed`` behind ``args.seed``).  A keyword of a constructor
 or of ``dataclasses.replace`` writes a field and is no read.
+
+State: no function mutates a container that a module-level assignment
+binds (a dict, list or set display or comprehension, or a call of a
+container type), by item assignment or deletion or through ``.pop``,
+``.clear``, ``.update``, ``.setdefault``, ``.append`` and their kin,
+unless it is listed in ``ALLOWED_MUTATIONS`` with the reason it stays.  A
+solver's state lives in the call that builds it, so no result depends on
+what ran earlier in the process.  A name that the function or a function
+enclosing it binds (a parameter or a local) is not the module's.
 """
 
 import ast
@@ -103,6 +112,11 @@ ALLOWED_FIELDS = {
     "branching.EnsembleResult.traits_at": "tests/test_kernel.py compares whole-population snapshots "
     "with its reference step",
 }
+
+
+# "module.qualname: NAME": why the function may mutate the module-level
+# container NAME
+ALLOWED_MUTATIONS = {}
 
 
 def _dunder(name):
@@ -421,6 +435,96 @@ def _unread_fields(trees, allowed):
     )
 
 
+_CONTAINER_TYPES = {"dict", "list", "set", "OrderedDict", "defaultdict", "deque", "Counter"}
+_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "append", "extend", "insert", "remove", "add",
+             "discard"}
+
+
+def _is_container(value):
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    func = value.func if isinstance(value, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id in _CONTAINER_TYPES) or (
+        isinstance(func, ast.Attribute) and func.attr in _CONTAINER_TYPES
+    )
+
+
+def _module_containers(tree):
+    """Names that module-level assignments of ``tree`` bind to a container."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if _is_container(value):
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _scope_nodes(fn):
+    """The nodes of one function's own scope: its body, without the
+    bodies of the functions nested in it, which are yielded themselves."""
+    stack = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _own_names(fn):
+    """The names one function binds itself: parameters, stored names and
+    nested definitions, less those it declares global."""
+    args = fn.args
+    own = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a}
+    declared = set()
+    for node in _scope_nodes(fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared |= set(node.names)
+    return own - declared
+
+
+def _scope_mutations(fn, shared):
+    """The names in ``shared`` that ``fn`` or a function nested in it
+    mutates, where no enclosing scope binds them."""
+    shared = shared - _own_names(fn)
+    found = set()
+    for node in _scope_nodes(fn):
+        if isinstance(node, _SCOPES):
+            found |= _scope_mutations(node, shared)
+            continue
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id in shared:
+            found.add(target.id)
+    return found
+
+
+def _module_mutations(defs, trees, allowed):
+    """The "module.qualname: NAME" of every function of ``defs`` that
+    mutates the module-level container NAME, outside ``allowed``."""
+    found = {
+        f"{key}: {name}"
+        for key, (_name, fn) in defs.items()
+        for name in _scope_mutations(fn, _module_containers(trees[key.split(".")[0]]))
+    }
+    return sorted(found - set(allowed))
+
+
 # ----------------------------------------------------------------------
 # tests
 
@@ -453,6 +557,82 @@ def test_every_dataclass_field_is_read_or_allowed():
     _, trees = _definitions()
     unread = _unread_fields(trees, ALLOWED_FIELDS)
     assert not unread, "dataclass fields no src/ code reads (delete each, or allow it):\n" + "\n".join(unread)
+
+
+def test_no_src_function_mutates_module_state():
+    found = _module_mutations(*_definitions(), ALLOWED_MUTATIONS)
+    assert not found, (
+        "functions that mutate a module-level container (keep the state in the call, or allow it):\n"
+        + "\n".join(found)
+    )
+
+
+def test_module_state_scan_on_a_fixture():
+    lib = """
+        from collections import OrderedDict
+
+        _CACHE = {}
+        _SEEN = []
+        _ORDER = OrderedDict()
+        _NAMES = {k: 0 for k in "ab"}
+        LIMIT = 32
+        TABLE = {"a": 1}
+        TABLE["b"] = 2
+
+        def put(key, value):
+            _CACHE[key] = value
+            if len(_CACHE) > LIMIT:
+                _CACHE.pop(next(iter(_CACHE)))
+
+        def forget():
+            del _NAMES["a"]
+
+        def count(x):
+            _NAMES["a"] += x
+            return TABLE["a"] + _CACHE.get(x, 0)
+
+        class Store:
+            def add(self, item):
+                _SEEN.append(item)
+                self.items = {}
+                self.items["x"] = item
+
+            def reset(self):
+                _ORDER.clear()
+
+        def local(_CACHE):
+            _CACHE.update(a=1)
+            _SEEN = []
+            _SEEN.append(1)
+
+            def inner(key):
+                _ORDER.setdefault(key, 0)
+                _SEEN.append(key)
+
+            return inner
+
+        def outer(key):
+            _CACHE[key] = 1
+
+            def helper(_CACHE):
+                _CACHE.clear()
+
+            return helper
+
+        def declared():
+            global _SEEN
+            _SEEN = []
+            _SEEN.append(2)
+    """
+    defs, trees = _definitions({"lib": textwrap.dedent(lib)})
+    # module-level mutation, reads, attributes of self and names the
+    # function or an enclosing one binds do not count; a global
+    # declaration does, and a name a nested function binds is its own only
+    assert _module_mutations(defs, trees, allowed={}) == [
+        "lib.Store.add: _SEEN", "lib.Store.reset: _ORDER", "lib.count: _NAMES", "lib.declared: _SEEN",
+        "lib.forget: _NAMES", "lib.local: _ORDER", "lib.outer: _CACHE", "lib.put: _CACHE",
+    ]
+    assert _module_mutations(defs, trees, allowed={"lib.put: _CACHE": ""})[-1] == "lib.outer: _CACHE"
 
 
 def test_scan_reads_methods_through_attributes_of_package_values_only():
@@ -650,3 +830,4 @@ def test_allowlist_is_current():
             assert entry in findings, entry
 
     assert set(ALLOWED_FIELDS) <= set(_unread_fields(trees, allowed={})), ALLOWED_FIELDS
+    assert set(ALLOWED_MUTATIONS) <= set(_module_mutations(defs, trees, allowed={})), ALLOWED_MUTATIONS

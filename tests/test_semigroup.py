@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def test_evolve_p_equals_the_step_loop(setup, smooth_start, request):
 @pytest.mark.parametrize("t", [0.015, 1.0 + 1e-6, -0.01])
 def test_evolve_p_rejects_a_time_off_the_step_grid(critical_setup, t):
     gen = critical_setup[3]
-    with pytest.raises(ValueError, match="not a nonnegative multiple of the solver step"):
+    with pytest.raises(ValueError, match="not a nonnegative whole number of steps"):
         evolve_P(np.ones(gen.n), t, gen, dt_pde=0.01, smooth_start=False)
 
 
@@ -715,35 +716,56 @@ def test_march_hits_every_stored_time(oscillator_setup):
     assert len(times) < 600
 
 
+def _built_propagators(monkeypatch, record):
+    """A list that gets ``record(propagator, dt)`` of every Propagator
+    built from now on, in order."""
+    built = []
+    init = Propagator.__init__
+
+    def recording_init(self, generator, dt):
+        built.append(record(self, dt))
+        init(self, generator, dt)
+
+    monkeypatch.setattr(Propagator, "__init__", recording_init)
+    return built
+
+
 def test_march_factors_few_distinct_steps_once(monkeypatch):
     """A long survival march meets few distinct steps and factors each once."""
     from branchlab.moments import solve_survival
 
     model, gen = _small_oscillator()
-    built = []
-    init = Propagator.__init__
-
-    def counting_init(self, generator, dt):
-        built.append(dt)
-        init(self, generator, dt)
-
-    monkeypatch.setattr(Propagator, "__init__", counting_init)
-    monkeypatch.setattr(semigroup, "_PROP_CACHE", {})
+    built = _built_propagators(monkeypatch, lambda _prop, dt: dt)
     solve_survival(60.0, gen, model, dt_pde=0.01, n_store=300)
     assert len(built) == len(set(built)) <= 16
 
 
+def test_march_frees_its_factors(monkeypatch):
+    """Every Propagator that a survival march builds is gone once it
+    returns: no factor outlives its march."""
+    from branchlab.moments import solve_survival
+
+    model, gen = _small_oscillator()
+    built = _built_propagators(monkeypatch, lambda prop, _dt: weakref.ref(prop))
+    solve_survival(20.0, gen, model, dt_pde=0.01, n_store=100)
+    assert built and all(ref() is None for ref in built)
+
+
 def test_march_rerun_gives_the_same_bytes(monkeypatch):
-    """The controller's choices depend on the data alone: a rerun, with the
-    factor cache emptied, gives the same fields and error estimate."""
+    """The controller's choices depend on the data alone: a rerun factors
+    the same steps afresh and gives the same fields and error estimate."""
     from branchlab.moments import solve_moments, solve_survival
 
     model, gen = _small_oscillator()
-    first = solve_survival(20.0, gen, model, dt_pde=0.01, n_store=100)
-    moments = solve_moments(np.ones(gen.n), 3, 20.0, gen, model, dt_pde=0.01, n_store=100)
-    monkeypatch.setattr(semigroup, "_PROP_CACHE", {})
-    again = solve_survival(20.0, gen, model, dt_pde=0.01, n_store=100)
-    moments_again = solve_moments(np.ones(gen.n), 3, 20.0, gen, model, dt_pde=0.01, n_store=100)
+    built = _built_propagators(monkeypatch, lambda _prop, dt: dt)
+    runs = []
+    for _ in range(2):
+        survival = solve_survival(20.0, gen, model, dt_pde=0.01, n_store=100)
+        moments = solve_moments(np.ones(gen.n), 3, 20.0, gen, model, dt_pde=0.01, n_store=100)
+        runs.append((survival, moments, list(built)))
+        built.clear()
+    (first, moments, steps), (again, moments_again, steps_again) = runs
+    assert steps and steps == steps_again
     assert first.fields[0].tobytes() == again.fields[0].tobytes() and first.time_error == again.time_error
     for n in (1, 2, 3):
         assert moments.fields[n].tobytes() == moments_again.fields[n].tobytes()

@@ -71,7 +71,6 @@ def run(tree, out):
     the manifest it writes."""
     tree, out = os.path.abspath(tree), os.path.abspath(out)
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
-    env.pop("BRANCHLAB_OUT_ROOT", None)
     configs = sorted(f[:-5] for f in os.listdir(os.path.join(tree, "configs")) if f.endswith(".json"))
     commands = []
     for name in configs:
